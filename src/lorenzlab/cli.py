@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -43,25 +42,9 @@ from .portfolio import efficient_frontier
 from .risk import RiskMeasureConfig, TargetCurveSpec, measure_report
 from .curves import format_float
 
-THREADS_ENV = "LORENZ_LAB_THREADS"
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-def _read_threads_env() -> int | None:
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None or raw == "":
-        return None
-    try:
-        threads = int(raw)
-    except ValueError:
-        raise UsageError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
-    if threads < 1:
-        raise UsageError(f"{THREADS_ENV} must be >= 1, got {threads}")
-    return threads
 
 
 def _write_sidecar(out_path: str, subcommand: str, options: dict) -> None:
@@ -69,7 +52,6 @@ def _write_sidecar(out_path: str, subcommand: str, options: dict) -> None:
         "tool": "lorenzlab",
         "version": __version__,
         "subcommand": subcommand,
-        "threads": _read_threads_env(),
         "options": options,
     }
     with open(str(out_path) + ".run.json", "w") as fh:
@@ -361,7 +343,6 @@ def _cmd_frontier(ns) -> int:
                 "risk": point.risk,
                 "converged": point.converged,
                 "iterations": point.iterations,
-                "rho_final": point.rho_final,
                 "residual_budget": point.residual_budget,
                 "residual_target": point.residual_target,
                 "min_weight": point.min_weight,
@@ -423,21 +404,17 @@ _COMMANDS = {
 }
 
 
+_PREFIXES = {1: "error", 2: "data error", 3: "numeric failure"}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        _read_threads_env()
         ns = parser.parse_args(argv)
         return _COMMANDS[ns.subcommand](ns)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
     except LorenzLabError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 3
+        print(f"{_PREFIXES[exc.exit_code]}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except OSError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2

@@ -234,30 +234,9 @@ def average_ranks(x: np.ndarray) -> np.ndarray:
     return avg[inverse]
 
 
-def spearman_matrix(values: np.ndarray) -> np.ndarray:
-    """Rank correlation matrix; constant columns get zero correlation."""
-    values = np.asarray(values, dtype=float)
-    t, n = values.shape
-    ranks = np.column_stack([average_ranks(values[:, j]) for j in range(n)])
-    constant = values.max(axis=0) == values.min(axis=0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        corr = np.corrcoef(ranks, rowvar=False)
-    corr = np.atleast_2d(corr)
-    for j in np.flatnonzero(constant):
-        corr[j, :] = 0.0
-        corr[:, j] = 0.0
-        corr[j, j] = 1.0
-    corr[np.isnan(corr)] = 0.0
-    np.fill_diagonal(corr, 1.0)
-    return corr
-
-
-def _normal_scores_correlation(values: np.ndarray) -> np.ndarray:
-    t, n = values.shape
-    scores = np.empty_like(values)
-    for j in range(n):
-        u = average_ranks(values[:, j]) / (t + 1.0)
-        scores[:, j] = [normal_inverse_cdf(ui) for ui in u]
+def _score_correlation(values: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """Correlation matrix of per-column scores of `values`; constant columns
+    get zero correlation, and an undefined entry becomes zero."""
     constant = values.max(axis=0) == values.min(axis=0)
     with np.errstate(invalid="ignore", divide="ignore"):
         corr = np.corrcoef(scores, rowvar=False)
@@ -269,6 +248,23 @@ def _normal_scores_correlation(values: np.ndarray) -> np.ndarray:
     corr[np.isnan(corr)] = 0.0
     np.fill_diagonal(corr, 1.0)
     return corr
+
+
+def spearman_matrix(values: np.ndarray) -> np.ndarray:
+    """Rank correlation matrix; constant columns get zero correlation."""
+    values = np.asarray(values, dtype=float)
+    t, n = values.shape
+    ranks = np.column_stack([average_ranks(values[:, j]) for j in range(n)])
+    return _score_correlation(values, ranks)
+
+
+def _normal_scores_correlation(values: np.ndarray) -> np.ndarray:
+    t, n = values.shape
+    scores = np.empty_like(values)
+    for j in range(n):
+        u = average_ranks(values[:, j]) / (t + 1.0)
+        scores[:, j] = [normal_inverse_cdf(ui) for ui in u]
+    return _score_correlation(values, scores)
 
 
 def _nearest_correlation_cholesky(corr: np.ndarray) -> np.ndarray:
@@ -373,6 +369,7 @@ def read_scenarios_csv(path) -> ScenarioMatrix:
             raise ParseError(f"{path}: no ticker columns")
         dates = [] if has_dates else None
         rows = []
+        linenos = []
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
                 continue
@@ -388,10 +385,19 @@ def read_scenarios_csv(path) -> ScenarioMatrix:
                 rows.append([float(c) for c in cells])
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: bad value ({exc})") from exc
+            linenos.append(lineno)
     if not rows:
         raise ParseError(f"{path}: no data rows")
+    values = np.array(rows, dtype=float)
+    finite = np.isfinite(values)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise ParseError(
+            f"{path}:{linenos[i]}: non-finite value {float(values[i, j])!r} "
+            f"for {tickers[j]}"
+        )
     return ScenarioMatrix(
-        values=np.array(rows, dtype=float),
+        values=values,
         tickers=tickers,
         dates=dates,
     )

@@ -1,12 +1,15 @@
 """Long-only minimum-risk portfolios over a scenario matrix.
 
 min_risk minimizes a risk measure of the portfolio return r = S @ w over the
-simplex {w >= 0, sum w = 1}, optionally with a mean-return target, by
-Nelder-Mead on an exterior quadratic penalty with an escalating coefficient
-(rho = 100 * 10^k over five rounds). The solver itself never sees the
-constraints; a final least-squares projection onto the active equality
-constraints (with nonnegative pinning) brings the budget residual below
-1e-8 and the target residual below 1e-6.
+simplex {w >= 0, sum w = 1}, optionally with a mean-return target. It runs
+Nelder-Mead on angles that map onto the feasible set itself, so every point
+the search evaluates is a long-only, fully invested portfolio that meets the
+target: squared hyperspherical coordinates give a point of a simplex, and
+with a target one simplex point over the assets at or above it and one over
+the assets below it are mixed in the only ratio whose mean is the target.
+A target at either end of the attainable range has a single feasible
+portfolio, which is returned directly. Each start is restarted from its own
+result while that improves, and the start with the lowest risk wins.
 
 grid_oracle brute-forces the same problem on the weight lattice with the
 given step, for small asset counts, as an independent check.
@@ -34,8 +37,9 @@ BUDGET_TOL = 1e-8
 TARGET_TOL = 1e-6
 NONNEG_TOL = 1e-10
 
-_PENALTY_ROUNDS = 5
-_PENALTY_START = 100.0
+_STEP = 0.3
+_RESTARTS = 4
+_DIAMETER_TOL = 1e-8
 _BIG = 1e12
 
 
@@ -70,7 +74,7 @@ def nelder_mead(
         order = np.argsort(fvals, kind="stable")
         simplex = simplex[order]
         fvals = fvals[order]
-        diameter = float(np.max(np.abs(simplex[1:] - simplex[0])))
+        diameter = float(np.max(np.abs(simplex[1:] - simplex[0]), initial=0.0))
         if diameter <= diameter_tol:
             return simplex[0], float(fvals[0]), iterations, diameter
         iterations += 1
@@ -98,7 +102,7 @@ def nelder_mead(
     order = np.argsort(fvals, kind="stable")
     simplex = simplex[order]
     fvals = fvals[order]
-    diameter = float(np.max(np.abs(simplex[1:] - simplex[0])))
+    diameter = float(np.max(np.abs(simplex[1:] - simplex[0]), initial=0.0))
     return simplex[0], float(fvals[0]), iterations, diameter
 
 
@@ -110,7 +114,6 @@ class FrontierPoint:
     target: float | None
     converged: bool
     iterations: int
-    rho_final: float
     residual_budget: float
     residual_target: float
     min_weight: float
@@ -145,53 +148,86 @@ def portfolio_returns(scenarios, weights) -> np.ndarray:
     return s @ w
 
 
-def _penalized_objective(scenarios, config, target, rho):
-    def objective(w: np.ndarray) -> float:
-        r = scenarios @ w
-        mu = float(r.mean())
-        try:
-            base = measure_value(r, config)
-        except (NonPositiveMean, NonPositiveTotal):
-            base = _BIG * (1.0 + max(0.0, -mu))
-        penalty = (w.sum() - 1.0) ** 2
-        penalty += float(np.sum(np.minimum(w, 0.0) ** 2))
-        penalty += min(mu, 0.0) ** 2
-        if target is not None:
-            penalty += (mu - target) ** 2
-        return base + rho * penalty
-
-    return objective
+def _simplex_point(theta: np.ndarray) -> np.ndarray:
+    """Squared hyperspherical coordinates: k - 1 angles give a point of the
+    k-simplex, w_i = cos^2(theta_i) * prod_{j<i} sin^2(theta_j)."""
+    rest = np.concatenate([[1.0], np.cumprod(np.sin(theta) ** 2)])
+    return np.concatenate([rest[:-1] * np.cos(theta) ** 2, rest[-1:]])
 
 
-def _project_onto_constraints(w, means, target):
-    """Least-squares correction onto {sum w = 1} (and {means.w = target}),
-    pinning coordinates that the correction would push below zero."""
-    n = w.size
-    free = w > -NONNEG_TOL  # coordinates already clipped stay pinned at 0
-    w = np.where(free, w, 0.0)
-    for _ in range(n + 1):
-        mask = free.astype(float)
-        if target is None:
-            a = mask[None, :]
-            b = np.array([1.0])
-        else:
-            a = np.vstack([mask, means * mask])
-            b = np.array([1.0, target])
-        rhs = b - a @ w
-        gram = a @ a.T
-        try:
-            lam = np.linalg.solve(gram, rhs)
-        except np.linalg.LinAlgError:
-            lam = np.linalg.lstsq(gram, rhs, rcond=None)[0]
-        candidate = w + a.T @ lam
-        bad = candidate < -1e-12
-        if not bad.any():
-            w = candidate
-            break
-        free &= ~bad
-        w = np.where(free, w, 0.0)
-    w = np.where((w < 0.0) & (w >= -1e-12), 0.0, w)
-    return w
+def _simplex_angles(p: np.ndarray) -> np.ndarray:
+    """Angles that _simplex_point maps to p / sum(p); an all-zero p stands
+    for the center."""
+    if not p.sum() > 0.0:
+        p = np.ones_like(p)
+    tail = np.cumsum(p[::-1])[::-1][:-1]
+    ratio = np.divide(p[:-1], tail, out=np.ones_like(tail), where=tail > 0.0)
+    return np.arccos(np.sqrt(np.minimum(ratio, 1.0)))
+
+
+def _feasible_map(means: np.ndarray, target: float | None):
+    """(to_weights, to_angles) for the long-only, fully invested portfolios,
+    restricted to mean == target when a target is given.
+
+    With a target, the assets split by gap = means - target into those at
+    or above it and those below (both groups nonempty). One simplex point p
+    over the first and one q over the second mix in the only ratio whose
+    mean is the target: w = (down * p, up * q) / (up + down), with
+    up = gap . p >= 0 and down = -gap . q > 0.
+    """
+    if target is None:
+        return _simplex_point, _simplex_angles
+    gap = means - target
+    hi = gap >= 0.0
+    lo = ~hi
+    split = int(hi.sum()) - 1
+
+    def to_weights(theta: np.ndarray) -> np.ndarray:
+        p = _simplex_point(theta[:split])
+        q = _simplex_point(theta[split:])
+        up = float(gap[hi] @ p)
+        down = -float(gap[lo] @ q)
+        w = np.empty(means.size)
+        w[hi] = down * p
+        w[lo] = up * q
+        return w / (up + down)
+
+    def to_angles(w: np.ndarray) -> np.ndarray:
+        return np.concatenate([_simplex_angles(w[hi]), _simplex_angles(w[lo])])
+
+    return to_weights, to_angles
+
+
+def _make_point(s, config, w, target, stopped, iterations) -> FrontierPoint:
+    r = s @ w
+    mu = float(r.mean())
+    message = ""
+    try:
+        risk = float(measure_value(r, config))
+    except (NonPositiveMean, NonPositiveTotal) as exc:
+        risk = math.nan
+        message = f"risk undefined at the solution: {exc}"
+    residual_budget = abs(float(w.sum()) - 1.0)
+    residual_target = 0.0 if target is None else abs(mu - target)
+    feasible = (
+        residual_budget <= BUDGET_TOL
+        and residual_target <= TARGET_TOL
+        and float(w.min()) >= -NONNEG_TOL
+    )
+    if not message and not stopped:
+        message = "simplex diameter above tolerance at max_iter"
+    return FrontierPoint(
+        weights=w,
+        mean=mu,
+        risk=risk,
+        target=target,
+        converged=stopped and feasible and not math.isnan(risk),
+        iterations=iterations,
+        residual_budget=residual_budget,
+        residual_target=residual_target,
+        min_weight=float(w.min()),
+        message=message,
+    )
 
 
 def min_risk(
@@ -212,97 +248,51 @@ def min_risk(
                 f"target {target!r} outside the attainable range "
                 f"[{means.min()!r}, {means.max()!r}]"
             )
-        if target >= means.max() - 1e-12:
-            # The only long-only portfolio attaining the maximal mean sits
-            # entirely on the best asset; ties go to the lowest index.
-            k = int(np.argmax(means))
+        at_max = target >= means.max() - 1e-12
+        if at_max or target <= means.min() + 1e-12:
+            # At either end of the range the only long-only portfolio
+            # attaining it sits entirely on the extreme asset; ties go to
+            # the lowest index.
             w = np.zeros(n)
-            w[k] = 1.0
-            r = s[:, k]
-            return FrontierPoint(
-                weights=w,
-                mean=float(means[k]),
-                risk=float(measure_value(r, config)),
-                target=target,
-                converged=True,
-                iterations=0,
-                rho_final=0.0,
-                residual_budget=0.0,
-                residual_target=abs(float(means[k]) - target),
-                min_weight=0.0,
-            )
+            w[int(np.argmax(means) if at_max else np.argmin(means))] = 1.0
+            return _make_point(s, config, w, target, True, 0)
     if w0 is not None:
-        starts = [np.asarray(w0, dtype=float).copy()]
+        starts = [np.asarray(w0, dtype=float)]
     else:
         # Nelder-Mead is local and the gs measures are not convex, so a cold
         # solve fans out from the center and from every vertex.
         starts = [np.full(n, 1.0 / n)]
         starts.extend(np.eye(n)[k] for k in range(n))
+    to_weights, to_angles = _feasible_map(means, target)
+
+    def objective(theta: np.ndarray) -> float:
+        r = s @ to_weights(theta)
+        try:
+            return float(measure_value(r, config))
+        except (NonPositiveMean, NonPositiveTotal):
+            return _BIG * (1.0 + max(0.0, -float(r.mean())))
 
     def solve(start: np.ndarray) -> FrontierPoint:
-        w = start.copy()
-        rho = _PENALTY_START
-        iterations = 0
-        diameter = math.inf
-        for round_idx in range(_PENALTY_ROUNDS):
-            step = 0.1 if round_idx == 0 else 0.02
-            w, _, its, diameter = nelder_mead(
-                _penalized_objective(s, config, target, rho),
-                w,
-                initial_step=step,
-                diameter_tol=1e-8,
+        # Nelder-Mead can stall short of a stationary point on a collapsed
+        # simplex (McKinnon 1998); a fresh simplex around the result moves on.
+        theta, best, iterations = to_angles(start), math.inf, 0
+        for _ in range(1 + _RESTARTS):
+            x, fx, its, diameter = nelder_mead(
+                objective, theta, initial_step=_STEP, diameter_tol=_DIAMETER_TOL
             )
             iterations += its
-            rho *= 10.0
-        rho_final = rho / 10.0
-
-        w = _project_onto_constraints(w, means, target)
-        r = s @ w
-        mu = float(r.mean())
-        message = ""
-        try:
-            risk = float(measure_value(r, config))
-        except (NonPositiveMean, NonPositiveTotal) as exc:
-            risk = math.nan
-            message = f"risk undefined at the solution: {exc}"
-        residual_budget = abs(float(w.sum()) - 1.0)
-        residual_target = 0.0 if target is None else abs(mu - target)
-        stopped = diameter <= 1e-8
-        feasible = (
-            residual_budget <= BUDGET_TOL
-            and residual_target <= TARGET_TOL
-            and float(w.min()) >= -NONNEG_TOL
-        )
-        if not message and not stopped:
-            message = "simplex diameter above tolerance at max_iter"
-        return FrontierPoint(
-            weights=w,
-            mean=mu,
-            risk=risk,
-            target=target,
-            converged=stopped and feasible and not math.isnan(risk),
-            iterations=iterations,
-            rho_final=rho_final,
-            residual_budget=residual_budget,
-            residual_target=residual_target,
-            min_weight=float(w.min()),
-            message=message,
+            if not fx < best:
+                break
+            theta, best = x, fx
+        return _make_point(
+            s, config, to_weights(theta), target, diameter <= _DIAMETER_TOL, iterations
         )
 
-    def rank(p: FrontierPoint):
-        if math.isnan(p.risk):
-            return (2, math.inf)
-        slack = (
-            max(p.residual_budget - BUDGET_TOL, 0.0)
-            + max(p.residual_target - TARGET_TOL, 0.0)
-            + max(-p.min_weight - NONNEG_TOL, 0.0)
-        )
-        if slack > 0.0:
-            return (1, slack)
-        return (0, p.risk)
-
-    # min is stable, so on exact ties the centered start wins.
-    return min((solve(w) for w in starts), key=rank)
+    # min is stable, so on exact ties the first start wins.
+    return min(
+        (solve(w) for w in starts),
+        key=lambda p: math.inf if math.isnan(p.risk) else p.risk,
+    )
 
 
 def efficient_frontier(
@@ -337,7 +327,6 @@ def efficient_frontier(
                 target=float(t),
                 converged=False,
                 iterations=0,
-                rho_final=0.0,
                 residual_budget=math.nan,
                 residual_target=math.nan,
                 min_weight=math.nan,

@@ -338,19 +338,27 @@ def test_c12_frontier_constraint_contract():
     target = max(p.residual_target for p in points)
     min_w = min(p.min_weight for p in points)
     anchor_minimal = all(points[0].risk <= p.risk + 1e-12 for p in points[1:])
+    # KKT conditions of min w'Cw on the simplex: with g = Cw and lam = w'g,
+    # every g_i >= lam, with equality wherever w_i > 0.
+    w = points[0].weights
+    g = np.cov(s, rowvar=False, bias=True) @ w
+    lam = float(w @ g)
+    kkt = max(np.max(lam - g), np.max(w * np.abs(g - lam))) / lam
     ok = (
         len(points) == 10
         and budget <= 1e-8
         and target <= 1e-6
         and min_w >= -1e-10
         and anchor_minimal
+        and kkt <= 1e-6
     )
     criterion(
         12,
-        "14-asset frontier honors budget, targets, nonnegativity; anchor minimal",
+        "14-asset frontier honors budget, targets, nonnegativity; anchor is optimal",
         ok,
         f"10 points, budget {budget:.1e} <= 1e-8, target {target:.1e} <= 1e-6, "
-        f"min weight {min_w:+.1e} >= -1e-10, anchor minimal {anchor_minimal}",
+        f"min weight {min_w:+.1e} >= -1e-10, anchor minimal {anchor_minimal}, "
+        f"anchor KKT residual {kkt:.1e} <= 1e-6",
     )
 
 

@@ -40,7 +40,6 @@ def test_limits_writes_grid_and_sidecar(tmp_path):
     assert sidecar["tool"] == "lorenzlab"
     assert sidecar["version"] == "0.1.0"
     assert sidecar["subcommand"] == "limits"
-    assert sidecar["threads"] is None
     assert sidecar["options"]["grid"] == 1024
 
 
@@ -222,19 +221,6 @@ def test_returns_then_simulate_round_trip(tmp_path):
     assert sim.read_bytes() != first
 
 
-def test_threads_env_is_validated(tmp_path, monkeypatch, capsys):
-    out = tmp_path / "limit.csv"
-    monkeypatch.setenv("LORENZ_LAB_THREADS", "not-a-number")
-    assert main(["limits", "--out", str(out)]) == 1
-    assert "LORENZ_LAB_THREADS" in capsys.readouterr().err
-    monkeypatch.setenv("LORENZ_LAB_THREADS", "0")
-    assert main(["limits", "--out", str(out)]) == 1
-    capsys.readouterr()
-    monkeypatch.setenv("LORENZ_LAB_THREADS", "4")
-    assert main(["limits", "--out", str(out)]) == 0
-    assert read_sidecar(out)["threads"] == 4
-
-
 def test_version_and_usage_errors(tmp_path, capsys):
     with pytest.raises(SystemExit) as info:
         main(["--version"])
@@ -252,3 +238,38 @@ def test_missing_input_file_is_a_data_error(tmp_path, capsys):
     missing = tmp_path / "nope.csv"
     assert main(["measure", "--scenarios", str(missing), "--kind", "mad"]) == 2
     assert "data error" in capsys.readouterr().err
+
+
+def nonfinite_scenario_file(tmp_path, cell):
+    path, _ = scenario_file(tmp_path)
+    lines = path.read_text().splitlines()
+    cells = lines[5].split(",")
+    cells[2] = cell
+    lines[5] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_measure_rejects_nonfinite_cells(tmp_path, capsys, cell):
+    path = nonfinite_scenario_file(tmp_path, cell)
+    assert main(["measure", "--scenarios", str(path), "--kind", "variance"]) == 2
+    assert f"{path}:6: non-finite value" in capsys.readouterr().err
+
+
+def test_frontier_rejects_nonfinite_cells(tmp_path, capsys):
+    path = nonfinite_scenario_file(tmp_path, "nan")
+    out = tmp_path / "frontier.csv"
+    argv = ["frontier", "--scenarios", str(path), "--kind", "mad", "--out", str(out)]
+    assert main(argv) == 2
+    assert f"{path}:6: non-finite value nan for A2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_rejects_nonfinite_cells(tmp_path, capsys):
+    path = nonfinite_scenario_file(tmp_path, "inf")
+    out = tmp_path / "sim.csv"
+    argv = ["simulate", "--scenarios", str(path), "--window", "0", "--out", str(out)]
+    assert main(argv) == 2
+    assert f"{path}:6: non-finite value inf for A2" in capsys.readouterr().err
+    assert not out.exists()

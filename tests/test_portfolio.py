@@ -107,10 +107,18 @@ def test_infeasible_and_degenerate_targets():
         min_risk(s - 1.0, VAR)
 
 
-def test_target_is_hit_within_tolerance():
+@pytest.mark.parametrize(
+    "pick",
+    [
+        pytest.param(lambda m: 0.5 * (m.min() + m.max()), id="midpoint"),
+        pytest.param(lambda m: np.sort(m)[1], id="interior-asset-mean"),
+        pytest.param(lambda m: m.min(), id="min-mean"),
+        pytest.param(lambda m: m.min() - 5e-13, id="below-min-mean"),
+    ],
+)
+def test_target_is_hit_within_tolerance(pick):
     s = seeded_scenarios(8, 80, 3, [0.01, 0.02, 0.03], [0.02, 0.03, 0.04])
-    means = s.mean(axis=0)
-    target = float(0.5 * (means.min() + means.max()))
+    target = float(pick(s.mean(axis=0)))
     point = min_risk(s, VAR, target=target)
     assert point.converged
     assert abs(point.mean - target) <= 1e-6
