@@ -163,7 +163,6 @@ def build_parser() -> _Parser:
     it.add_argument("--max-iter", type=int, default=40)
     it.add_argument("--tol", type=float, default=1e-4)
     it.add_argument("--normalize", action="store_true")
-    it.add_argument("--no-check", action="store_true", help="skip the route cross-check")
     it.add_argument("--dump-curves", metavar="DIR", default=None)
     it.add_argument("--out", required=True)
 
@@ -244,7 +243,6 @@ def _cmd_iterate(ns) -> int:
         max_iter=ns.max_iter,
         tol=ns.tol,
         normalize=ns.normalize,
-        check=not ns.no_check,
     )
     write_trace_csv(trace, ns.out)
     _write_sidecar(ns.out, "iterate", _options_dict(ns))

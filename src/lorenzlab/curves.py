@@ -27,6 +27,7 @@ from .errors import (
     NonMonotone,
     OutOfDomain,
     OutOfRange,
+    ParseError,
 )
 from .rng import normal_inverse_cdf
 
@@ -52,7 +53,6 @@ class MonotoneCurve:
     """Nondecreasing piecewise-linear function sampled at k/M, k = 0..M."""
 
     values: np.ndarray
-    lorenz_like: bool = False
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -67,16 +67,6 @@ class MonotoneCurve:
             raise NonFinite("curve values must be finite")
         if np.any(np.diff(values) < 0.0):
             raise NonMonotone("curve values must be nondecreasing")
-        if self.lorenz_like:
-            if abs(values[0]) > _ENDPOINT_TOL or abs(values[-1] - 1.0) > _ENDPOINT_TOL:
-                raise BadParameter(
-                    "lorenz_like curve must run from 0 to 1 "
-                    f"(got endpoints {values[0]!r}, {values[-1]!r})"
-                )
-            values = values.copy()
-            values[0] = 0.0
-            values[-1] = 1.0
-            object.__setattr__(self, "values", values)
 
     @property
     def grid_size(self) -> int:
@@ -170,12 +160,12 @@ class QuantileCurve(MonotoneCurve):
         return self.total_integral
 
 
-def grid_curve(values, *, lorenz_like: bool = False, rectify: bool = False) -> MonotoneCurve:
+def grid_curve(values, *, rectify: bool = False) -> MonotoneCurve:
     """Build a MonotoneCurve, optionally absorbing float noise by running max."""
     arr = np.asarray(values, dtype=float)
     if arr.ndim == 1 and arr.size >= 2 and np.isfinite(arr).all() and rectify:
         arr = np.maximum.accumulate(arr)
-    return MonotoneCurve(arr, lorenz_like=lorenz_like)
+    return MonotoneCurve(arr)
 
 
 # -- empirical and analytic quantile curves -----------------------------------
@@ -344,21 +334,35 @@ def write_curve_csv(curve: MonotoneCurve, path) -> None:
             writer.writerow([format_float(u), format_float(v)])
 
 
-def read_curve_csv(path, *, lorenz_like: bool = False) -> MonotoneCurve:
+def read_curve_csv(path) -> MonotoneCurve:
+    """Read a 'u,value' curve file; every rejection is a ParseError."""
+    us, vs, linenos = [], [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header[:2]] != ["u", "value"]:
-            raise BadParameter(f"{path}: expected a 'u,value' header")
-        rows = [row for row in reader if row]
-    try:
-        us = np.array([float(r[0]) for r in rows])
-        vs = np.array([float(r[1]) for r in rows])
-    except (ValueError, IndexError) as exc:
-        raise BadParameter(f"{path}: malformed curve row ({exc})") from exc
-    if us.size < 2:
-        raise BadParameter(f"{path}: a curve file needs at least two rows")
-    expected = np.linspace(0.0, 1.0, us.size)
-    if np.max(np.abs(us - expected)) > 1e-9:
-        raise BadParameter(f"{path}: u column is not the uniform grid on [0, 1]")
-    return MonotoneCurve(vs, lorenz_like=lorenz_like)
+            raise ParseError(f"{path}:1: expected a 'u,value' header")
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            try:
+                u, v = float(row[0]), float(row[1])
+            except (ValueError, IndexError) as exc:
+                raise ParseError(f"{path}:{lineno}: malformed row ({exc})") from exc
+            if not (math.isfinite(u) and math.isfinite(v)):
+                raise ParseError(f"{path}:{lineno}: non-finite value in {row!r}")
+            us.append(u)
+            vs.append(v)
+            linenos.append(lineno)
+    if len(us) < 2:
+        raise ParseError(f"{path}: a curve file needs at least two rows")
+    grid = np.linspace(0.0, 1.0, len(us))
+    off_grid = np.flatnonzero(np.abs(np.array(us) - grid) > 1e-9)
+    if off_grid.size:
+        raise ParseError(
+            f"{path}:{linenos[off_grid[0]]}: u is not the uniform grid on [0, 1]"
+        )
+    drops = np.flatnonzero(np.diff(vs) < 0.0)
+    if drops.size:
+        raise ParseError(f"{path}:{linenos[drops[0] + 1]}: value decreases")
+    return MonotoneCurve(np.array(vs))

@@ -167,7 +167,6 @@ def run_iteration(
     tol: float = 1e-4,
     *,
     normalize: bool = False,
-    check: bool = True,
 ) -> IterationTrace:
     """Iterate the operator from a starting quantile curve.
 
@@ -187,12 +186,10 @@ def run_iteration(
     def apply(quantile: MonotoneCurve, first: bool) -> LorenzCurve:
         if mode == "primal":
             return lorenz_transform(quantile)
-        return reflected_transform(
-            quantile, normalize=normalize and first, check=check
-        )
+        return reflected_transform(quantile, normalize=normalize and first)
 
     # The next quantile is the generalized inverse of the operator output,
-    # taken on the exact output (piecewise-quadratic primal, psi-composed
+    # taken on the exact output (piecewise-quadratic primal, E[min(Q, u)] / mu
     # reflected) rather than on its grid sampling: inverting the stored
     # polyline would feed its interpolation error back into the loop at the
     # singular edge, flooring sup_to_limit near 5e-6 at M=4096.

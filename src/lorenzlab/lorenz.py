@@ -7,23 +7,21 @@ The primal operator takes a quantile function Q with positive mean to
 computed in exact piecewise-linear arithmetic on the grid. The reflected
 operator is the equilibrium-transform analogue
 
-    phi(x) = E[min(Q, 1 - x)] / mu,      psi = 1 - phi,
-    L_ref(x) = 1 - psi^{-1}(1 - x),
+    L_ref(x) = sup { t in [0, 1] : E[min(Q, t)] <= mu x },
 
 restricted to distributions supported in [0, 1]. Both operators return
-convex curves through (0, 0) and (1, 1).
+convex curves through (0, 0) and (1, 1), and both are inverted in closed
+form: for a piecewise-linear Q each is piecewise quadratic between known
+breakpoints, so one searchsorted and one stable quadratic root per point
+give the exact value. Sampling a curve at the nodes and inverting the
+polyline would instead lose accuracy exactly where the curve is steep.
 
-psi is piecewise quadratic, so sampling it at the nodes and inverting the
-interpolant would lose accuracy exactly where the curve is steep; instead
-psi is evaluated exactly at arbitrary points (piecewise-linear prefix
-integrals) and inverted by bisection, which is exact to the last bit of
-the bisection interval.
-
-reflected_transform always evaluates a second, independent route (the
-nondecreasing integrand psi_in(y) = 1 - Q(1 - y) treated as a c.d.f., whose
-inverse is integrated exactly by the area-complement rule, then inverted
-the same way) and raises CrossCheckError if the two disagree beyond 1e-6;
-with both routes exact the observed gap is rounding-level.
+reflected_transform evaluates L_ref on two routes that share no code: the
+expectation m(t) = E[min(Q, t)] inverted cell by cell, and the equivalent
+form L_ref(x) = 1 - psi^{-1}(1 - x), with psi the normalized integral of
+the inverse of 1 - Q(1 - y). Every call compares them and raises
+CrossCheckError if they differ by more than 1e-6; both are exact, so the
+observed gap is rounding-level.
 """
 
 from __future__ import annotations
@@ -65,7 +63,6 @@ class LorenzCurve(MonotoneCurve):
     generalized: bool = False
 
     def _validate(self):
-        object.__setattr__(self, "lorenz_like", True)
         values = self.values
         if values.ndim != 1 or values.size < 2:
             raise BadParameter("a curve needs a 1-d array of at least two node values")
@@ -117,60 +114,75 @@ def lorenz_transform(quantile: MonotoneCurve, *, allow_negative: bool = False) -
     return LorenzCurve(vals, convex=True, classical=classical, generalized=not classical)
 
 
-_BISECT_STEPS = 54  # interval width 2**-54 after the loop
+def _prefix_inverse(x, g, prefix, u) -> np.ndarray:
+    """inf { y : G(y) >= u * G(x[-1]) } for G(y) = integral_{x[0]}^y g.
 
-
-def _bisect_inverse(psi, u: np.ndarray) -> np.ndarray:
-    """inf { y in [0,1] : psi(y) >= u } for a nondecreasing psi with psi(1) = 1.
-
-    psi takes and returns arrays; all targets are solved simultaneously.
-    The upper bracket is returned, so the result is exact within 2**-54
-    above the true infimum.
+    g is nonnegative, nondecreasing and linear between its nodes x (which
+    may repeat, for a jump); prefix holds G at the nodes. G is a convex
+    quadratic on each cell, so every target inverts with one searchsorted
+    and one stable root.
     """
-    lo = np.zeros_like(u)
-    hi = np.ones_like(u)
-    for _ in range(_BISECT_STEPS):
-        mid = 0.5 * (lo + hi)
-        above = psi(mid) >= u
-        hi = np.where(above, mid, hi)
-        lo = np.where(above, lo, mid)
-    return hi
+    total = prefix[-1]
+    if total <= 0.0:
+        raise NonPositiveMean(f"mean must be positive, got {total!r}")
+    target = np.clip(u, 0.0, 1.0) * total
+    k = np.searchsorted(prefix, target, side="left")
+    out = np.full_like(target, x[0])
+    interior = k > 0
+    i = k[interior] - 1
+    r = target[interior] - prefix[i]
+    a = g[i]
+    lo = x[i]
+    width = x[i + 1] - lo
+    slope = (g[i + 1] - a) / width
+    # Stable quadratic root of (slope/2) d^2 + a d = r; exact linear limit.
+    denom = a + np.sqrt(a * a + 2.0 * slope * r)
+    delta = np.where(denom > 0.0, 2.0 * r / np.where(denom > 0.0, denom, 1.0), 0.0)
+    out[interior] = lo + np.minimum(delta, width)
+    return out
 
 
 def _psi_route(q: QuantileCurve) -> np.ndarray:
-    """Reflected operator through the nondecreasing integrand's c.d.f.
+    """Reflected operator through psi, the cross-check route.
 
-    psi_in(y) = 1 - Q(1 - y) is piecewise linear on the same grid (values are
-    the reverse complement of Q's). Its inverse is integrated exactly at any
-    point by the area-complement rule
-
-        integral_0^u psi_in^{-1}(t) dt = u * y_u - integral_0^{y_u} psi_in,
-
-    with y_u the generalized inverse (1 past the top of psi_in's range).
-    No resampling loss.
+    psi(y) is the integral over [0, y] of g, the inverse of the integrand
+    1 - Q(1 - y), divided by its total. g is piecewise linear and
+    nondecreasing with nodes (0, 0), (1 - Q_{M-j}, j/M) for j = 0..M, and
+    (1, 1); L_ref(x) = 1 - psi^{-1}(1 - x).
     """
-    grid = q.grid
-    w = MonotoneCurve(1.0 - q.values[::-1])
-    wmax = float(w.values[-1])
+    x = np.concatenate([[0.0], 1.0 - q.values[::-1], [1.0]])
+    g = np.concatenate([[0.0], q.grid, [1.0]])
+    prefix = np.concatenate([[0.0], np.cumsum(0.5 * np.diff(x) * (g[1:] + g[:-1]))])
+    return np.maximum.accumulate(1.0 - _prefix_inverse(x, g, prefix, 1.0 - q.grid))
 
-    def area(u):
-        u = np.asarray(u, dtype=float)
-        # w tops out at 1 - Q(0). Past that the infimum is over an empty set
-        # and the split point is the right endpoint, not the clamped inverse.
-        y = np.where(
-            u > wmax, 1.0, w.generalized_inverse(np.minimum(u, wmax), clamp=True)
-        )
-        return u * y - w.prefix_integral(y)
 
-    total = float(area(np.ones(1))[0])
-    if total <= 0.0:
-        raise NonPositiveMean("degenerate integrand in the reflected operator")
-    # Rounding can push the ratio a few ulps outside [0, 1]; the true psi
-    # never leaves it, and the bisection bracket relies on that.
-    out = 1.0 - _bisect_inverse(
-        lambda y: np.clip(area(y) / total, 0.0, 1.0), 1.0 - grid
-    )
-    return np.maximum.accumulate(out)
+def _min_route(qc: QuantileCurve, mu: float) -> np.ndarray:
+    """Reflected operator L_ref(x) = sup { t : E[min(Q, t)] <= mu x } on the grid.
+
+    m(t) = E[min(Q, t)] equals t up to Q_0 and prefix_k + Q_k (1 - k/M) at
+    the node value Q_k. Between node values its slope 1 - F(t) is linear in
+    t, so each cell is a concave quadratic, inverted by one stable root.
+    m is flat at mu past Q's top, so L_ref(1) = 1.
+    """
+    q = qc.values
+    frac = qc.grid
+    t = np.concatenate([[0.0], q])
+    m = np.concatenate([[0.0], qc._prefix + q * (1.0 - frac)])
+    # m'(t) at each node value; the cell below Q_0 has slope one throughout.
+    slope = np.concatenate([[1.0], 1.0 - frac])
+    target = mu * frac[:-1]
+    j = np.searchsorted(m, target, side="right") - 1
+    lo = t[j]
+    width = t[j + 1] - lo
+    a = slope[j]
+    # Rounding can land a target in a zero-width cell; its root is d = 0.
+    safe = np.where(width > 0.0, width, 1.0)
+    curv = np.where(width > 0.0, (a - slope[j + 1]) / safe, 0.0)
+    r = target - m[j]
+    # Stable root of a d - (curv/2) d^2 = r; a >= 1/M > 0 on every cell.
+    delta = 2.0 * r / (a + np.sqrt(np.maximum(a * a - 2.0 * curv * r, 0.0)))
+    vals = np.append(lo + np.minimum(delta, width), 1.0)
+    return np.maximum.accumulate(vals)
 
 
 def unit_support(quantile: MonotoneCurve, *, normalize: bool = False) -> QuantileCurve:
@@ -195,60 +207,43 @@ def unit_support(quantile: MonotoneCurve, *, normalize: bool = False) -> Quantil
     return QuantileCurve(np.minimum(q, 1.0))
 
 
-def _psi_of(qc: QuantileCurve, mu: float):
-    """Exact evaluator for psi(y) = 1 - E[min(Q, 1-y)] / mu on a PL quantile."""
-
-    def psi(y):
-        t = 1.0 - np.asarray(y, dtype=float)
-        pstar = qc.generalized_inverse(t, clamp=True)
-        expected_min = qc.prefix_integral(pstar) + t * (1.0 - pstar)
-        # E[min(Q, t)] <= mu exactly; clip what rounding leaks past it.
-        return np.clip(1.0 - expected_min / mu, 0.0, 1.0)
-
-    return psi
-
-
 def reflected_inverse(quantile: MonotoneCurve, u) -> np.ndarray:
     """Generalized inverse of reflected_transform(quantile), evaluated exactly.
 
-    L_ref(x) = 1 - psi^{-1}(1 - x) makes the inverse plain composition:
-    L_ref^{-1}(u) = 1 - psi(1 - u), with psi computed exactly. The quantile
-    must already satisfy the operator's support precondition.
+    L_ref^{-1}(u) = E[min(Q, u)] / mu, computed from Q's generalized inverse
+    and exact prefix integral. The quantile must already satisfy the
+    operator's support precondition.
     """
     qc = unit_support(quantile)
     mu = qc.mean
     if mu <= 0.0:
         raise NonPositiveMean(f"mean must be positive, got {mu!r}")
     u_arr = np.clip(np.atleast_1d(np.asarray(u, dtype=float)), 0.0, 1.0)
-    return np.maximum.accumulate(1.0 - _psi_of(qc, mu)(1.0 - u_arr))
+    p = qc.generalized_inverse(u_arr, clamp=True)
+    expected_min = qc.prefix_integral(p) + u_arr * (1.0 - p)
+    # E[min(Q, u)] <= mu exactly; clip what rounding leaks past it.
+    return np.maximum.accumulate(np.clip(expected_min / mu, 0.0, 1.0))
 
 
 def reflected_transform(
-    quantile: MonotoneCurve,
-    *,
-    normalize: bool = False,
-    check: bool = True,
+    quantile: MonotoneCurve, *, normalize: bool = False
 ) -> LorenzCurve:
     """Reflected operator for distributions supported in [0, 1].
 
     normalize=True rescales the quantile by its maximum first (needed for
-    supports that exceed 1). check=True also runs the psi-route evaluation
-    and verifies agreement within 1e-6.
+    supports that exceed 1). Every call also runs the psi route and raises
+    CrossCheckError unless the two routes agree within 1e-6.
     """
     qc = unit_support(quantile, normalize=normalize)
     mu = qc.mean
     if mu <= 0.0:
         raise NonPositiveMean(f"mean must be positive, got {mu!r}")
-    grid = qc.grid
-    vals = 1.0 - _bisect_inverse(_psi_of(qc, mu), 1.0 - grid)
-    vals = np.maximum.accumulate(vals)
-    if check:
-        other = _psi_route(qc)
-        gap = float(np.max(np.abs(vals - other)))
-        if gap > _ROUTE_AGREEMENT:
-            raise CrossCheckError(
-                f"reflected operator routes disagree by {gap!r} (> {_ROUTE_AGREEMENT})"
-            )
+    vals = _min_route(qc, mu)
+    gap = float(np.max(np.abs(vals - _psi_route(qc))))
+    if gap > _ROUTE_AGREEMENT:
+        raise CrossCheckError(
+            f"reflected operator routes disagree by {gap!r} (> {_ROUTE_AGREEMENT})"
+        )
     return LorenzCurve(vals, convex=True, classical=True)
 
 
@@ -263,25 +258,8 @@ def primal_inverse(quantile: MonotoneCurve, u) -> np.ndarray:
     q = quantile.values
     if q[0] < -_ENDPOINT_TOL:
         raise BadParameter("cannot invert the transform of a negative quantile")
-    prefix = quantile._prefix
-    total = prefix[-1]
-    if total <= 0.0:
-        raise NonPositiveMean(f"mean must be positive, got {total!r}")
     u_arr = np.atleast_1d(np.asarray(u, dtype=float))
-    target = np.clip(u_arr, 0.0, 1.0) * total
-    k = np.searchsorted(prefix, target, side="left")
-    h = 1.0 / quantile.grid_size
-    out = np.zeros_like(target)
-    interior = k > 0
-    ki = k[interior]
-    r = target[interior] - prefix[ki - 1]
-    a = q[ki - 1]
-    slope = (q[ki] - a) / h
-    # Stable quadratic root of (slope/2) d^2 + a d = r; exact linear limit.
-    denom = a + np.sqrt(a * a + 2.0 * slope * r)
-    delta = np.where(denom > 0.0, 2.0 * r / np.where(denom > 0.0, denom, 1.0), 0.0)
-    out[interior] = (ki - 1) * h + np.minimum(delta, h)
-    return out
+    return _prefix_inverse(quantile.grid, q, quantile._prefix, u_arr)
 
 
 def simple_reflect(curve: MonotoneCurve) -> LorenzCurve:
@@ -298,9 +276,9 @@ def simple_reflect(curve: MonotoneCurve) -> LorenzCurve:
     return LorenzCurve(vals, convex=convex, classical=classical)
 
 
-def dual_curve(curve: MonotoneCurve) -> MonotoneCurve:
+def dual_curve(curve: MonotoneCurve) -> LorenzCurve:
     """Node-exact concave dual: d(x) = 1 - L(1 - x). Involutive."""
-    return MonotoneCurve(1.0 - curve.values[::-1], lorenz_like=True)
+    return LorenzCurve(1.0 - curve.values[::-1], convex=False, classical=False)
 
 
 # -- generalized curves from raw samples --------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from lorenzlab import (
     AnalyticFamily,
+    LorenzCurve,
     MonotoneCurve,
     QuantileCurve,
     analytic_quantile,
@@ -23,6 +24,7 @@ from lorenzlab.errors import (
     NonMonotone,
     OutOfDomain,
     OutOfRange,
+    ParseError,
 )
 
 from oracles import (
@@ -65,16 +67,16 @@ def test_rejects_short_and_multidim():
 
 
 def test_lorenz_like_snaps_endpoint_dust():
-    c = MonotoneCurve(np.array([1e-14, 0.5, 1.0 - 1e-14]), lorenz_like=True)
+    c = LorenzCurve(np.array([1e-14, 0.5, 1.0 - 1e-14]))
     assert c.values[0] == 0.0
     assert c.values[-1] == 1.0
 
 
 def test_lorenz_like_rejects_wrong_endpoints():
     with pytest.raises(BadParameter):
-        MonotoneCurve(np.array([0.1, 0.5, 1.0]), lorenz_like=True)
+        LorenzCurve(np.array([0.1, 0.5, 1.0]))
     with pytest.raises(BadParameter):
-        MonotoneCurve(np.array([0.0, 0.5, 0.9]), lorenz_like=True)
+        LorenzCurve(np.array([0.0, 0.5, 0.9]))
 
 
 # ---------------------------------------------------------------- evaluation
@@ -254,14 +256,23 @@ def test_curve_csv_round_trip_is_bit_exact(tmp_path):
 def test_read_curve_csv_rejects_bad_input(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("u,value\n0.0,0.0\n")
-    with pytest.raises(BadParameter):
+    with pytest.raises(ParseError):
         read_curve_csv(path)
     path.write_text("x,y\n0.0,0.0\n1.0,1.0\n")
-    with pytest.raises(BadParameter):
+    with pytest.raises(ParseError):
         read_curve_csv(path)
     path.write_text("u,value\n0.0,0.0\n0.7,0.5\n1.0,1.0\n")
-    with pytest.raises(BadParameter):
+    with pytest.raises(ParseError, match=":3:"):
         read_curve_csv(path)
+    for rows, line in [
+        ("0.0,0.0\n0.5,nan\n1.0,1.0", 3),
+        ("0.0,0.0\n0.5,inf\n1.0,1.0", 3),
+        ("0.0,0.0\n0.5\n1.0,1.0", 3),
+        ("0.0,0.0\n0.5,0.6\n1.0,0.4", 4),
+    ]:
+        path.write_text(f"u,value\n{rows}\n")
+        with pytest.raises(ParseError, match=f":{line}:"):
+            read_curve_csv(path)
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False))

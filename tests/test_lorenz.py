@@ -19,9 +19,11 @@ from lorenzlab import (
     truncate_generalized,
     unit_support,
 )
+import lorenzlab.lorenz as lorenz_module
 from lorenzlab.curves import QuantileCurve
 from lorenzlab.errors import (
     BadParameter,
+    CrossCheckError,
     NonPositiveMean,
     NonPositiveTotal,
     SupportExceedsUnit,
@@ -138,11 +140,31 @@ def test_unit_support_validation():
 # ---------------------------------------------------------------- reflected
 
 
-def test_reflected_uniform_closed_form():
-    L = reflected_transform(UNIFORM)
+@pytest.mark.parametrize("top", [1.0, 0.7, 0.25])
+def test_reflected_uniform_closed_form(top):
+    # support that stops short of 1 leaves L at top just below x = 1
+    L = reflected_transform(QuantileCurve(top * UNIFORM.values))
     x = L.grid
-    assert np.allclose(L.values, 1.0 - np.sqrt(1.0 - x), atol=1e-12)
-    assert L.values[M // 2] == pytest.approx(REFLECTED_UNIFORM_HALF, abs=1e-12)
+    assert np.allclose(L.values[:-1], top * (1.0 - np.sqrt(1.0 - x[:-1])), atol=1e-12)
+    assert L.values[-1] == 1.0
+    if top == 1.0:
+        assert L.values[M // 2] == pytest.approx(REFLECTED_UNIFORM_HALF, abs=1e-12)
+
+
+@pytest.mark.parametrize("c", [0.3, 1.0])
+def test_reflected_point_mass_closed_form(c):
+    # E[min(Q, t)] = t below the atom: the slope-one cell under Q(0)
+    L = reflected_transform(analytic_quantile(AnalyticFamily.point_mass(c), M))
+    x = L.grid
+    assert np.allclose(L.values[:-1], c * x[:-1], atol=1e-12)
+    assert L.values[-1] == 1.0
+
+
+def test_reflected_cross_check_fires(monkeypatch):
+    route = lorenz_module._psi_route
+    monkeypatch.setattr(lorenz_module, "_psi_route", lambda q: route(q) + 2e-6)
+    with pytest.raises(CrossCheckError):
+        reflected_transform(UNIFORM)
 
 
 def test_reflected_handles_positive_minimum():
