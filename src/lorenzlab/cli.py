@@ -339,6 +339,7 @@ def _cmd_frontier(ns) -> int:
                 "target": point.target,
                 "mean": point.mean,
                 "risk": point.risk,
+                "certificate": point.certificate,
                 "converged": point.converged,
                 "iterations": point.iterations,
                 "residual_budget": point.residual_budget,

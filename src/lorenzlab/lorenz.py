@@ -221,8 +221,15 @@ def reflected_inverse(quantile: MonotoneCurve, u) -> np.ndarray:
     u_arr = np.clip(np.atleast_1d(np.asarray(u, dtype=float)), 0.0, 1.0)
     p = qc.generalized_inverse(u_arr, clamp=True)
     expected_min = qc.prefix_integral(p) + u_arr * (1.0 - p)
-    # E[min(Q, u)] <= mu exactly; clip what rounding leaks past it.
-    return np.maximum.accumulate(np.clip(expected_min / mu, 0.0, 1.0))
+    # E[min(Q, u)] <= mu exactly; clip what rounding leaks past it, and keep
+    # the values nondecreasing in u. The guard runs in sorted order; a sorted
+    # u (the iteration's grid) needs no sort.
+    vals = np.clip(expected_min / mu, 0.0, 1.0)
+    if np.all(u_arr[1:] >= u_arr[:-1]):
+        return np.maximum.accumulate(vals)
+    order = np.argsort(u_arr, kind="stable")
+    vals[order] = np.maximum.accumulate(vals[order])
+    return vals
 
 
 def reflected_transform(

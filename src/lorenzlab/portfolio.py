@@ -1,15 +1,28 @@
 """Long-only minimum-risk portfolios over a scenario matrix.
 
 min_risk minimizes a risk measure of the portfolio return r = S @ w over the
-simplex {w >= 0, sum w = 1}, optionally with a mean-return target. It runs
-Nelder-Mead on angles that map onto the feasible set itself, so every point
-the search evaluates is a long-only, fully invested portfolio that meets the
-target: squared hyperspherical coordinates give a point of a simplex, and
-with a target one simplex point over the assets at or above it and one over
-the assets below it are mixed in the only ratio whose mean is the target.
+simplex {w >= 0, sum w = 1}, optionally with a mean-return target. It routes
+by kind:
+
+- variance, cvar and mad are convex and solved exactly by `exact`: an
+  active-set QP for variance and a bounded-variable simplex on the CVaR and
+  MAD LP duals. Each point carries a certificate (the KKT residual, or the
+  primal-dual gap plus both feasibility residuals), and converged means the
+  point is feasible and its certificate is at most 1e-9 relative.
+- gmd, extended_gini, gs1 and gs2 run Nelder-Mead on angles that map onto
+  the feasible set itself, so every point the search evaluates is a
+  long-only, fully invested portfolio that meets the target: squared
+  hyperspherical coordinates give a point of a simplex, and with a target
+  one simplex point over the assets at or above it and one over the assets
+  below it are mixed in the only ratio whose mean is the target. A cold
+  solve starts from the center and from every vertex; each start is
+  restarted from its own result while that improves, and the start with the
+  lowest risk wins. These points carry no certificate, and converged means
+  the search simplex collapsed at a feasible point.
+
 A target at either end of the attainable range has a single feasible
-portfolio, which is returned directly. Each start is restarted from its own
-result while that improves, and the start with the lowest risk wins.
+portfolio (the extreme asset, ties to the lowest index), which is returned
+directly for every kind.
 
 grid_oracle brute-forces the same problem on the weight lattice with the
 given step, for small asset counts, as an independent check.
@@ -22,6 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import exact
 from .errors import (
     BadParameter,
     DimensionMismatch,
@@ -118,6 +132,7 @@ class FrontierPoint:
     residual_target: float
     min_weight: float
     message: str = ""
+    certificate: float | None = None
 
 
 @dataclass
@@ -198,7 +213,9 @@ def _feasible_map(means: np.ndarray, target: float | None):
     return to_weights, to_angles
 
 
-def _make_point(s, config, w, target, stopped, iterations) -> FrontierPoint:
+def _make_point(s, config, w, target, stopped, iterations, cert=None) -> FrontierPoint:
+    """The reported point. With a certificate (the exact kinds), stopped is
+    whether it is within exact.CERTIFICATE_TOL."""
     r = s @ w
     mu = float(r.mean())
     message = ""
@@ -214,8 +231,14 @@ def _make_point(s, config, w, target, stopped, iterations) -> FrontierPoint:
         and residual_target <= TARGET_TOL
         and float(w.min()) >= -NONNEG_TOL
     )
+    if cert is not None:
+        stopped = cert <= exact.CERTIFICATE_TOL
     if not message and not stopped:
-        message = "simplex diameter above tolerance at max_iter"
+        message = (
+            "simplex diameter above tolerance at max_iter"
+            if cert is None
+            else f"certificate {cert!r} above {exact.CERTIFICATE_TOL}"
+        )
     return FrontierPoint(
         weights=w,
         mean=mu,
@@ -227,6 +250,7 @@ def _make_point(s, config, w, target, stopped, iterations) -> FrontierPoint:
         residual_target=residual_target,
         min_weight=float(w.min()),
         message=message,
+        certificate=cert,
     )
 
 
@@ -236,7 +260,10 @@ def min_risk(
     target: float | None = None,
     w0=None,
 ) -> FrontierPoint:
-    """Minimum-risk long-only weights, optionally at a mean-return target."""
+    """Minimum-risk long-only weights, optionally at a mean-return target.
+
+    w0 warm-starts the Nelder-Mead kinds; the exact kinds ignore it.
+    """
     s = _validate_scenarios(scenarios)
     n = s.shape[1]
     means = s.mean(axis=0)
@@ -255,7 +282,17 @@ def min_risk(
             # the lowest index.
             w = np.zeros(n)
             w[int(np.argmax(means) if at_max else np.argmin(means))] = 1.0
-            return _make_point(s, config, w, target, True, 0)
+            cert = None
+            if config.kind in exact.EXACT_KINDS:
+                # Certified over the portfolios whose mean is exactly the
+                # extreme asset's: that asset and any exact ties.
+                cert = exact.certificate(
+                    s, config.kind, means, float(means @ w), config.tail_fraction, w
+                )
+            return _make_point(s, config, w, target, True, 0, cert)
+    if config.kind in exact.EXACT_KINDS:
+        w, cert, steps = exact.solve(s, config.kind, target, config.tail_fraction)
+        return _make_point(s, config, w, target, True, steps, cert)
     if w0 is not None:
         starts = [np.asarray(w0, dtype=float)]
     else:

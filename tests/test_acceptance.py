@@ -362,6 +362,59 @@ def test_c12_frontier_constraint_contract():
     )
 
 
+def test_c15_exact_solvers_are_certified():
+    s = c12_instance()
+    anchor = min_risk(s, RiskMeasureConfig(kind="variance"))
+    # the same KKT residual as c12's, at the tighter bound
+    w = anchor.weights
+    g = np.cov(s, rowvar=False, bias=True) @ w
+    lam = float(w @ g)
+    kkt = max(np.max(lam - g), np.max(w * np.abs(g - lam))) / lam
+    cvar_anchor = min_risk(s, RiskMeasureConfig(kind="cvar"))
+    ok = (
+        anchor.converged
+        and kkt <= 1e-9
+        and cvar_anchor.converged
+        and cvar_anchor.certificate <= 1e-9
+    )
+    criterion(
+        15,
+        "on the c12 instance the variance and CVaR anchors are certified optimal",
+        ok,
+        f"variance anchor KKT residual {kkt:.1e} <= 1e-9, "
+        f"CVaR anchor certificate {cvar_anchor.certificate:.1e} <= 1e-9",
+    )
+
+
+def correlated_instance(seed: int) -> np.ndarray:
+    """8 x 500 one-factor returns with drifts U(0.006, 0.014), volatilities
+    U(0.02, 0.06) and loadings U(0.3, 0.8): the family on which the
+    Nelder-Mead solver once stopped at max_iter for some convex points."""
+    n, t = 8, 500
+    z = normal_matrix(seed, t, n)
+    f = normal_matrix(seed + 1000, t, 1)[:, 0]
+    rng = Xoshiro256pp(seed + 2000)
+    mu = np.array([rng.uniform(0.006, 0.014) for _ in range(n)])
+    sig = np.array([rng.uniform(0.02, 0.06) for _ in range(n)])
+    beta = np.array([rng.uniform(0.3, 0.8) for _ in range(n)])
+    return mu + sig * (beta * f[:, None] + np.sqrt(1.0 - beta**2) * z)
+
+
+@pytest.mark.parametrize("seed", range(1, 7))
+def test_correlated_family_frontiers_are_certified(seed):
+    s = correlated_instance(seed)
+    for config in (
+        RiskMeasureConfig(kind="variance"),
+        RiskMeasureConfig(kind="cvar", tail_fraction=0.1),
+        RiskMeasureConfig(kind="mad"),
+    ):
+        points = efficient_frontier(s, config, n_points=5).points
+        assert len(points) == 5
+        for p in points:
+            assert p.converged, (config.kind, p.target, p.message)
+            assert p.certificate <= 1e-9, (config.kind, p.target, p.certificate)
+
+
 def c13_instance() -> np.ndarray:
     swings = np.array([0.06, 0.14, 0.09])
     signs = np.array([1.0 if i % 2 else -1.0 for i in range(40)])

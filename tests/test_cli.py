@@ -168,6 +168,7 @@ def test_frontier_csv_and_diagnostics(tmp_path):
     diagnostics = json.loads((tmp_path / "frontier.csv.diagnostics.json").read_text())
     assert [d["point"] for d in diagnostics] == [1, 2, 3]
     assert all(d["residual_budget"] <= 1e-8 for d in diagnostics)
+    assert all(d["certificate"] <= 1e-9 for d in diagnostics)
 
 
 def test_clean_subcommand_and_empty_panel(tmp_path):

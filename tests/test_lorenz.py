@@ -184,6 +184,13 @@ def test_reflected_inverse_composes():
     assert np.allclose(x, L.grid, atol=1e-12)
 
 
+def test_reflected_inverse_keeps_the_callers_order():
+    q = analytic_quantile(AnalyticFamily.power(3.0), 65536)
+    ascending = reflected_inverse(q, [0.1, 0.9])
+    assert ascending[0] < ascending[1]
+    assert np.array_equal(reflected_inverse(q, [0.9, 0.1]), ascending[::-1])
+
+
 def test_reflected_rejects_oversized_support():
     q = analytic_quantile(AnalyticFamily.lognormal(0.5, 0.2), 128)
     with pytest.raises(SupportExceedsUnit):

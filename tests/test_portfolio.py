@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -124,6 +129,91 @@ def test_target_is_hit_within_tolerance(pick):
     assert abs(point.mean - target) <= 1e-6
     assert point.weights.min() >= -1e-10
     assert abs(point.weights.sum() - 1.0) <= 1e-8
+
+
+# ---------------------------------------------------------------- exact kinds
+
+EXACT = ("variance", "cvar", "mad")
+
+
+def certified(point):
+    return point.converged and point.certificate is not None and point.certificate <= 1e-9
+
+
+@pytest.mark.parametrize("kind", EXACT)
+def test_exact_kinds_beat_the_grid_with_a_singular_covariance(kind):
+    # three scenarios for four assets: the covariance has rank at most two
+    s = seeded_scenarios(14, 3, 4, [0.01, 0.02, 0.03, 0.015], [0.02, 0.03, 0.04, 0.02])
+    config = RiskMeasureConfig(kind=kind, tail_fraction=0.5)
+    point = min_risk(s, config)
+    _, oracle = grid_oracle(s, config, step=0.02)
+    assert certified(point)
+    assert point.risk <= oracle + 1e-12
+
+
+def test_constant_column_has_zero_variance():
+    s = seeded_scenarios(15, 50, 3, [0.01, 0.02, 0.03], [0.02, 0.03, 0.04])
+    s[:, 1] = 0.004
+    point = min_risk(s, VAR)
+    assert certified(point)
+    assert point.weights == pytest.approx([0.0, 1.0, 0.0], abs=1e-12)
+    assert point.risk <= 1e-30
+
+
+def test_cvar_with_less_than_one_tail_scenario_is_the_worst_loss():
+    # p * T = 0.5 < 1: the tail is the single worst scenario
+    s = seeded_scenarios(16, 50, 3, [0.01, 0.02, 0.03], [0.02, 0.03, 0.04])
+    config = RiskMeasureConfig(kind="cvar", tail_fraction=0.01)
+    point = min_risk(s, config)
+    _, oracle = grid_oracle(s, config, step=0.01)
+    assert certified(point)
+    assert point.risk == pytest.approx(-float(np.min(s @ point.weights)), abs=1e-15)
+    assert point.risk <= oracle + 1e-12
+
+
+@pytest.mark.parametrize("kind", EXACT)
+def test_exact_kinds_at_an_interior_asset_mean(kind):
+    s = seeded_scenarios(8, 80, 3, [0.01, 0.02, 0.03], [0.02, 0.03, 0.04])
+    means = s.mean(axis=0)
+    k, j, i = np.argsort(means)[[1, 2, 0]]
+    target = float(means[k])
+    config = RiskMeasureConfig(kind=kind, tail_fraction=0.1)
+    point = min_risk(s, config, target=target)
+    assert certified(point)
+    assert abs(point.mean - target) <= 1e-12
+    # The feasible set is the segment from asset k to the mix of the other
+    # two that meets the target; scan it finely.
+    mix = np.zeros(3)
+    mix[j], mix[i] = target - means[i], means[j] - target
+    mix /= mix.sum()
+    scan = min(
+        measure_value(s @ ((1.0 - a) * np.eye(3)[k] + a * mix), config)
+        for a in np.linspace(0.0, 1.0, 2001)
+    )
+    assert point.risk <= scan + 1e-15
+
+
+def test_nelder_mead_kinds_carry_no_certificate():
+    s = seeded_scenarios(17, 40, 2, [0.01, 0.02], [0.02, 0.03])
+    point = min_risk(s, RiskMeasureConfig(kind="gmd"))
+    assert point.converged and point.certificate is None
+
+
+def test_exact_solvers_do_not_import_scipy():
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import lorenzlab as L\n"
+        "s = 0.01 + 0.02 * np.sin(np.arange(120.0).reshape(40, 3))\n"
+        "for kind in ('variance', 'cvar', 'mad'):\n"
+        "    for target in (None, float(np.median(s.mean(axis=0)))):\n"
+        "        assert L.min_risk(s, L.RiskMeasureConfig(kind=kind), target=target).converged\n"
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 # ---------------------------------------------------------------- grid oracle
