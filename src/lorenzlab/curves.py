@@ -29,7 +29,7 @@ from .errors import (
     OutOfRange,
     ParseError,
 )
-from .rng import normal_inverse_cdf
+from .rng import exp_array, normal_inverse_cdf_array
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -269,14 +269,11 @@ class AnalyticFamily:
             sigma2 = math.log1p((sd / mean) ** 2)
             sigma = math.sqrt(sigma2)
             mu = math.log(mean) - 0.5 * sigma2
-            out = np.empty_like(p_arr)
-            for i, pi in enumerate(p_arr):
-                if pi <= 0.0:
-                    out[i] = 0.0
-                elif pi >= 1.0:
-                    out[i] = math.inf
-                else:
-                    out[i] = math.exp(mu + sigma * normal_inverse_cdf(pi))
+            out = np.where(p_arr <= 0.0, 0.0, math.inf)
+            # NaN stays inside, so the inverse rejects it
+            inside = ~((p_arr <= 0.0) | (p_arr >= 1.0))
+            z = normal_inverse_cdf_array(p_arr[inside])
+            out[inside] = exp_array(mu + sigma * z)
         elif self.kind == "point_mass":
             (c,) = self.params
             out = np.full_like(p_arr, c)

@@ -29,7 +29,16 @@ from .errors import (
     NonPositivePrice,
     ParseError,
 )
-from .rng import Xoshiro256pp, normal_cdf, normal_inverse_cdf
+from .rng import (
+    normal_cdf_array,
+    normal_inverse_cdf_array,
+    normals_from_states,
+    substream_states,
+)
+
+# Rows simulated per block; bounds the temporaries for a large `n`. Rows are
+# independent, so the block size changes no value.
+_BLOCK_ROWS = 4096
 
 
 @dataclass
@@ -262,8 +271,7 @@ def _normal_scores_correlation(values: np.ndarray) -> np.ndarray:
     t, n = values.shape
     scores = np.empty_like(values)
     for j in range(n):
-        u = average_ranks(values[:, j]) / (t + 1.0)
-        scores[:, j] = [normal_inverse_cdf(ui) for ui in u]
+        scores[:, j] = normal_inverse_cdf_array(average_ranks(values[:, j]) / (t + 1.0))
     return _score_correlation(values, scores)
 
 
@@ -285,6 +293,15 @@ def _nearest_correlation_cholesky(corr: np.ndarray) -> np.ndarray:
     raise BadParameter("correlation matrix could not be factorized")
 
 
+def _correlated_normals(chol: np.ndarray, seed: int, start: int, stop: int) -> np.ndarray:
+    """Rows start..stop-1 of the copula's correlated normals: row i is
+    `chol @ eps` with eps the first normals of substream (seed, i)."""
+    eps = normals_from_states(substream_states(seed, range(start, stop)), len(chol))
+    # one matrix-vector product per row, as `chol @ eps` does; a single
+    # `eps @ chol.T` is a matrix product that sums in another order
+    return np.matmul(chol, eps[:, :, None])[:, :, 0]
+
+
 def copula_simulate(
     scenarios: ScenarioMatrix, n: int = 1000, seed: int = 0
 ) -> ScenarioMatrix:
@@ -294,6 +311,12 @@ def copula_simulate(
     every simulated value appears in the history. Each output row uses its
     own counter-derived substream of the seed, so row i is identical across
     runs and independent of n.
+
+    Row i equals the scalar reference: draw `n_assets` normals from
+    `Xoshiro256pp.substream(seed, i)`, correlate them with `chol @ eps`,
+    and take x_(ceil(u*T)) with u = `normal_cdf` of each entry, clipped to
+    [1, T]. All rows of a block are computed at once, with `rng`'s array
+    generator and inverse, which match the scalar ones bit for bit.
     """
     values = np.asarray(scenarios.values, dtype=float)
     t, n_assets = values.shape
@@ -312,15 +335,13 @@ def copula_simulate(
     corr = _normal_scores_correlation(values)
     chol = _nearest_correlation_cholesky(corr)
     sorted_cols = np.sort(values, axis=0)
+    columns = np.arange(n_assets)
     out = np.empty((n, n_assets))
-    for i in range(n):
-        rng = Xoshiro256pp.substream(seed, i)
-        eps = np.array([rng.normal() for _ in range(n_assets)])
-        correlated = chol @ eps
-        for j in range(n_assets):
-            u = normal_cdf(correlated[j])
-            idx = min(max(math.ceil(u * t), 1), t)
-            out[i, j] = sorted_cols[idx - 1, j]
+    for start in range(0, n, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, n)
+        u = normal_cdf_array(_correlated_normals(chol, seed, start, stop))
+        idx = np.clip(np.ceil(u * t), 1, t).astype(np.intp)
+        out[start:stop] = sorted_cols[idx - 1, columns]
     return ScenarioMatrix(
         values=out,
         tickers=list(scenarios.tickers),
@@ -344,17 +365,24 @@ def write_prices_csv(panel: PricePanel, path) -> None:
 
 
 def write_scenarios_csv(scenarios: ScenarioMatrix, path) -> None:
-    """Historical matrices keep their date column; simulated ones have none."""
+    """Historical matrices keep their date column; simulated ones have none.
+
+    Values are written as `format_float` does (`.17g`), one `%` format per
+    row; rows end in `csv.writer`'s `\\r\\n`."""
+    values = np.asarray(scenarios.values, dtype=float)
+    row_format = ",".join(["%.17g"] * values.shape[1]) + "\r\n"
+    rows = values.tolist()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         if scenarios.dates is not None:
             writer.writerow(["date"] + list(scenarios.tickers))
-            for day, row in zip(scenarios.dates, scenarios.values):
-                writer.writerow([day.isoformat()] + [format_float(v) for v in row])
+            fh.writelines(
+                day.isoformat() + "," + row_format % tuple(row)
+                for day, row in zip(scenarios.dates, rows)
+            )
         else:
             writer.writerow(list(scenarios.tickers))
-            for row in scenarios.values:
-                writer.writerow([format_float(v) for v in row])
+            fh.writelines(row_format % tuple(row) for row in rows)
 
 
 def read_scenarios_csv(path) -> ScenarioMatrix:

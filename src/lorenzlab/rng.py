@@ -10,11 +10,29 @@ The inverse normal c.d.f. is the classic rational approximation with fixed
 coefficients, sharpened by one Halley step against math.erfc. The refined
 value is accurate to about 1e-15 absolute, comfortably below the 1e-9 the
 rest of the package assumes.
+
+Two implementations give the same bits. The scalar one (`Xoshiro256pp`,
+`normal_inverse_cdf`, `normal_cdf`) is the reference. The array one
+(`substream_states`, `normals_from_states`, `normal_inverse_cdf_array`,
+`normal_cdf_array`) runs every substream at once:
+
+- splitmix64 and xoshiro256++ run on numpy `uint64` arrays, where wrapping
+  `* ^ << >>` are exact. Every operand is cast to `np.uint64` explicitly,
+  because numpy 1.x promotes `uint64` mixed with a Python int to float64.
+- `normal()` redraws when its uniform is exactly 0 (probability 2**-53 per
+  draw). A row that hits this is recomputed by the scalar generator from
+  its starting state, so its stream stays in step with the reference.
+- The inverse uses the same coefficients, branches and Halley step in numpy
+  arithmetic (`+ - * / sqrt` are correctly rounded in both). `log`, `exp`
+  and `erfc` go through `math` element by element: numpy's own `log` and
+  `exp` are not correctly rounded and differ from `math` on some inputs.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
@@ -171,3 +189,109 @@ def normal_inverse_cdf(p: float) -> float:
     err = normal_cdf(x) - p
     u = err * _SQRT_2PI * math.exp(0.5 * x * x)
     return x - u / (1.0 + 0.5 * x * u)
+
+
+# -- every substream at once ----------------------------------------------------
+
+_U64 = np.uint64
+
+
+def _splitmix64_mix_array(z: np.ndarray) -> np.ndarray:
+    z = (z ^ (z >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> _U64(27))) * _U64(0x94D049BB133111EB)
+    return z ^ (z >> _U64(31))
+
+
+def _rotl_array(x: np.ndarray, k: int) -> np.ndarray:
+    return (x << _U64(k)) | (x >> _U64(64 - k))
+
+
+def substream_states(seed: int, rows) -> np.ndarray:
+    """(4, len(rows)) uint64: column r is the state that
+    `Xoshiro256pp.substream(seed, rows[r])` starts from."""
+    index = np.asarray(rows, dtype=_U64)
+    state = _U64(seed & _MASK64) ^ (index * _U64(_SPLITMIX_GAMMA))
+    state = _splitmix64_mix_array(state)
+    words = np.empty((4,) + index.shape, dtype=_U64)
+    for k in range(4):
+        state = state + _U64(_SPLITMIX_GAMMA)
+        words[k] = _splitmix64_mix_array(state)
+    # splitmix64 is a bijection on consecutive states, so no column is all
+    # zero and the scalar constructor's guard never applies here
+    return words
+
+
+def next_u64_array(states: np.ndarray) -> np.ndarray:
+    """Advance every column of `states` in place; return the outputs."""
+    s0, s1, s2, s3 = states
+    result = _rotl_array(s0 + s3, 23) + s0
+    t = s1 << _U64(17)
+    s2 ^= s0
+    s3 ^= s1
+    s1 ^= s2
+    s0 ^= s3
+    s2 ^= t
+    states[3] = _rotl_array(s3, 45)
+    return result
+
+
+def normals_from_states(states: np.ndarray, count: int) -> np.ndarray:
+    """(columns, count) array: row r holds the first `count` `normal()` draws
+    of `Xoshiro256pp.from_state(states[:, r])`. `states` is not modified."""
+    work = np.array(states, dtype=_U64)
+    u = np.empty((work.shape[1], count))
+    for k in range(count):
+        u[:, k] = (next_u64_array(work) >> _U64(11)).astype(float) * 2.0**-53
+    redraw = np.flatnonzero((u == 0.0).any(axis=1))
+    u[redraw] = 0.5
+    out = normal_inverse_cdf_array(u)
+    for r in redraw:
+        rng = Xoshiro256pp.from_state([int(w) for w in states[:, r]])
+        out[r] = [rng.normal() for _ in range(count)]
+    return out
+
+
+def _via_math(fn):
+    # one `math` call per element: the array results equal the scalar ones
+    ufunc = np.frompyfunc(fn, 1, 1)
+    return lambda x: np.asarray(ufunc(x), dtype=float)
+
+
+_log = _via_math(math.log)
+_erfc = _via_math(math.erfc)
+exp_array = _via_math(math.exp)
+
+
+def normal_cdf_array(x) -> np.ndarray:
+    """`normal_cdf` element by element, bit for bit."""
+    return 0.5 * _erfc(-np.asarray(x, dtype=float) / _SQRT2)
+
+
+def normal_inverse_cdf_array(p) -> np.ndarray:
+    """`normal_inverse_cdf` element by element, bit for bit; raises the same
+    ValueError for the first value outside (0, 1)."""
+    p = np.asarray(p, dtype=float)
+    bad = ~((p > 0.0) & (p < 1.0))
+    if bad.any():
+        normal_inverse_cdf(float(p[bad].flat[0]))
+    upper = p > 0.5
+    # 1 - p is exact on the upper half; both halves then take the lower
+    # branch of the scalar function
+    q = np.where(upper, 1.0 - p, p)
+    tail = q < _P_LOW
+    x = np.empty_like(q)
+    r = q[~tail] - 0.5
+    rr = r * r
+    x[~tail] = (
+        (((((_A[0] * rr + _A[1]) * rr + _A[2]) * rr + _A[3]) * rr + _A[4]) * rr + _A[5])
+        * r
+        / (((((_B[0] * rr + _B[1]) * rr + _B[2]) * rr + _B[3]) * rr + _B[4]) * rr + 1.0)
+    )
+    t = np.sqrt(-2.0 * _log(q[tail]))
+    x[tail] = (
+        ((((_C[0] * t + _C[1]) * t + _C[2]) * t + _C[3]) * t + _C[4]) * t + _C[5]
+    ) / ((((_D[0] * t + _D[1]) * t + _D[2]) * t + _D[3]) * t + 1.0)
+    err = normal_cdf_array(x) - q
+    u = err * _SQRT_2PI * exp_array(0.5 * x * x)
+    x = x - u / (1.0 + 0.5 * x * u)
+    return np.where(upper, -x, x)

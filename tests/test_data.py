@@ -1,3 +1,4 @@
+import hashlib
 import math
 from datetime import date, timedelta
 
@@ -17,6 +18,8 @@ from lorenzlab import (
     write_prices_csv,
     write_scenarios_csv,
 )
+from lorenzlab import data
+from lorenzlab.cli import main
 from lorenzlab.data import average_ranks, spearman_matrix
 from lorenzlab.errors import (
     BadParameter,
@@ -27,7 +30,7 @@ from lorenzlab.errors import (
     NonPositivePrice,
     ParseError,
 )
-from lorenzlab.rng import Xoshiro256pp
+from lorenzlab.rng import Xoshiro256pp, normal_cdf
 
 
 def write_panel_csv(path, dates, tickers, prices):
@@ -242,6 +245,83 @@ def test_copula_simulation_is_deterministic():
     assert one.seed == 9
     assert one.dates is None
     assert one.values.shape == (500, 3)
+
+
+def sha256(blob: bytes) -> str:
+    return hashlib.sha256(blob).hexdigest()
+
+
+def test_copula_bytes_are_pinned(tmp_path):
+    # digests recorded from the per-row scalar implementation; a changed
+    # draw or rank index shows up here, a changed summation order only in
+    # the correlated normals (test below)
+    sim = copula_simulate(history_matrix(), n=500, seed=9)
+    assert sha256(sim.values.tobytes()) == (
+        "563a3ad5b05eb85be362ddb7b225272dc5f7a13d6adf56d6058655119e92af02"
+    )
+    hist, out = tmp_path / "hist.csv", tmp_path / "sim.csv"
+    write_scenarios_csv(history_matrix(), hist)
+    argv = ["simulate", "--scenarios", str(hist), "--window", "0", "--n", "300",
+            "--seed", "5", "--out", str(out)]
+    assert main(argv) == 0
+    assert sha256(hist.read_bytes()) == (
+        "6ad70738c498890edeabde45976bdb36133400ce775f80426a90c11e7a5cf29d"
+    )
+    assert sha256(out.read_bytes()) == (
+        "c74abdf307d9bad50b438ee5cce0e539afdedb96504c47260c5170873bb97630"
+    )
+
+
+def test_dated_scenarios_bytes_are_pinned(tmp_path):
+    panel = load_price_panel(cleaning_fixture(tmp_path))
+    out = tmp_path / "returns.csv"
+    write_scenarios_csv(compute_returns(clean_panel(panel)[0]), out)
+    assert sha256(out.read_bytes()) == (
+        "c8fb24263b14e9323655b51aea374b6b6eb9c9f19b4fb967787b756b4c67a98f"
+    )
+
+
+def one_factor_history(n_assets, t=200, seed=31):
+    rng = Xoshiro256pp(seed)
+    z = np.array([[rng.normal() for _ in range(n_assets + 1)] for _ in range(t)])
+    values = 0.6 * z[:, :1] + 0.8 * z[:, 1:]
+    return ScenarioMatrix(values=values, tickers=[f"A{j}" for j in range(n_assets)])
+
+
+def per_row_reference(scenarios, n, seed):
+    """The copula row by row, with the scalar generator and `chol @ eps`."""
+    values = scenarios.values
+    t, n_assets = values.shape
+    chol = data._nearest_correlation_cholesky(data._normal_scores_correlation(values))
+    sorted_cols = np.sort(values, axis=0)
+    out = np.empty((n, n_assets))
+    for i in range(n):
+        rng = Xoshiro256pp.substream(seed, i)
+        correlated = chol @ np.array([rng.normal() for _ in range(n_assets)])
+        for j in range(n_assets):
+            idx = min(max(math.ceil(normal_cdf(correlated[j]) * t), 1), t)
+            out[i, j] = sorted_cols[idx - 1, j]
+    return out
+
+
+@pytest.mark.parametrize("n_assets", [1, 2, 3, 14])
+def test_copula_rows_match_the_per_row_reference(n_assets, monkeypatch):
+    hist = one_factor_history(n_assets)
+    # the correlated normals themselves: an output cell moves only when a
+    # rounding change crosses a rank boundary, these move on any change
+    chol = data._nearest_correlation_cholesky(
+        data._normal_scores_correlation(hist.values)
+    )
+    correlated = data._correlated_normals(chol, 12, 0, 300)
+    for i in range(300):
+        rng = Xoshiro256pp.substream(12, i)
+        eps = np.array([rng.normal() for _ in range(n_assets)])
+        assert (chol @ eps).tobytes() == correlated[i].tobytes(), i
+    want = per_row_reference(hist, 300, seed=12)
+    assert copula_simulate(hist, n=300, seed=12).values.tobytes() == want.tobytes()
+    # blocks split the rows without changing any of them
+    monkeypatch.setattr(data, "_BLOCK_ROWS", 7)
+    assert copula_simulate(hist, n=300, seed=12).values.tobytes() == want.tobytes()
 
 
 def test_copula_draws_from_the_historical_support():

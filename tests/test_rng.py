@@ -6,10 +6,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lorenzlab.rng import (
+    _P_LOW,
     Xoshiro256pp,
+    next_u64_array,
     normal_cdf,
+    normal_cdf_array,
     normal_inverse_cdf,
+    normal_inverse_cdf_array,
+    normals_from_states,
     splitmix64_stream,
+    substream_states,
 )
 
 from oracles import NORMINV, SPLITMIX64_SEED0, XOSHIRO_STATE1234
@@ -80,3 +86,66 @@ def test_normal_draws_have_sane_moments():
     xs = np.array([rng.normal() for _ in range(20000)])
     assert abs(xs.mean()) < 0.03
     assert abs(xs.std() - 1.0) < 0.03
+
+
+# -- the array generator and inverse against the scalar reference ---------------
+
+
+def same_bits(got, want) -> bool:
+    return np.asarray(got, dtype=float).tobytes() == np.asarray(want, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 4242, 2**64 - 1])
+def test_substream_arrays_match_the_scalar_streams(seed):
+    states = substream_states(seed, range(1000))
+    work = states.copy()
+    raw = np.stack([next_u64_array(work) for _ in range(3)], axis=1)
+    normals = normals_from_states(states, 4)
+    for i in range(1000):
+        rng = Xoshiro256pp.substream(seed, i)
+        assert [rng.next_u64() for _ in range(3)] == raw[i].tolist(), i
+        rng = Xoshiro256pp.substream(seed, i)
+        assert same_bits(normals[i], [rng.normal() for _ in range(4)]), i
+
+
+def test_zero_draw_falls_back_to_the_scalar_redraw():
+    # s0 = s3 = 0 makes the next output 0, so normal() must redraw
+    crafted = [0, 0x0123456789ABCDEF, 0xFEDCBA9876543210, 0]
+    assert Xoshiro256pp.from_state(crafted).next_u64() == 0
+    rows = [[1, 2, 3, 4], crafted, [5, 6, 7, 8]]
+    states = np.array(rows, dtype=np.uint64).T
+    before = states.copy()
+    got = normals_from_states(states, 6)
+    assert np.array_equal(states, before)
+    for r, state in enumerate(rows):
+        rng = Xoshiro256pp.from_state(state)
+        assert same_bits(got[r], [rng.normal() for _ in range(6)]), r
+
+
+def test_normal_inverse_cdf_array_at_branch_edges():
+    below, above = np.nextafter(_P_LOW, 0.0), np.nextafter(_P_LOW, 1.0)
+    points = [
+        _P_LOW, below, above,
+        1.0 - _P_LOW, 1.0 - below, 1.0 - above,
+        np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0),
+        2.0**-53, 1.0 - 2.0**-53,
+    ]
+    want = [normal_inverse_cdf(p) for p in points]
+    assert same_bits(normal_inverse_cdf_array(points), want)
+    assert same_bits(normal_cdf_array(want), [normal_cdf(x) for x in want])
+
+
+@given(st.lists(st.floats(1e-300, 1.0, exclude_max=True), min_size=1, max_size=64))
+def test_normal_inverse_cdf_array_matches_the_scalar(ps):
+    want = [normal_inverse_cdf(p) for p in ps]
+    assert same_bits(normal_inverse_cdf_array(ps), want)
+    assert same_bits(normal_cdf_array(want), [normal_cdf(x) for x in want])
+
+
+@pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.5, math.nan])
+def test_normal_inverse_cdf_array_rejects_like_the_scalar(bad):
+    with pytest.raises(ValueError) as scalar:
+        normal_inverse_cdf(bad)
+    with pytest.raises(ValueError) as array:
+        normal_inverse_cdf_array([0.3, bad, 0.7])
+    assert str(array.value) == str(scalar.value)
