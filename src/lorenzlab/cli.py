@@ -15,8 +15,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .curves import (
     DEFAULT_GRID,
@@ -115,9 +113,9 @@ def _target_from_args(ns) -> TargetCurveSpec:
     return spec
 
 
-def _add_target_args(sub, gs2_default: bool = False):
+def _add_target_args(sub):
     sub.add_argument("--identity-target", action="store_true", help="diagonal target")
-    defaults = TargetCurveSpec.gs2_shape() if gs2_default else TargetCurveSpec()
+    defaults = TargetCurveSpec()
     sub.add_argument("--beta-down", type=float, default=defaults.beta_down)
     sub.add_argument("--beta-up", type=float, default=defaults.beta_up)
     sub.add_argument("--down-kuma", type=float, default=defaults.down_kuma)
@@ -139,12 +137,7 @@ def _config_from_args(ns) -> RiskMeasureConfig:
     if ns.kind in ("gs1", "gs2"):
         target = _target_from_args(ns)
         if ns.kind == "gs2" and not target.is_gs2_shape and not ns.identity_target:
-            target = TargetCurveSpec(
-                beta_down=0.0,
-                beta_up=ns.beta_up,
-                up_kuma=1.0,
-                up_power=0.0,
-            )
+            target = TargetCurveSpec.gs2_shape(ns.beta_up)
     return RiskMeasureConfig(
         kind=ns.kind, v=ns.v, tail_fraction=_tail_fraction(ns), target=target
     )
@@ -296,9 +289,7 @@ def _cmd_measure(ns) -> int:
 
 def _cmd_target_curve(ns) -> int:
     if ns.gs2 and not ns.identity_target:
-        spec = TargetCurveSpec(
-            beta_down=0.0, beta_up=ns.beta_up, up_kuma=1.0, up_power=0.0
-        )
+        spec = TargetCurveSpec.gs2_shape(ns.beta_up)
     else:
         spec = _target_from_args(ns)
     write_curve_csv(spec.curve(ns.grid), ns.out)

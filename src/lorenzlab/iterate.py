@@ -1,16 +1,19 @@
 """Iterating the Lorenz operators and their golden-ratio limits.
 
 Each step treats the current curve as a c.d.f., re-extracts its quantile by
-generalized inversion on the same grid, and applies the operator again. The
-primal iteration converges to x**phi, the reflected one to
-1 - (1 - x)**(1/phi), with phi the golden ratio.
+generalized inversion on the same grid, and applies the operator again.
 
-The alpha sequence alpha_1 = 1, alpha_{n+1} = 1 + 1/alpha_n (ratios of
-consecutive Fibonacci numbers) drives the theoretical envelopes: from the
-second operator output on, the n-th iterate is pinched between the power
-curves with exponents alpha_n and alpha_{n+1} (primal mode), or between the
-complement curves with exponents 1/alpha_n and 1/alpha_{n+1} (reflected
-mode). The first output is only guaranteed classical.
+A mode is described once, by its operator, the operator's exact inverse and
+a power family f(x, a):
+
+    primal:     f(x, a) = x**a
+    reflected:  f(x, a) = 1 - (1 - x)**(1/a)
+
+The iteration converges to f(x, phi), with phi the golden ratio. The alpha
+sequence alpha_1 = 1, alpha_{n+1} = 1 + 1/alpha_n (ratios of consecutive
+Fibonacci numbers) drives the theoretical envelopes: from the second
+operator output on, the n-th iterate is pinched between f(x, alpha_n) and
+f(x, alpha_{n+1}). The first output is only guaranteed classical.
 """
 
 from __future__ import annotations
@@ -35,11 +38,24 @@ from .lorenz import (
 ENVELOPE_SLACK = 1e-6
 
 _MODES = ("primal", "reflected")
+_LIMIT_MODES = _MODES + ("simple_reflected",)
 
 
-def _check_mode(mode: str) -> None:
-    if mode not in _MODES:
-        raise BadParameter(f"mode must be one of {_MODES}, got {mode!r}")
+def _mode(mode: str):
+    """(operator, its exact inverse, power family f(x, a)) of a mode.
+
+    The operators are looked up at call time, so a caller that rebinds this
+    module's names (the benchmark's tracer) sees every call.
+    """
+    if mode == "primal":
+        return lorenz_transform, primal_inverse, lambda x, a: x**a
+    if mode == "reflected":
+        return (
+            reflected_transform,
+            reflected_inverse,
+            lambda x, a: 1.0 - (1.0 - x) ** (1.0 / a),
+        )
+    raise BadParameter(f"mode must be one of {_MODES}, got {mode!r}")
 
 
 def alpha_sequence(count: int) -> np.ndarray:
@@ -60,17 +76,11 @@ def limit_curve(mode: str, grid_size: int = DEFAULT_GRID) -> LorenzCurve:
     x**phi through (x, y) -> (1 - y, 1 - x) gives the same curve the
     reflected operator converges to.
     """
-    if mode not in ("primal", "reflected", "simple_reflected"):
-        raise BadParameter(
-            "mode must be one of ('primal', 'reflected', 'simple_reflected'), "
-            f"got {mode!r}"
-        )
+    if mode not in _LIMIT_MODES:
+        raise BadParameter(f"mode must be one of {_LIMIT_MODES}, got {mode!r}")
+    power = _mode(mode.removeprefix("simple_"))[2]
     x = np.linspace(0.0, 1.0, int(grid_size) + 1)
-    if mode == "primal":
-        vals = x**GOLDEN
-    else:
-        vals = 1.0 - (1.0 - x) ** (1.0 / GOLDEN)
-    return LorenzCurve(vals, convex=True, classical=True)
+    return LorenzCurve(power(x, GOLDEN), convex=True, classical=True)
 
 
 def envelope_bounds(step: int, mode: str, x: np.ndarray):
@@ -80,15 +90,11 @@ def envelope_bounds(step: int, mode: str, x: np.ndarray):
     (alpha_step, alpha_{step+1}), and for power curves a larger exponent
     means a smaller curve.
     """
-    _check_mode(mode)
+    power = _mode(mode)[2]
     if step < 1:
         raise BadParameter("envelopes start at step 1")
-    alphas = alpha_sequence(step + 1)
-    hi_exp = max(alphas[step - 1], alphas[step])
-    lo_exp = min(alphas[step - 1], alphas[step])
-    if mode == "primal":
-        return x**hi_exp, x**lo_exp
-    return 1.0 - (1.0 - x) ** (1.0 / hi_exp), 1.0 - (1.0 - x) ** (1.0 / lo_exp)
+    pair = alpha_sequence(step + 1)[step - 1 :]
+    return power(x, pair.max()), power(x, pair.min())
 
 
 def envelope_violation(curve: MonotoneCurve, index: int, mode: str) -> float:
@@ -175,59 +181,42 @@ def run_iteration(
     [0, 1] automatically). Stops when successive curves agree within `tol`
     in sup norm, or after max_iter applications.
     """
-    _check_mode(mode)
+    transform, inverse, _ = _mode(mode)
     if max_iter < 1:
         raise BadParameter("max_iter must be at least 1")
     grid_size = start.grid_size
     grid = start.grid
-    limit = limit_curve(mode, grid_size)
+    limit = limit_curve(mode, grid_size).values
     trace = IterationTrace(mode=mode, grid_size=grid_size, tol=tol)
-
-    def apply(quantile: MonotoneCurve, first: bool) -> LorenzCurve:
-        if mode == "primal":
-            return lorenz_transform(quantile)
-        return reflected_transform(quantile, normalize=normalize and first)
-
-    # The next quantile is the generalized inverse of the operator output,
-    # taken on the exact output (piecewise-quadratic primal, E[min(Q, u)] / mu
-    # reflected) rather than on its grid sampling: inverting the stored
-    # polyline would feed its interpolation error back into the loop at the
-    # singular edge, flooring sup_to_limit near 5e-6 at M=4096.
-    def next_quantile(quantile: MonotoneCurve, first: bool) -> QuantileCurve:
-        if mode == "primal":
-            return QuantileCurve(primal_inverse(quantile, grid))
-        if normalize and first:
-            quantile = unit_support(quantile, normalize=True)
-        return QuantileCurve(reflected_inverse(quantile, grid))
-
-    curve = apply(start, True)
     quantile = start
-    first = True
-    prev = None
-    for _ in range(max_iter):
+    if normalize and mode == "reflected":
+        # unit_support is idempotent, so later rounds see the same values
+        quantile = unit_support(start, normalize=True)
+    curve = transform(quantile)
+    for n in range(1, max_iter + 1):
         trace.curves.append(curve)
-        trace.sup_to_limit.append(float(np.max(np.abs(curve.values - limit.values))))
-        if prev is None:
-            trace.sup_successive.append(math.nan)
+        trace.sup_to_limit.append(float(np.max(np.abs(curve.values - limit))))
+        if n == 1:
+            gap = math.nan
         else:
-            gap = float(np.max(np.abs(curve.values - prev.values)))
-            trace.sup_successive.append(gap)
-            if gap < tol:
-                trace.converged = True
-        idx = len(trace.curves) - 1
-        trace.envelope_violations.append(envelope_violation(curve, idx, mode))
+            gap = float(np.max(np.abs(curve.values - trace.curves[-2].values)))
+        trace.sup_successive.append(gap)
+        trace.converged = bool(gap < tol)
+        trace.envelope_violations.append(envelope_violation(curve, n - 1, mode))
         trace.envelope_ok.append(trace.envelope_violations[-1] <= ENVELOPE_SLACK)
         if trace.converged:
             break
-        real_gaps = [g for g in trace.sup_successive if not math.isnan(g)]
-        if _stalled(real_gaps, tol, grid_size):
+        if _stalled(trace.sup_successive[1:], tol, grid_size):
             trace.no_progress = True
-        prev = curve
-        if len(trace.curves) == max_iter:
+        if n == max_iter:
             break
-        quantile = next_quantile(quantile, first)
-        first = False
-        curve = apply(quantile, False)
+        # The next quantile is the generalized inverse of the operator output,
+        # taken on the exact output (piecewise-quadratic primal, E[min(Q, u)] /
+        # mu reflected) rather than on its grid sampling: inverting the stored
+        # polyline would feed its interpolation error back into the loop at
+        # the singular edge, flooring sup_to_limit near 5e-6 at M=4096.
+        quantile = QuantileCurve(inverse(quantile, grid))
+        curve = transform(quantile)
     return trace
 
 
@@ -248,12 +237,8 @@ def write_trace_csv(trace: IterationTrace, path) -> None:
 
 def fixed_point_residual(curve: MonotoneCurve, mode: str) -> float:
     """sup |operator(curve) - curve|: zero exactly at the operator's fixed point."""
-    _check_mode(mode)
-    quantile = QuantileCurve(curve.generalized_inverse(curve.grid))
-    if mode == "primal":
-        image = lorenz_transform(quantile)
-    else:
-        image = reflected_transform(quantile)
+    transform = _mode(mode)[0]
+    image = transform(QuantileCurve(curve.generalized_inverse(curve.grid)))
     return float(np.max(np.abs(image.values - curve.values)))
 
 

@@ -103,7 +103,7 @@ def lorenz_transform(quantile: MonotoneCurve, *, allow_negative: bool = False) -
             "quantile takes negative values; pass allow_negative=True "
             "for the generalized curve"
         )
-    prefix = quantile.prefix_integral(quantile.grid)
+    prefix = quantile._prefix  # the same G that primal_inverse inverts
     total = prefix[-1]
     if total <= 0.0:
         raise NonPositiveMean(f"mean must be positive, got {total!r}")
@@ -222,11 +222,8 @@ def reflected_inverse(quantile: MonotoneCurve, u) -> np.ndarray:
     p = qc.generalized_inverse(u_arr, clamp=True)
     expected_min = qc.prefix_integral(p) + u_arr * (1.0 - p)
     # E[min(Q, u)] <= mu exactly; clip what rounding leaks past it, and keep
-    # the values nondecreasing in u. The guard runs in sorted order; a sorted
-    # u (the iteration's grid) needs no sort.
+    # the values nondecreasing in u, in sorted order.
     vals = np.clip(expected_min / mu, 0.0, 1.0)
-    if np.all(u_arr[1:] >= u_arr[:-1]):
-        return np.maximum.accumulate(vals)
     order = np.argsort(u_arr, kind="stable")
     vals[order] = np.maximum.accumulate(vals[order])
     return vals

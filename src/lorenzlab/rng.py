@@ -9,7 +9,8 @@ independent stream per row: row i of an n-row run does not change when n does.
 The inverse normal c.d.f. is the classic rational approximation with fixed
 coefficients, sharpened by one Halley step against math.erfc. The refined
 value is accurate to about 1e-15 absolute, comfortably below the 1e-9 the
-rest of the package assumes.
+rest of the package assumes. Below p of about 1e-310 the step's
+exp(x**2 / 2) would overflow, and the approximation is returned unrefined.
 
 Two implementations give the same bits. The scalar one (`Xoshiro256pp`,
 `normal_inverse_cdf`, `normal_cdf`) is the reference. The array one
@@ -31,6 +32,7 @@ Two implementations give the same bits. The scalar one (`Xoshiro256pp`,
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -150,6 +152,8 @@ _D = (
 )
 
 _P_LOW = 0.02425
+# exp(y) is finite exactly for y <= _LOG_MAX
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 def normal_cdf(x: float) -> float:
@@ -157,14 +161,10 @@ def normal_cdf(x: float) -> float:
 
 
 def _acklam(p: float) -> float:
+    # lower half only: normal_inverse_cdf reflects p > 0.5 first
     if p < _P_LOW:
         q = math.sqrt(-2.0 * math.log(p))
         return (
-            ((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]
-        ) / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0)
-    if p > 1.0 - _P_LOW:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        return -(
             ((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]
         ) / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0)
     q = p - 0.5
@@ -185,6 +185,9 @@ def normal_inverse_cdf(p: float) -> float:
         # the Halley correction) keeps full relative accuracy
         return -normal_inverse_cdf(1.0 - p)
     x = _acklam(p)
+    if 0.5 * x * x > _LOG_MAX:
+        # exp(x**2 / 2) overflows (p below about 1e-310): keep Acklam's value
+        return x
     # One Halley step against the exact c.d.f.
     err = normal_cdf(x) - p
     u = err * _SQRT_2PI * math.exp(0.5 * x * x)
@@ -291,7 +294,9 @@ def normal_inverse_cdf_array(p) -> np.ndarray:
     x[tail] = (
         ((((_C[0] * t + _C[1]) * t + _C[2]) * t + _C[3]) * t + _C[4]) * t + _C[5]
     ) / ((((_D[0] * t + _D[1]) * t + _D[2]) * t + _D[3]) * t + 1.0)
-    err = normal_cdf_array(x) - q
-    u = err * _SQRT_2PI * exp_array(0.5 * x * x)
-    x = x - u / (1.0 + 0.5 * x * u)
+    halley = 0.5 * x * x <= _LOG_MAX
+    xh = x[halley]
+    err = normal_cdf_array(xh) - q[halley]
+    u = err * _SQRT_2PI * exp_array(0.5 * xh * xh)
+    x[halley] = xh - u / (1.0 + 0.5 * xh * u)
     return np.where(upper, -x, x)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import math
 
 import numpy as np
@@ -137,3 +138,42 @@ def test_reflected_normalize_only_rescales_the_first_step():
     trace = run_iteration(start, "reflected", max_iter=3, tol=0.0, normalize=True)
     for curve in trace.curves:
         assert curve.classical
+
+
+# SHA-256 of every curve's values, then of sup_to_limit, for each trace;
+# recorded before the iteration was restructured. A change that moves any
+# value by one ulp shows up here. The power3 start and the limit go through
+# numpy's float64 `power`, so these bits belong to the numpy build and CPU
+# they were recorded on (numpy 2.4, x86-64).
+TRACE_DIGESTS = {
+    "primal/uniform01": "99dff43ec9ab2688bbbf5e605a04651299dee93afa4aef4776eb94a6893fab5b",
+    "primal/lognormal": "4b7b409343de5ebe58a70f440d591363630d03e3e82ff9cdbbdb3426231b2d7d",
+    "primal/power3": "818e886fee73d689f14888d794f32cf1dc0cde60021b21d916510ffecff3ff65",
+    "primal/two_atom": "2901e867b9dd27692bd41cf862c113284639a482e0033347839f5acdb18debf3",
+    "primal/empirical": "312ddc26e8a434b5974a8964038058bdb5429b92025c5a6d1bb14a32be50a035",
+    "reflected/uniform01": "eeaa86698d1601cd8361a90d49258513365025a1abe566bd934e9865a97c1e6f",
+    "reflected/lognormal": "961050912265ff5936504840091fe164f3eaf462912416808738733fe92213e0",
+    "reflected/power3": "7a6fde9ce969a907cf11b111b84998854e9caccc2f984dfd86b3c904ec70ae62",
+    "reflected/two_atom": "2e084435e863c4c8492651f3547d3d2b52950120c747af48dbb3159e6bcf031c",
+    "reflected/empirical": "3033526126b26aa0aadc9f4a2ad0e31d1e2b745e478540f93644b275d960ceb4",
+    "primal65536/lognormal": "0ec8ca70166041adfcfee7bed19193a2ff5759e31be187d2ba4eb7352d58a6f5",
+}
+
+
+def trace_digest(trace) -> str:
+    h = hashlib.sha256()
+    for curve in trace.curves:
+        h.update(curve.values.tobytes())
+    h.update(np.array(trace.sup_to_limit).tobytes())
+    return h.hexdigest()
+
+
+def test_trace_bits_are_pinned(primal_traces, reflected_traces):
+    got = {f"primal/{name}": trace_digest(t) for name, t in primal_traces.items()}
+    got.update(
+        {f"reflected/{name}": trace_digest(t) for name, t in reflected_traces.items()}
+    )
+    start = analytic_quantile(AnalyticFamily.lognormal(0.5, 0.2), 65536)
+    fine = run_iteration(start, "primal", max_iter=40, tol=0.0)
+    got["primal65536/lognormal"] = trace_digest(fine)
+    assert got == TRACE_DIGESTS

@@ -149,3 +149,16 @@ def test_normal_inverse_cdf_array_rejects_like_the_scalar(bad):
     with pytest.raises(ValueError) as array:
         normal_inverse_cdf_array([0.3, bad, 0.7])
     assert str(array.value) == str(scalar.value)
+
+
+def test_normal_inverse_cdf_at_the_smallest_p():
+    # the Halley step's exp(x**2 / 2) overflows below about 1e-310, where
+    # the rational approximation is returned unrefined
+    ps = [5e-324, 1e-320, 1e-315, 1e-310]
+    got = [normal_inverse_cdf(p) for p in ps]
+    assert all(math.isfinite(x) for x in got)
+    assert got == sorted(got) and len(set(got)) == len(got)
+    assert same_bits(normal_inverse_cdf_array(ps), got)
+    mixed = [0.3, 5e-324, 0.99, 1e-315, 2.0**-53]
+    want = [normal_inverse_cdf(p) for p in mixed]
+    assert same_bits(normal_inverse_cdf_array(mixed), want)
