@@ -48,6 +48,22 @@ def _as_scalar_or_array(result: np.ndarray, scalar_input: bool):
     return float(result[0]) if scalar_input else result
 
 
+def _uniform_grid(grid_size: int) -> np.ndarray:
+    """The nodes k/M, k = 0..M, of the uniform grid with M = grid_size >= 1."""
+    m = int(grid_size)
+    if m < 1:
+        raise BadParameter("grid_size must be at least 1")
+    return np.linspace(0.0, 1.0, m + 1)
+
+
+def _unit_points(x, what: str) -> tuple[np.ndarray, bool]:
+    """x clipped to [0, 1] as a 1-d array, and whether x is a scalar; NaN is OutOfDomain."""
+    x_arr = np.asarray(x, dtype=float)
+    if not np.all((x_arr >= -_ENDPOINT_TOL) & (x_arr <= 1.0 + _ENDPOINT_TOL)):
+        raise OutOfDomain(f"{what} outside [0, 1]")
+    return np.clip(np.atleast_1d(x_arr), 0.0, 1.0), x_arr.ndim == 0
+
+
 @dataclass(frozen=True, eq=False)
 class MonotoneCurve:
     """Nondecreasing piecewise-linear function sampled at k/M, k = 0..M."""
@@ -75,7 +91,7 @@ class MonotoneCurve:
 
     @cached_property
     def grid(self) -> np.ndarray:
-        return np.linspace(0.0, 1.0, self.values.size)
+        return _uniform_grid(self.grid_size)
 
     @cached_property
     def _prefix(self) -> np.ndarray:
@@ -90,12 +106,7 @@ class MonotoneCurve:
 
     def evaluate(self, x):
         """Interpolated value at x (scalar or array); domain is [0, 1]."""
-        x_arr = np.asarray(x, dtype=float)
-        scalar = x_arr.ndim == 0
-        x_arr = np.atleast_1d(x_arr)
-        if np.any(x_arr < -_ENDPOINT_TOL) or np.any(x_arr > 1.0 + _ENDPOINT_TOL):
-            raise OutOfDomain("evaluation point outside [0, 1]")
-        x_arr = np.clip(x_arr, 0.0, 1.0)
+        x_arr, scalar = _unit_points(x, "evaluation point")
         out = np.interp(x_arr, self.grid, self.values)
         return _as_scalar_or_array(out, scalar)
 
@@ -114,7 +125,7 @@ class MonotoneCurve:
         u_arr = np.asarray(u, dtype=float)
         scalar = u_arr.ndim == 0
         u_arr = np.atleast_1d(u_arr)
-        if not clamp and (np.any(u_arr < v[0]) or np.any(u_arr > v[-1])):
+        if np.isnan(u_arr).any() or not clamp and (np.any(u_arr < v[0]) or np.any(u_arr > v[-1])):
             raise OutOfRange("inverse argument outside the curve's range")
         u_clip = np.clip(u_arr, v[0], v[-1])
         # First node index k with v[k] >= u; 'left' guarantees v[k-1] < u.
@@ -131,12 +142,7 @@ class MonotoneCurve:
 
     def prefix_integral(self, x):
         """Exact integral of the interpolant over [0, x]."""
-        x_arr = np.asarray(x, dtype=float)
-        scalar = x_arr.ndim == 0
-        x_arr = np.atleast_1d(x_arr)
-        if np.any(x_arr < -_ENDPOINT_TOL) or np.any(x_arr > 1.0 + _ENDPOINT_TOL):
-            raise OutOfDomain("integration endpoint outside [0, 1]")
-        x_arr = np.clip(x_arr, 0.0, 1.0)
+        x_arr, scalar = _unit_points(x, "integration endpoint")
         m = self.grid_size
         pos = x_arr * m
         k = np.minimum(pos.astype(int), m - 1)
@@ -185,9 +191,7 @@ def empirical_quantile(samples, grid_size: int = DEFAULT_GRID) -> QuantileCurve:
         raise NonFinite("samples must be finite")
     x = np.sort(x)
     n = x.size
-    m = int(grid_size)
-    if m < 1:
-        raise BadParameter("grid_size must be at least 1")
+    m = _uniform_grid(grid_size).size - 1  # checks grid_size
     ks = np.arange(1, m + 1, dtype=np.int64)
     idx = -((-ks * n) // m)  # ceil(k*n/m)
     values = np.empty(m + 1)
@@ -311,7 +315,7 @@ def analytic_quantile(family: AnalyticFamily, grid_size: int = DEFAULT_GRID) -> 
     m = int(grid_size)
     if m < 2:
         raise BadParameter("grid_size must be at least 2")
-    ps = np.linspace(0.0, 1.0, m + 1)
+    ps = _uniform_grid(m)
     values = np.asarray(family.quantile(ps), dtype=float)
     if family.kind in ("pareto", "lognormal"):
         values[-1] = family.quantile(1.0 - 0.5 / m)
@@ -353,7 +357,7 @@ def read_curve_csv(path) -> MonotoneCurve:
             linenos.append(lineno)
     if len(us) < 2:
         raise ParseError(f"{path}: a curve file needs at least two rows")
-    grid = np.linspace(0.0, 1.0, len(us))
+    grid = _uniform_grid(len(us) - 1)
     off_grid = np.flatnonzero(np.abs(np.array(us) - grid) > 1e-9)
     if off_grid.size:
         raise ParseError(

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import GOLDEN, DEFAULT_GRID, MonotoneCurve, QuantileCurve, format_float
+from .curves import GOLDEN, DEFAULT_GRID, MonotoneCurve, QuantileCurve, _uniform_grid, format_float
 from .errors import BadParameter
 from .lorenz import (
     LorenzCurve,
@@ -79,8 +79,7 @@ def limit_curve(mode: str, grid_size: int = DEFAULT_GRID) -> LorenzCurve:
     if mode not in _LIMIT_MODES:
         raise BadParameter(f"mode must be one of {_LIMIT_MODES}, got {mode!r}")
     power = _mode(mode.removeprefix("simple_"))[2]
-    x = np.linspace(0.0, 1.0, int(grid_size) + 1)
-    return LorenzCurve(power(x, GOLDEN), convex=True, classical=True)
+    return LorenzCurve(power(_uniform_grid(grid_size), GOLDEN), convex=True, classical=True)
 
 
 def envelope_bounds(step: int, mode: str, x: np.ndarray):

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import DEFAULT_GRID, MonotoneCurve, QuantileCurve
+from .curves import DEFAULT_GRID, MonotoneCurve, QuantileCurve, _uniform_grid
 from .errors import (
     BadParameter,
     CrossCheckError,
@@ -39,6 +39,7 @@ from .errors import (
     NonMonotone,
     NonPositiveMean,
     NonPositiveTotal,
+    OutOfRange,
     SupportExceedsUnit,
 )
 
@@ -263,6 +264,8 @@ def primal_inverse(quantile: MonotoneCurve, u) -> np.ndarray:
     if q[0] < -_ENDPOINT_TOL:
         raise BadParameter("cannot invert the transform of a negative quantile")
     u_arr = np.atleast_1d(np.asarray(u, dtype=float))
+    if np.isnan(u_arr).any():
+        raise OutOfRange("inverse argument is NaN")
     return _prefix_inverse(quantile.grid, q, quantile._prefix, u_arr)
 
 
@@ -350,7 +353,6 @@ def truncate_generalized(
         raise DegenerateAfterTruncation("nothing left after truncation")
     x_scaled = (xs - xs[0]) / (1.0 - xs[0])
     y_scaled = (ys - ys[0]) / (1.0 - ys[0])
-    grid = np.linspace(0.0, 1.0, int(grid_size) + 1)
-    vals = np.interp(grid, x_scaled, y_scaled)
+    vals = np.interp(_uniform_grid(grid_size), x_scaled, y_scaled)
     vals = np.maximum.accumulate(vals)
     return LorenzCurve(vals, convex=True, classical=True)

@@ -42,7 +42,6 @@ from .errors import (
     InfeasibleTarget,
     NonPositiveMean,
     NonPositiveMeanRegion,
-    NonPositiveTotal,
     TooManyAssets,
 )
 from .risk import RiskMeasureConfig, measure_value
@@ -84,12 +83,12 @@ def nelder_mead(
     fvals = np.array([f(x) for x in simplex])
 
     iterations = 0
-    while iterations < max_iter:
+    while True:
         order = np.argsort(fvals, kind="stable")
         simplex = simplex[order]
         fvals = fvals[order]
         diameter = float(np.max(np.abs(simplex[1:] - simplex[0]), initial=0.0))
-        if diameter <= diameter_tol:
+        if diameter <= diameter_tol or iterations >= max_iter:
             return simplex[0], float(fvals[0]), iterations, diameter
         iterations += 1
         centroid = simplex[:-1].mean(axis=0)
@@ -113,11 +112,6 @@ def nelder_mead(
             else:
                 simplex[1:] = simplex[0] + 0.5 * (simplex[1:] - simplex[0])
                 fvals[1:] = [f(x) for x in simplex[1:]]
-    order = np.argsort(fvals, kind="stable")
-    simplex = simplex[order]
-    fvals = fvals[order]
-    diameter = float(np.max(np.abs(simplex[1:] - simplex[0]), initial=0.0))
-    return simplex[0], float(fvals[0]), iterations, diameter
 
 
 @dataclass(frozen=True)
@@ -220,8 +214,8 @@ def _make_point(s, config, w, target, stopped, iterations, cert=None) -> Frontie
     mu = float(r.mean())
     message = ""
     try:
-        risk = float(measure_value(r, config))
-    except (NonPositiveMean, NonPositiveTotal) as exc:
+        risk = measure_value(r, config)
+    except NonPositiveMean as exc:
         risk = math.nan
         message = f"risk undefined at the solution: {exc}"
     residual_budget = abs(float(w.sum()) - 1.0)
@@ -301,12 +295,13 @@ def min_risk(
         starts = [np.full(n, 1.0 / n)]
         starts.extend(np.eye(n)[k] for k in range(n))
     to_weights, to_angles = _feasible_map(means, target)
+    value = config._bind(s.shape[0])
 
     def objective(theta: np.ndarray) -> float:
         r = s @ to_weights(theta)
         try:
-            return float(measure_value(r, config))
-        except (NonPositiveMean, NonPositiveTotal):
+            return value(r)
+        except NonPositiveMean:
             return _BIG * (1.0 + max(0.0, -float(r.mean())))
 
     def solve(start: np.ndarray) -> FrontierPoint:
@@ -409,6 +404,7 @@ def grid_oracle(
         raise BadParameter("step must divide 1")
     means = s.mean(axis=0)
     band = 0.5 * step * float(means.max() - means.min()) + 1e-12
+    value = config._bind(s.shape[0])
     best_w = None
     best_risk = math.inf
     for counts in _compositions(k, n):
@@ -416,11 +412,11 @@ def grid_oracle(
         if target is not None and abs(float(w @ means) - target) > band:
             continue
         try:
-            risk = measure_value(s @ w, config)
-        except (NonPositiveMean, NonPositiveTotal):
+            risk = value(s @ w)
+        except NonPositiveMean:
             continue
         if risk < best_risk:
-            best_risk = float(risk)
+            best_risk = risk
             best_w = w
     if best_w is None:
         raise InfeasibleTarget("no lattice point satisfies the constraints")

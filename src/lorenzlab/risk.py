@@ -1,8 +1,10 @@
 """Scalar risk measures and Lorenz-distance measures on return samples.
 
-The classical measures (variance, mean absolute deviation, CVAR, Gini mean
-difference) are all computed from sorted samples with explicit weight
-vectors, which keeps their small-sample identities exact and testable:
+Each measure is defined once, by `_bound(kind, T, ...)`, which runs the
+kind's checks, computes what (kind, parameters, T) fix and returns the value
+function of a sample of size T. The classical measures (variance, mean
+absolute deviation, CVAR, Gini mean difference) use sorted samples and
+explicit weight vectors, which keeps their small-sample identities exact:
 CVAR weights sum to -1 and GMD weights sum to 0 in exact float arithmetic.
 
 The Lorenz-distance family compares the sample's partial-sum polyline
@@ -25,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .curves import GOLDEN
+from .curves import GOLDEN, _uniform_grid
 from .errors import BadParameter, BadSpec, EmptySample, NonFinite, NonPositiveMean
 from .lorenz import LorenzCurve
 
@@ -34,25 +36,25 @@ MEASURE_KINDS = ("variance", "mad", "cvar", "gmd", "extended_gini", "gs1", "gs2"
 _INV_GOLDEN = 1.0 / GOLDEN
 
 
-def _sorted_sample(samples, min_size: int = 1) -> np.ndarray:
+def _sample(samples) -> np.ndarray:
     x = np.asarray(samples, dtype=float)
     if x.ndim != 1:
         raise BadParameter("samples must be one-dimensional")
-    if x.size < min_size:
-        raise EmptySample(f"need at least {min_size} samples, got {x.size}")
+    return x
+
+
+def _sorted_sample(x: np.ndarray) -> np.ndarray:
     if not np.isfinite(x).all():
         raise NonFinite("samples must be finite")
     return np.sort(x)
 
 
 def variance(samples) -> float:
-    x = _sorted_sample(samples)
-    return float(np.var(x))
+    return measure_value(samples, RiskMeasureConfig("variance"))
 
 
 def mad(samples) -> float:
-    x = _sorted_sample(samples)
-    return float(np.mean(np.abs(x - x.mean())))
+    return measure_value(samples, RiskMeasureConfig("mad"))
 
 
 def cvar_weights(n: int, tail_fraction: float) -> np.ndarray:
@@ -77,9 +79,7 @@ def cvar_weights(n: int, tail_fraction: float) -> np.ndarray:
 
 def cvar(samples, tail_fraction: float = 0.05) -> float:
     """Expected shortfall of the lower tail, positive-loss convention."""
-    x = _sorted_sample(samples)
-    w = cvar_weights(x.size, tail_fraction)
-    return float(np.dot(w, x))
+    return measure_value(samples, RiskMeasureConfig("cvar", tail_fraction=tail_fraction))
 
 
 def gmd_weights(n: int) -> np.ndarray:
@@ -92,24 +92,26 @@ def gmd_weights(n: int) -> np.ndarray:
 
 
 def gmd(samples) -> float:
-    x = _sorted_sample(samples, min_size=2)
-    return float(np.dot(gmd_weights(x.size), x))
+    return measure_value(samples, RiskMeasureConfig("gmd"))
 
 
 def gmd_pairwise(samples) -> float:
     """Mean absolute difference over ordered pairs i != j (cross-check)."""
-    x = _sorted_sample(samples, min_size=2)
+    x = _sample(samples)
     n = x.size
+    if n < 2:
+        raise EmptySample(f"need at least 2 samples, got {n}")
+    x = _sorted_sample(x)
     return float(np.abs(x[:, None] - x[None, :]).sum() / (n * (n - 1)))
 
 
 def _polyline_knots(sorted_x: np.ndarray) -> np.ndarray:
-    """S_i/S_T for i = 1..T; requires a positive total."""
+    """S_i/S_T for i = 1..T-1; requires a positive total."""
     partial = np.cumsum(sorted_x)
     total = partial[-1]
     if total <= 0.0:
         raise NonPositiveMean(f"sample total must be positive, got {total!r}")
-    return partial / total
+    return partial[:-1] / total
 
 
 def extended_gini(samples, v: float) -> float:
@@ -118,14 +120,7 @@ def extended_gini(samples, v: float) -> float:
     v = 2 recovers the ordinary Gini coefficient (exactly GMD/(2*mean));
     v = 1 gives 0. The sum runs over i = 1..T-1 (the i = T term vanishes).
     """
-    if not v >= 1.0:
-        raise BadParameter("extended Gini needs v >= 1")
-    x = _sorted_sample(samples, min_size=2)
-    t = x.size
-    knots = _polyline_knots(x)[:-1]
-    xi = np.arange(1, t, dtype=float) / t
-    weights = (1.0 - xi) ** (v - 2.0)
-    return float(v * (v - 1.0) / (t - 1.0) * np.dot(weights, xi - knots))
+    return measure_value(samples, RiskMeasureConfig("extended_gini", v))
 
 
 def gini(samples) -> float:
@@ -248,8 +243,7 @@ class TargetCurveSpec:
         return float(lower + chord + upper)
 
     def curve(self, grid_size: int) -> LorenzCurve:
-        x = np.linspace(0.0, 1.0, int(grid_size) + 1)
-        return LorenzCurve(self.evaluate(x), convex=False, classical=True)
+        return LorenzCurve(self.evaluate(_uniform_grid(grid_size)), convex=False, classical=True)
 
 
 def gs_measure(samples, target: TargetCurveSpec, v: float = 2.5, absolute: bool = False) -> float:
@@ -261,25 +255,51 @@ def gs_measure(samples, target: TargetCurveSpec, v: float = 2.5, absolute: bool 
     absolute=True replaces the samples by their absolute values first (and
     mu by the absolute mean).
     """
-    if not v >= 1.0:
-        raise BadParameter("gs measure needs v >= 1")
-    x = _sorted_sample(samples, min_size=2)
-    if absolute:
-        x = np.sort(np.abs(x))
-    t = x.size
-    knots = _polyline_knots(x)[:-1]
-    mu = float(np.mean(x))
+    x = _sample(samples)
+    return _bound("gs2" if absolute else "gs1", x.size, v, None, target)(x)
+
+
+# -- binding -------------------------------------------------------------------
+
+
+def _bound(kind: str, t: int, v, tail_fraction, target):
+    """The value function of `kind` on 1-d samples of size t: runs the kind's
+    checks and computes what (kind, parameters, t) fix, once. gs2 is gs1 on |x|."""
+    if kind in ("extended_gini", "gs1", "gs2") and not v >= 1.0:
+        raise BadParameter(f"{kind} needs v >= 1")
+    min_size = 1 if kind in ("variance", "mad", "cvar") else 2
+    if t < min_size:
+        raise EmptySample(f"need at least {min_size} samples, got {t}")
+    if kind == "variance":
+        return lambda x: float(np.var(_sorted_sample(x)))
+    if kind == "mad":
+        def mad_value(x):
+            x = _sorted_sample(x)
+            return float(np.mean(np.abs(x - x.mean())))
+        return mad_value
+    if kind in ("cvar", "gmd"):
+        w = cvar_weights(t, tail_fraction) if kind == "cvar" else gmd_weights(t)
+        return lambda x: float(np.dot(w, _sorted_sample(x)))
     xi = np.arange(1, t, dtype=float) / t
     weights = (1.0 - xi) ** (v - 2.0)
-    deviation = np.dot(weights, np.abs(knots - target.evaluate(xi)))
-    return float(mu * v * (v - 1.0) / target.integral() * deviation / (t - 1.0))
+    if kind == "extended_gini":
+        factor = v * (v - 1.0) / (t - 1.0)
+        return lambda x: float(factor * np.dot(weights, xi - _polyline_knots(_sorted_sample(x))))
+    target_values, integral = target.evaluate(xi), target.integral()
 
+    def gs_value(x):
+        x = _sorted_sample(np.abs(x) if kind == "gs2" else x)
+        deviation = np.dot(weights, np.abs(_polyline_knots(x) - target_values))
+        return float(np.mean(x) * v * (v - 1.0) / integral * deviation / (t - 1.0))
 
-# -- dispatch ------------------------------------------------------------------
+    return gs_value
 
 
 @dataclass(frozen=True)
 class RiskMeasureConfig:
+    """Each kind reads only its own fields: v (extended_gini, gs1, gs2),
+    tail_fraction (cvar) and target (gs1, gs2; defaulted per kind)."""
+
     kind: str
     v: float = 2.5
     tail_fraction: float = 0.05
@@ -288,37 +308,26 @@ class RiskMeasureConfig:
     def __post_init__(self):
         if self.kind not in MEASURE_KINDS:
             raise BadParameter(f"kind must be one of {MEASURE_KINDS}, got {self.kind!r}")
-        if self.kind in ("extended_gini", "gs1", "gs2") and not self.v >= 1.0:
-            raise BadParameter("v must be >= 1")
-        if self.kind == "cvar" and not 0.0 < self.tail_fraction < 1.0:
-            raise BadParameter("tail fraction must lie in (0, 1)")
         if self.kind in ("gs1", "gs2") and self.target is None:
             default = (
                 TargetCurveSpec.gs2_shape() if self.kind == "gs2" else TargetCurveSpec()
             )
             object.__setattr__(self, "target", default)
+        # Binding runs the kind's parameter checks.
+        self._bind(2)
         if self.kind == "gs2" and not self.target.is_gs2_shape:
             raise BadSpec(
                 "gs2 requires the restricted target (beta_down = 0, pure "
                 "concave upper tail)"
             )
 
+    def _bind(self, t: int):
+        return _bound(self.kind, t, self.v, self.tail_fraction, self.target)
+
 
 def measure_value(samples, config: RiskMeasureConfig) -> float:
-    kind = config.kind
-    if kind == "variance":
-        return variance(samples)
-    if kind == "mad":
-        return mad(samples)
-    if kind == "cvar":
-        return cvar(samples, config.tail_fraction)
-    if kind == "gmd":
-        return gmd(samples)
-    if kind == "extended_gini":
-        return extended_gini(samples, config.v)
-    if kind == "gs1":
-        return gs_measure(samples, config.target, config.v, absolute=False)
-    return gs_measure(samples, config.target, config.v, absolute=True)
+    x = _sample(samples)
+    return config._bind(x.size)(x)
 
 
 def measure_report(samples, config: RiskMeasureConfig) -> dict:

@@ -5,9 +5,18 @@ import math
 import numpy as np
 import pytest
 
-from lorenzlab import ScenarioMatrix, TargetCurveSpec, limit_curve, write_scenarios_csv
+from lorenzlab import (
+    ScenarioMatrix,
+    TargetCurveSpec,
+    empirical_quantile,
+    generalized_lorenz,
+    limit_curve,
+    truncate_generalized,
+    write_scenarios_csv,
+)
 from lorenzlab.cli import main
 from lorenzlab.curves import format_float, read_curve_csv
+from lorenzlab.errors import BadParameter
 from lorenzlab.risk import variance
 from lorenzlab.rng import Xoshiro256pp
 
@@ -233,6 +242,25 @@ def test_version_and_usage_errors(tmp_path, capsys):
     out = tmp_path / "t.csv"
     assert main(["iterate", "--start", "cauchy", "--out", str(out)]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["limits", "target-curve"])
+def test_bad_grid_is_a_usage_error(tmp_path, capsys, command):
+    assert main([command, "--grid", "-3", "--out", str(tmp_path / "c.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_grid_below_one_segment_is_bad_parameter():
+    points = generalized_lorenz([3.0, -1.0])
+    for build in (
+        lambda: limit_curve("primal", 0),
+        lambda: TargetCurveSpec().curve(0),
+        lambda: truncate_generalized(points, grid_size=0),
+        lambda: empirical_quantile([1.0, 2.0], 0),
+    ):
+        with pytest.raises(BadParameter, match="grid_size must be at least 1"):
+            build()
 
 
 def test_missing_input_file_is_a_data_error(tmp_path, capsys):

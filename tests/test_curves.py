@@ -14,7 +14,9 @@ from lorenzlab import (
     empirical_quantile,
     format_float,
     grid_curve,
+    primal_inverse,
     read_curve_csv,
+    reflected_inverse,
     write_curve_csv,
 )
 from lorenzlab.errors import (
@@ -111,6 +113,23 @@ def test_generalized_inverse_range_checks():
         c.generalized_inverse(0.1)
     assert c.generalized_inverse(0.1, clamp=True) == 0.0
     assert c.generalized_inverse(2.0, clamp=True) == 1.0
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda q: q.evaluate(math.nan), OutOfDomain),
+        (lambda q: q.prefix_integral(math.nan), OutOfDomain),
+        (lambda q: q.generalized_inverse(math.nan), OutOfRange),
+        (lambda q: q.generalized_inverse(math.nan, clamp=True), OutOfRange),
+        (lambda q: primal_inverse(q, [math.nan]), OutOfRange),
+        (lambda q: reflected_inverse(q, [math.nan]), OutOfRange),
+    ],
+    ids=["evaluate", "prefix_integral", "inverse", "inverse_clamped", "primal", "reflected"],
+)
+def test_nan_points_are_rejected(call, error):
+    with pytest.raises(error):
+        call(QuantileCurve(np.array([0.0, 0.5, 1.0])))
 
 
 @given(monotone_values())

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from lorenzlab import (
+    MEASURE_KINDS,
     RiskMeasureConfig,
     efficient_frontier,
     grid_oracle,
@@ -19,6 +21,7 @@ from lorenzlab.errors import (
     BadParameter,
     DimensionMismatch,
     InfeasibleTarget,
+    LorenzLabError,
     NonPositiveMeanRegion,
     TooManyAssets,
 )
@@ -293,3 +296,63 @@ def test_frontier_needs_two_points():
     s = seeded_scenarios(13, 30, 2, [0.01, 0.02], [0.02, 0.02])
     with pytest.raises(BadParameter):
         efficient_frontier(s, VAR, n_points=1)
+
+
+# ---------------------------------------------------------------- pinned bits
+
+# Recorded before measure_value bound each measure to its sample size; a
+# change to any value's rounding, or to an error class, moves a digest.
+MEASURE_DIGESTS = {
+    "variance": "44394b6c256acb41a4e46aebb8cdd7885aefbb83b793eae6ae8deb969916d12c",
+    "mad": "c03042999f82201d6a362212bd2b99a5eb2da3490a4b4e6959e38ec0a257d10b",
+    "cvar": "80f1c1200b43c3a535c8d2738fbd40243280a61368e4170c09338bbf056c4cce",
+    "gmd": "c7ec4bf0624c0d6b33496990f4eaa9ee7f2aff7c8c26966079b3a8d7e9df9df9",
+    "extended_gini": "fcbf62fbbdbd03e42ad46c4289477d477e9e7ee52e3c50f54afca9719d86932b",
+    "gs1": "c91ea58c77e33c4693d570563895cda0367afe1634800397808eab6234dcbfd2",
+    "gs2": "7491b7c05d08e23e086317149641c250b42dd9d600939d88126d658b210426f7",
+}
+SEARCH_DIGESTS = {
+    "gmd": "3e1335c8ffa3a08d811789ad79acd6e3ddd534d30c67f011fe83e01e8f5c4fc5",
+    "extended_gini": "8ba5034e59def7b3752835c1ab3a6edb2410146ab6d59d98d2782e055a3bf1f4",
+    "gs1": "61cd3f361c9794d7526b4653e23b3c485c96e2e5fb5c9b4051242adeb026635d",
+    "gs2": "802e8e6260274908f88d28aa71fabc71c5aa9b3c752b3715dac1ee16c3670d81",
+}
+
+
+def measure_digests() -> dict:
+    """Per kind: SHA-256 over measure_value's bits (or the error class) at
+    T = 2, 3, 500 and several v / tail fractions."""
+    rng = Xoshiro256pp(2718)
+    samples = [np.array([0.01 + 0.03 * rng.normal() for _ in range(t)]) for t in (2, 3, 500)]
+    out = {}
+    for kind in MEASURE_KINDS:
+        h = hashlib.sha256()
+        for x in samples:
+            for v, tail in ((1.0, 0.05), (1.5, 0.3), (2.0, 0.05), (2.5, 0.05), (4.0, 0.5)):
+                try:
+                    value = measure_value(x, RiskMeasureConfig(kind, v, tail))
+                    h.update(np.float64(value).tobytes())
+                except LorenzLabError as exc:
+                    h.update(type(exc).__name__.encode())
+        out[kind] = h.hexdigest()
+    return out
+
+
+def search_digests() -> dict:
+    """Per Nelder-Mead kind: SHA-256 over min_risk's weights and risk at the
+    anchor and at one target."""
+    s = seeded_scenarios(27, 500, 3, [0.01, 0.02, 0.03], [0.02, 0.03, 0.04])
+    target = float(s.mean(axis=0).mean())
+    out = {}
+    for kind in ("gmd", "extended_gini", "gs1", "gs2"):
+        h = hashlib.sha256()
+        config = RiskMeasureConfig(kind)
+        for point in (min_risk(s, config), min_risk(s, config, target)):
+            h.update(point.weights.tobytes() + np.float64(point.risk).tobytes())
+        out[kind] = h.hexdigest()
+    return out
+
+
+def test_measure_and_search_bits_are_pinned():
+    assert measure_digests() == MEASURE_DIGESTS
+    assert search_digests() == SEARCH_DIGESTS
