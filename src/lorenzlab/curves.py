@@ -2,8 +2,9 @@
 
 Everything downstream (Lorenz operators, iteration, risk measures) works with
 nondecreasing piecewise-linear interpolants stored as their values at the
-nodes k/M. The three primitive operations are evaluation, the generalized
-inverse
+nodes k/M; the constructor checks that they are nondecreasing, and nothing
+writes into them afterwards. The three primitive operations are evaluation,
+the generalized inverse
 
     f^{-1}(u) = inf { y : f(y) >= u },
 
@@ -54,6 +55,20 @@ def _uniform_grid(grid_size: int) -> np.ndarray:
     if m < 1:
         raise BadParameter("grid_size must be at least 1")
     return np.linspace(0.0, 1.0, m + 1)
+
+
+def _sample(samples) -> np.ndarray:
+    """samples as a 1-d float array; any other shape is BadParameter."""
+    x = np.asarray(samples, dtype=float)
+    if x.ndim != 1:
+        raise BadParameter("samples must be one-dimensional")
+    return x
+
+
+def _sorted_sample(x: np.ndarray) -> np.ndarray:
+    if not np.isfinite(x).all():
+        raise NonFinite("samples must be finite")
+    return np.sort(x)
 
 
 def _unit_points(x, what: str) -> tuple[np.ndarray, bool]:
@@ -120,8 +135,6 @@ class MonotoneCurve:
         otherwise such u raise OutOfRange.
         """
         v = self.values
-        if np.any(np.diff(v) < 0.0):
-            raise NonMonotone("generalized inverse needs a nondecreasing curve")
         u_arr = np.asarray(u, dtype=float)
         scalar = u_arr.ndim == 0
         u_arr = np.atleast_1d(u_arr)
@@ -166,14 +179,6 @@ class QuantileCurve(MonotoneCurve):
         return self.total_integral
 
 
-def grid_curve(values, *, rectify: bool = False) -> MonotoneCurve:
-    """Build a MonotoneCurve, optionally absorbing float noise by running max."""
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim == 1 and arr.size >= 2 and np.isfinite(arr).all() and rectify:
-        arr = np.maximum.accumulate(arr)
-    return MonotoneCurve(arr)
-
-
 # -- empirical and analytic quantile curves -----------------------------------
 
 
@@ -184,12 +189,10 @@ def empirical_quantile(samples, grid_size: int = DEFAULT_GRID) -> QuantileCurve:
     arithmetic, so node k picks order statistic ceil(k*n/M) with no float
     edge cases.
     """
-    x = np.asarray(samples, dtype=float)
+    x = _sample(samples)
     if x.size == 0:
         raise EmptySample("empirical quantile of an empty sample")
-    if not np.isfinite(x).all():
-        raise NonFinite("samples must be finite")
-    x = np.sort(x)
+    x = _sorted_sample(x)
     n = x.size
     m = _uniform_grid(grid_size).size - 1  # checks grid_size
     ks = np.arange(1, m + 1, dtype=np.int64)
@@ -308,19 +311,16 @@ class AnalyticFamily:
 def analytic_quantile(family: AnalyticFamily, grid_size: int = DEFAULT_GRID) -> QuantileCurve:
     """Sample a closed-form quantile on the grid.
 
-    Families with an unbounded right endpoint (pareto, lognormal) replace the
-    infinite node Q(1) with Q(1 - 1/(2M)); the lognormal left node is pinned
-    to 0.
+    An infinite top node Q(1) (pareto, lognormal) is replaced by
+    Q(1 - 1/(2M)).
     """
     m = int(grid_size)
     if m < 2:
         raise BadParameter("grid_size must be at least 2")
     ps = _uniform_grid(m)
     values = np.asarray(family.quantile(ps), dtype=float)
-    if family.kind in ("pareto", "lognormal"):
+    if values[-1] == math.inf:
         values[-1] = family.quantile(1.0 - 0.5 / m)
-    if family.kind == "lognormal":
-        values[0] = 0.0
     return QuantileCurve(values)
 
 

@@ -22,6 +22,7 @@ import numpy as np
 from .curves import format_float
 from .errors import (
     BadParameter,
+    DataError,
     DegenerateColumnWarning,
     DuplicateDate,
     EmptyAfterCleaning,
@@ -319,6 +320,8 @@ def copula_simulate(
     generator and inverse, which match the scalar ones bit for bit.
     """
     values = np.asarray(scenarios.values, dtype=float)
+    if not np.isfinite(values).all():
+        raise DataError("scenario history must be finite")
     t, n_assets = values.shape
     if t < 2:
         raise InsufficientHistory("need at least two historical rows")

@@ -66,10 +66,6 @@ class SupportExceedsUnit(NumericError):
     pass
 
 
-class NonPositiveTotal(NumericError):
-    pass
-
-
 class DegenerateAfterTruncation(NumericError):
     pass
 

@@ -22,6 +22,11 @@ form L_ref(x) = 1 - psi^{-1}(1 - x), with psi the normalized integral of
 the inverse of 1 - Q(1 - y). Every call compares them and raises
 CrossCheckError if they differ by more than 1e-6; both are exact, so the
 observed gap is rounding-level.
+
+A LorenzCurve is a nondecreasing grid curve of a nonnegative distribution.
+A sample with negative values has a generalized curve, which dips below
+zero: GeneralizedLorenzPoints, cut back to a LorenzCurve by
+truncate_generalized.
 """
 
 from __future__ import annotations
@@ -30,89 +35,72 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import DEFAULT_GRID, MonotoneCurve, QuantileCurve, _uniform_grid
+from .curves import (
+    _ENDPOINT_TOL, DEFAULT_GRID, MonotoneCurve, QuantileCurve,
+    _sample, _sorted_sample, _uniform_grid,
+)
 from .errors import (
     BadParameter,
     CrossCheckError,
     DegenerateAfterTruncation,
-    NonFinite,
+    EmptySample,
     NonMonotone,
     NonPositiveMean,
-    NonPositiveTotal,
     OutOfRange,
     SupportExceedsUnit,
 )
 
 _CONVEXITY_TOL = 1e-10
 _CLASSICAL_TOL = 1e-10
-_ENDPOINT_TOL = 1e-12
 _ROUTE_AGREEMENT = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
 class LorenzCurve(MonotoneCurve):
-    """A curve from (0,0) to (1,1) produced by or fed to the operators.
+    """A nondecreasing grid curve from (0,0) to (1,1), produced by or fed to
+    the operators.
 
-    convex: second differences are checked nonnegative (1e-10 slack).
+    The constructor snaps endpoints within 1e-12 of 0 and 1 onto them (a snap
+    that breaks monotonicity is NonMonotone) and verifies the two flags:
+    convex: second differences are nonnegative (1e-10 slack).
     classical: the curve stays inside 0 <= L(x) <= x.
-    generalized: the curve may dip below zero (negative part of the
-    support), in which case monotonicity is not required.
     """
 
     convex: bool = True
     classical: bool = True
-    generalized: bool = False
 
     def _validate(self):
+        super()._validate()
         values = self.values
-        if values.ndim != 1 or values.size < 2:
-            raise BadParameter("a curve needs a 1-d array of at least two node values")
-        if not np.isfinite(values).all():
-            raise NonFinite("curve values must be finite")
-        if not self.generalized and np.any(np.diff(values) < 0.0):
-            raise NonMonotone("curve values must be nondecreasing")
         if abs(values[0]) > _ENDPOINT_TOL or abs(values[-1] - 1.0) > _ENDPOINT_TOL:
             raise BadParameter(
                 "curve must run from 0 to 1 "
                 f"(got endpoints {values[0]!r}, {values[-1]!r})"
             )
-        values = values.copy()
-        values[0] = 0.0
-        values[-1] = 1.0
+        values = np.concatenate([[0.0], values[1:-1], [1.0]])
+        if values[1] < 0.0 or values[-2] > 1.0:
+            raise NonMonotone("snapping the endpoints to 0 and 1 breaks monotonicity")
         object.__setattr__(self, "values", values)
         if self.convex:
             d2 = values[2:] - 2.0 * values[1:-1] + values[:-2]
             if d2.size and d2.min() < -_CONVEXITY_TOL:
                 raise BadParameter(f"curve is not convex (min d2 = {d2.min()!r})")
+        # Nondecreasing from values[0] = 0, so a classical curve is nonnegative.
         if self.classical:
-            if values.min() < -_CLASSICAL_TOL:
-                raise BadParameter("classical curve must be nonnegative")
             excess = values - self.grid
             if excess.max() > _CLASSICAL_TOL:
                 raise BadParameter("classical curve must stay below the diagonal")
 
 
-def lorenz_transform(quantile: MonotoneCurve, *, allow_negative: bool = False) -> LorenzCurve:
-    """Normalized prefix integral of a quantile curve.
-
-    Negative quantile values produce a generalized curve (dips below zero)
-    and must be acknowledged with allow_negative=True.
-    """
-    q = quantile.values
-    if q[0] < -_ENDPOINT_TOL and not allow_negative:
-        raise BadParameter(
-            "quantile takes negative values; pass allow_negative=True "
-            "for the generalized curve"
-        )
+def lorenz_transform(quantile: MonotoneCurve) -> LorenzCurve:
+    """Normalized prefix integral of a nonnegative quantile curve."""
+    if quantile.values[0] < -_ENDPOINT_TOL:
+        raise BadParameter("quantile takes negative values; use generalized_lorenz")
     prefix = quantile._prefix  # the same G that primal_inverse inverts
     total = prefix[-1]
     if total <= 0.0:
         raise NonPositiveMean(f"mean must be positive, got {total!r}")
-    vals = prefix / total
-    classical = q[0] >= -_ENDPOINT_TOL
-    if classical:
-        vals = np.maximum.accumulate(vals)
-    return LorenzCurve(vals, convex=True, classical=classical, generalized=not classical)
+    return LorenzCurve(np.maximum.accumulate(prefix / total), convex=True, classical=True)
 
 
 def _prefix_inverse(x, g, prefix, u) -> np.ndarray:
@@ -306,22 +294,23 @@ class GeneralizedLorenzPoints:
     sign_change_index: int | None
 
 
-def generalized_lorenz(samples) -> GeneralizedLorenzPoints:
-    x = np.sort(np.asarray(samples, dtype=float))
-    if x.size == 0:
-        raise BadParameter("cannot build a curve from an empty sample")
-    if not np.isfinite(x).all():
-        raise NonFinite("samples must be finite")
-    partial = np.cumsum(x)
+def _partial_sum_ratios(sorted_x: np.ndarray) -> tuple[np.ndarray, float]:
+    """(S_i/S_n for i = 1..n, S_n) of a sorted sample; S_n must be positive."""
+    partial = np.cumsum(sorted_x)
     total = float(partial[-1])
     if total <= 0.0:
-        raise NonPositiveTotal(f"sample total must be positive, got {total!r}")
-    ratios = partial / total
+        raise NonPositiveMean(f"sample total must be positive, got {total!r}")
+    return partial / total, total
+
+
+def generalized_lorenz(samples) -> GeneralizedLorenzPoints:
+    x = _sample(samples)
+    if x.size == 0:
+        raise EmptySample("cannot build a curve from an empty sample")
+    x = _sorted_sample(x)
+    ratios, total = _partial_sum_ratios(x)
     fractions = np.arange(1, x.size + 1, dtype=float) / x.size
-    if x[0] >= 0.0:
-        idx = None
-    else:
-        idx = int(np.argmax(ratios >= 0.0))
+    idx = None if x[0] >= 0.0 else int(np.argmax(ratios >= 0.0))
     return GeneralizedLorenzPoints(fractions, ratios, total, idx)
 
 

@@ -27,26 +27,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .curves import GOLDEN, _uniform_grid
-from .errors import BadParameter, BadSpec, EmptySample, NonFinite, NonPositiveMean
-from .lorenz import LorenzCurve
+from .curves import GOLDEN, _sample, _sorted_sample, _uniform_grid
+from .errors import BadParameter, BadSpec, EmptySample
+from .lorenz import LorenzCurve, _partial_sum_ratios
 
 MEASURE_KINDS = ("variance", "mad", "cvar", "gmd", "extended_gini", "gs1", "gs2")
 
 _INV_GOLDEN = 1.0 / GOLDEN
-
-
-def _sample(samples) -> np.ndarray:
-    x = np.asarray(samples, dtype=float)
-    if x.ndim != 1:
-        raise BadParameter("samples must be one-dimensional")
-    return x
-
-
-def _sorted_sample(x: np.ndarray) -> np.ndarray:
-    if not np.isfinite(x).all():
-        raise NonFinite("samples must be finite")
-    return np.sort(x)
 
 
 def variance(samples) -> float:
@@ -103,15 +90,6 @@ def gmd_pairwise(samples) -> float:
         raise EmptySample(f"need at least 2 samples, got {n}")
     x = _sorted_sample(x)
     return float(np.abs(x[:, None] - x[None, :]).sum() / (n * (n - 1)))
-
-
-def _polyline_knots(sorted_x: np.ndarray) -> np.ndarray:
-    """S_i/S_T for i = 1..T-1; requires a positive total."""
-    partial = np.cumsum(sorted_x)
-    total = partial[-1]
-    if total <= 0.0:
-        raise NonPositiveMean(f"sample total must be positive, got {total!r}")
-    return partial[:-1] / total
 
 
 def extended_gini(samples, v: float) -> float:
@@ -284,12 +262,18 @@ def _bound(kind: str, t: int, v, tail_fraction, target):
     weights = (1.0 - xi) ** (v - 2.0)
     if kind == "extended_gini":
         factor = v * (v - 1.0) / (t - 1.0)
-        return lambda x: float(factor * np.dot(weights, xi - _polyline_knots(_sorted_sample(x))))
+        def gini_value(x):
+            ratios, _ = _partial_sum_ratios(_sorted_sample(x))
+            return float(factor * np.dot(weights, xi - ratios[:-1]))
+        return gini_value
+    if not isinstance(target, TargetCurveSpec):
+        raise BadSpec(f"{kind} needs a TargetCurveSpec target, got {type(target).__name__}")
     target_values, integral = target.evaluate(xi), target.integral()
 
     def gs_value(x):
         x = _sorted_sample(np.abs(x) if kind == "gs2" else x)
-        deviation = np.dot(weights, np.abs(_polyline_knots(x) - target_values))
+        ratios, _ = _partial_sum_ratios(x)
+        deviation = np.dot(weights, np.abs(ratios[:-1] - target_values))
         return float(np.mean(x) * v * (v - 1.0) / integral * deviation / (t - 1.0))
 
     return gs_value
@@ -332,10 +316,10 @@ def measure_value(samples, config: RiskMeasureConfig) -> float:
 
 def measure_report(samples, config: RiskMeasureConfig) -> dict:
     """Value plus the quantities a reader needs to rescale or audit it."""
-    x = np.asarray(samples, dtype=float)
-    value = measure_value(samples, config)
+    x = _sample(samples)
+    value = measure_value(x, config)
     mu = float(np.mean(np.abs(x))) if config.kind == "gs2" else float(np.mean(x))
-    report = {
+    return {
         "kind": config.kind,
         "value": value,
         "mu": mu,
@@ -344,4 +328,3 @@ def measure_report(samples, config: RiskMeasureConfig) -> dict:
             config.target.integral() if config.target is not None else None
         ),
     }
-    return report

@@ -13,7 +13,6 @@ from lorenzlab import (
     analytic_quantile,
     empirical_quantile,
     format_float,
-    grid_curve,
     primal_inverse,
     read_curve_csv,
     reflected_inverse,
@@ -175,13 +174,6 @@ def test_quantile_mean():
 
 
 # ---------------------------------------------------------------- constructors
-
-
-def test_grid_curve_rectify():
-    c = grid_curve(np.array([0.0, 0.5, 0.4, 1.0]), rectify=True)
-    assert np.array_equal(c.values, [0.0, 0.5, 0.5, 1.0])
-    with pytest.raises(NonMonotone):
-        grid_curve(np.array([0.0, 0.5, 0.4, 1.0]))
 
 
 def test_empirical_quantile_small_case():

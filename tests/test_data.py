@@ -23,6 +23,7 @@ from lorenzlab.cli import main
 from lorenzlab.data import average_ranks, spearman_matrix
 from lorenzlab.errors import (
     BadParameter,
+    DataError,
     DegenerateColumnWarning,
     DuplicateDate,
     EmptyAfterCleaning,
@@ -232,6 +233,15 @@ def history_matrix(t=300):
         values=np.column_stack([a, b, c]) * 0.02 + 0.01,
         tickers=["A", "B", "C"],
     )
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_copula_rejects_nonfinite_history(bad):
+    hist = history_matrix(50)
+    hist.values[7, 1] = bad
+    with pytest.raises(DataError) as info:
+        copula_simulate(hist, n=100, seed=3)
+    assert info.value.exit_code == 2
 
 
 def test_copula_simulation_is_deterministic():

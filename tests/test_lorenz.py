@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,12 +8,14 @@ from hypothesis import strategies as st
 from lorenzlab import (
     AnalyticFamily,
     LorenzCurve,
+    RiskMeasureConfig,
+    TargetCurveSpec,
     analytic_quantile,
     dual_curve,
     empirical_quantile,
     generalized_lorenz,
-    grid_curve,
     lorenz_transform,
+    measure_value,
     primal_inverse,
     reflected_inverse,
     reflected_transform,
@@ -20,12 +24,14 @@ from lorenzlab import (
     unit_support,
 )
 import lorenzlab.lorenz as lorenz_module
-from lorenzlab.curves import QuantileCurve
+from lorenzlab.curves import MonotoneCurve, QuantileCurve
 from lorenzlab.errors import (
     BadParameter,
     CrossCheckError,
+    EmptySample,
+    NonFinite,
+    NonMonotone,
     NonPositiveMean,
-    NonPositiveTotal,
     SupportExceedsUnit,
 )
 
@@ -39,6 +45,57 @@ def positive_samples():
     return st.lists(
         st.floats(1e-3, 1e3, allow_nan=False), min_size=2, max_size=30
     )
+
+
+# ---------------------------------------------------------------- constructor
+
+
+@pytest.mark.parametrize(
+    "values, flags, error",
+    [
+        ([0.0, math.nan, 1.0], {}, NonFinite),
+        ([0.0, math.inf, 1.0], {}, NonFinite),
+        ([0.0, 0.2, 0.1, 1.0], {}, NonMonotone),
+        (np.zeros((3, 3)), {}, BadParameter),
+        ([0.0], {}, BadParameter),
+        ([0.1, 0.5, 1.0], {}, BadParameter),
+        ([0.0, 0.5, 0.9], {}, BadParameter),
+        # the endpoint snap would leave a dip just inside either end
+        ([-5e-13, -1e-13, 0.5, 1.0], {}, NonMonotone),
+        ([0.0, 0.5, 1.0 + 5e-13, 1.0 + 9e-13], dict(convex=False, classical=False), NonMonotone),
+        ([0.0, 0.2, 0.3, 1.0], dict(classical=False), BadParameter),  # concave at 1/3
+        ([0.0, 0.6, 0.8, 1.0], dict(convex=False), BadParameter),  # above the diagonal
+    ],
+)
+def test_lorenz_curve_constructor_rejects(values, flags, error):
+    with pytest.raises(error):
+        LorenzCurve(np.asarray(values, dtype=float), **flags)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: dual_curve(lorenz_transform(UNIFORM)), lambda: TargetCurveSpec().curve(64)],
+    ids=["dual_curve", "target_curve"],
+)
+def test_lorenz_curve_constructor_accepts_a_flag_off(build):
+    curve = build()
+    assert not (curve.convex and curve.classical)
+    assert curve.values[0] == 0.0 and curve.values[-1] == 1.0
+    assert np.all(np.diff(curve.values) >= 0.0)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [empirical_quantile, generalized_lorenz, lambda x: measure_value(x, RiskMeasureConfig("gmd"))],
+    ids=["empirical_quantile", "generalized_lorenz", "measure_value"],
+)
+def test_samples_are_checked_one_way(entry):
+    with pytest.raises(BadParameter):
+        entry(np.ones((3, 2)))
+    with pytest.raises(EmptySample):
+        entry([])
+    with pytest.raises(NonFinite):
+        entry([1.0, math.nan])
 
 
 # ---------------------------------------------------------------- primal
@@ -58,17 +115,13 @@ def test_point_mass_transforms_to_diagonal():
 
 
 def test_transform_rejects_negative_values_by_default():
-    # two negative leading values so the dip is visible at a grid node
-    q = grid_curve(np.array([-1.0, -0.5, 0.5, 1.5, 2.5]))
+    q = MonotoneCurve(np.array([-1.0, -0.5, 0.5, 1.5, 2.5]))
     with pytest.raises(BadParameter):
         lorenz_transform(q)
-    gen = lorenz_transform(q, allow_negative=True)
-    assert gen.generalized and not gen.classical
-    assert gen.values.min() < 0.0
 
 
 def test_transform_rejects_zero_mean():
-    q = grid_curve(np.zeros(9))
+    q = MonotoneCurve(np.zeros(9))
     with pytest.raises(NonPositiveMean):
         lorenz_transform(q)
 
@@ -128,12 +181,12 @@ def test_primal_inverse_composes_with_transform():
 
 def test_unit_support_validation():
     with pytest.raises(BadParameter):
-        unit_support(grid_curve(np.array([-0.2, 0.5, 1.0])))
+        unit_support(MonotoneCurve(np.array([-0.2, 0.5, 1.0])))
     with pytest.raises(SupportExceedsUnit):
-        unit_support(grid_curve(np.array([0.0, 1.0, 2.0])))
+        unit_support(MonotoneCurve(np.array([0.0, 1.0, 2.0])))
     with pytest.raises(NonPositiveMean):
-        unit_support(grid_curve(np.zeros(5)), normalize=True)
-    scaled = unit_support(grid_curve(np.array([0.0, 1.0, 2.0])), normalize=True)
+        unit_support(MonotoneCurve(np.zeros(5)), normalize=True)
+    scaled = unit_support(MonotoneCurve(np.array([0.0, 1.0, 2.0])), normalize=True)
     assert scaled.values[-1] == 1.0
 
 
@@ -259,7 +312,7 @@ def test_generalized_lorenz_positive_sample_has_no_sign_change():
 
 
 def test_generalized_lorenz_rejects_nonpositive_total():
-    with pytest.raises(NonPositiveTotal):
+    with pytest.raises(NonPositiveMean):
         generalized_lorenz([-2.0, 1.0])
 
 

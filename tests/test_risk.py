@@ -271,6 +271,13 @@ def test_gs_accepts_negative_entries_with_positive_total():
         gs_measure([-0.05, 0.01], spec, v=2.5)
 
 
+def test_gs_rejects_a_target_that_is_not_a_spec():
+    with pytest.raises(BadSpec):
+        gs_measure([0.01, 0.02, 0.03], None)
+    with pytest.raises(BadSpec):
+        RiskMeasureConfig("gs1", target="diagonal")
+
+
 # ---------------------------------------------------------------- config
 
 
