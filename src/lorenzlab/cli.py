@@ -99,10 +99,31 @@ def _parse_start(text: str, log_scale: bool, grid: int):
     return analytic_quantile(family, grid)
 
 
-def _target_from_args(ns) -> TargetCurveSpec:
+# The target options that gs2's restricted shape fixes; only --beta-up is free.
+_GS2_FIXED = ("beta_down", "down_kuma", "down_power", "up_kuma", "up_power")
+
+
+def _target_from_args(ns, gs2: bool = False) -> TargetCurveSpec:
+    """The target the options describe. For gs2 that is the gs2 shape at
+    --beta-up unless the options spell out a gs2 shape themselves; an option
+    that would move gs2 off its shape is a usage error."""
     if getattr(ns, "identity_target", False):
         return TargetCurveSpec.diagonal()
-    spec = TargetCurveSpec(
+    if gs2 and not (ns.beta_down == 0.0 and ns.up_kuma == 1.0 and ns.up_power == 0.0):
+        defaults = TargetCurveSpec()
+        moved = [
+            "--" + name.replace("_", "-")
+            for name in _GS2_FIXED
+            if getattr(ns, name) != getattr(defaults, name)
+        ]
+        if moved:
+            raise UsageError(
+                f"gs2 keeps its restricted target shape, which {', '.join(moved)} "
+                "would change: leave them out, or give the whole shape "
+                "(--beta-down 0 --up-kuma 1 --up-power 0)"
+            )
+        return TargetCurveSpec.gs2_shape(ns.beta_up)
+    return TargetCurveSpec(
         beta_down=ns.beta_down,
         beta_up=ns.beta_up,
         down_kuma=ns.down_kuma,
@@ -110,7 +131,6 @@ def _target_from_args(ns) -> TargetCurveSpec:
         up_kuma=ns.up_kuma,
         up_power=ns.up_power,
     )
-    return spec
 
 
 def _add_target_args(sub):
@@ -135,9 +155,7 @@ def _tail_fraction(ns) -> float:
 def _config_from_args(ns) -> RiskMeasureConfig:
     target = None
     if ns.kind in ("gs1", "gs2"):
-        target = _target_from_args(ns)
-        if ns.kind == "gs2" and not target.is_gs2_shape and not ns.identity_target:
-            target = TargetCurveSpec.gs2_shape(ns.beta_up)
+        target = _target_from_args(ns, gs2=ns.kind == "gs2")
     return RiskMeasureConfig(
         kind=ns.kind, v=ns.v, tail_fraction=_tail_fraction(ns), target=target
     )
@@ -261,17 +279,8 @@ def _cmd_limits(ns) -> int:
 
 
 def _load_column(path, column):
-    scen = read_scenarios_csv(path)
-    if column is None:
-        idx = 0
-    else:
-        try:
-            idx = scen.tickers.index(column)
-        except ValueError:
-            raise UsageError(
-                f"column {column!r} not in {scen.tickers}"
-            ) from None
-    return scen.values[:, idx]
+    """The `--column` values (default: the first column), converted alone."""
+    return read_scenarios_csv(path, 0 if column is None else column).values[:, 0]
 
 
 def _cmd_measure(ns) -> int:
@@ -288,10 +297,7 @@ def _cmd_measure(ns) -> int:
 
 
 def _cmd_target_curve(ns) -> int:
-    if ns.gs2 and not ns.identity_target:
-        spec = TargetCurveSpec.gs2_shape(ns.beta_up)
-    else:
-        spec = _target_from_args(ns)
+    spec = _target_from_args(ns, gs2=ns.gs2)
     write_curve_csv(spec.curve(ns.grid), ns.out)
     _write_sidecar(ns.out, "target-curve", _options_dict(ns))
     print(format_float(spec.integral()))

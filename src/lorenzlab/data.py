@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 import warnings
 from dataclasses import dataclass, field
 from datetime import date
@@ -388,7 +389,127 @@ def write_scenarios_csv(scenarios: ScenarioMatrix, path) -> None:
             fh.writelines(row_format % tuple(row) for row in rows)
 
 
-def read_scenarios_csv(path) -> ScenarioMatrix:
+# The checked reading path of `read_scenarios_csv`. A data line of a plain
+# file holds only these bytes; any other one (a quote, a space, `_`, the
+# letters of nan or inf) sends the file to the csv reader.
+_PLAIN_BYTES = b"0123456789.eE+-,\r\n"
+# A cell's shape is the cell with every digit replaced by 0; the table also
+# turns line ends into commas, so one split yields every cell's shape.
+_SHAPE = str.maketrans("123456789\n", "000000000,")
+# Python's float grammar over the plain bytes, with at most 200 integer
+# digits and an exponent that is negative or has at most two digits. Digits
+# are interchangeable in that grammar, so `float` accepts a cell whose shape
+# matches, and the value is below 1e299 in magnitude whatever the digits are.
+_FINITE_SHAPE = re.compile(r"[+-]?(?:0{1,200}(?:\.0*)?|\.0+)(?:[eE](?:-0+|\+?0{1,2}))?")
+
+
+def read_scenarios_csv(path, column: str | int | None = None) -> ScenarioMatrix:
+    """A scenario matrix from a file `write_scenarios_csv` wrote (or one
+    like it). With `column` (a ticker or a 0-based index) the matrix holds
+    that column only: every cell of the file is still checked, so a
+    malformed file fails as it does without `column`, but only the kept
+    column is converted. An unknown column is BadParameter."""
+    scenarios = _read_plain(path, column)
+    if scenarios is None:
+        scenarios = _select(_read_with_csv(path), column)
+    return scenarios
+
+
+def _column_index(tickers, column):
+    if isinstance(column, str):
+        return tickers.index(column) if column in tickers else None
+    return column if 0 <= column < len(tickers) else None
+
+
+def _select(scenarios: ScenarioMatrix, column) -> ScenarioMatrix:
+    if column is None:
+        return scenarios
+    index = _column_index(scenarios.tickers, column)
+    if index is None:
+        raise BadParameter(f"column {column!r} not in {scenarios.tickers}")
+    return ScenarioMatrix(
+        values=scenarios.values[:, [index]],
+        tickers=[scenarios.tickers[index]],
+        dates=scenarios.dates,
+    )
+
+
+def _read_plain(path, column) -> ScenarioMatrix | None:
+    """`read_scenarios_csv` for a plain file, or None for any other.
+
+    A plain file has an ASCII header without quotes, and data lines of
+    `_PLAIN_BYTES` with the header's number of cells, ending in LF or CRLF.
+    Its date cells (if any) are ISO dates, every other cell's shape matches
+    `_FINITE_SHAPE`, and no cell exceeds csv's field size limit. csv splits
+    such a file at its commas and line ends, and `float` parses each value
+    cell to a finite number, so the result is the csv reader's. Any other
+    file (a blank line, an empty cell, a bad value or date, an unknown
+    `column`) goes to the csv reader, which gives its values or its error."""
+    with open(path, "rb") as fh:
+        head, _, body = fh.read().partition(b"\n")
+    head = head.removesuffix(b"\r")
+    limit = csv.field_size_limit()
+    if not head.isascii() or len(head) > limit or any(c in head for c in b'"\r\0'):
+        return None
+    header = head.decode().split(",")
+    has_dates = header[0].strip().lower() == "date"
+    tickers = [h.strip() for h in header[has_dates:]]
+    index = None if column is None else _column_index(tickers, column)
+    if not (head and tickers and body) or (column is not None and index is None):
+        return None
+    if body.translate(None, _PLAIN_BYTES):
+        return None
+    if b"\r" in body:
+        unix = body.translate(None, b"\r")
+        if len(body) - len(unix) != body.count(b"\r\n"):
+            return None  # a bare CR, which csv reads as a line end
+        body = unix
+    body = body.removesuffix(b"\n")
+    text = body.decode()  # ASCII: cells are the str tokens csv would give
+
+    # cell k is text[starts[k]:ends[k]]; once every line is known to hold
+    # width cells, column j is cells j, j + width, j + 2 * width, ...
+    width = len(header)
+    codes = np.frombuffer(body, dtype=np.uint8)
+    ends = np.append(np.flatnonzero((codes == ord(",")) | (codes == ord("\n"))), len(body))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    line_ends = ends[width - 1 : -1 : width]
+    if (
+        ends.size % width
+        or body.count(b"\n") != line_ends.size
+        or (codes[line_ends] != ord("\n")).any()
+        or (ends - starts).max() > limit
+    ):
+        return None
+    shapes = text.translate(_SHAPE).split(",")
+    if has_dates:
+        del shapes[::width]
+    if not all(map(_FINITE_SHAPE.fullmatch, set(shapes))):
+        return None
+
+    def cells(j):
+        bounds = zip(starts[j::width].tolist(), ends[j::width].tolist())
+        return [text[start:end] for start, end in bounds]
+
+    dates = None
+    if has_dates:
+        try:
+            dates = [date.fromisoformat(cell) for cell in cells(0)]
+        except ValueError:
+            return None
+    if column is not None:
+        values = np.array(list(map(float, cells(has_dates + index))))
+        return ScenarioMatrix(values=values[:, None], tickers=[tickers[index]], dates=dates)
+    flat = text.replace("\n", ",").split(",")
+    if has_dates:
+        del flat[::width]
+    values = np.array(list(map(float, flat))).reshape(-1, len(tickers))
+    return ScenarioMatrix(values=values, tickers=tickers, dates=dates)
+
+
+def _read_with_csv(path) -> ScenarioMatrix:
+    """The per-cell reader: `csv` rows and one `float` per cell. It is the
+    only source of `read_scenarios_csv`'s errors."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from lorenzlab import (
 from lorenzlab.cli import main
 from lorenzlab.curves import format_float, read_curve_csv
 from lorenzlab.errors import BadParameter
-from lorenzlab.risk import variance
+from lorenzlab.risk import RiskMeasureConfig, measure_value, variance
 from lorenzlab.rng import Xoshiro256pp
 
 
@@ -302,3 +303,135 @@ def test_simulate_rejects_nonfinite_cells(tmp_path, capsys):
     assert main(argv) == 2
     assert f"{path}:6: non-finite value inf for A2" in capsys.readouterr().err
     assert not out.exists()
+
+
+# -- odd and malformed cells --------------------------------------------------
+#
+# The odd cell sits in column A2 of line 6, which `measure` (first column by
+# default) does not convert; every command still checks it. The messages are
+# the per-cell csv reader's, pinned as it gave them before `measure` read one
+# column, so all three commands must fail with the same text.
+
+MALFORMED = {
+    "": "bad value (could not convert string to float: '')",
+    "1e": "bad value (could not convert string to float: '1e')",
+    "--1": "bad value (could not convert string to float: '--1')",
+    "1.2.3": "bad value (could not convert string to float: '1.2.3')",
+    "1e400": "non-finite value inf for A2",
+    "nan": "non-finite value nan for A2",
+    "cells": "wrong number of cells",
+    "date": "bad date '2024-13-01'",
+}
+# odd spellings csv and float accept, with the plain spelling of their
+# value (None: the file as written)
+ACCEPTED = {" 0.5": "0.5", "1_0": "10", '"0.5"': "0.5", "blank row": None}
+
+
+def odd_scenario_file(tmp_path, dated, cell, name="scen.csv"):
+    """`scenario_file`'s matrix (with dates from 2024-01-01 if `dated`),
+    with `cell` put into line 6; "cells" adds a cell, "date" spoils the
+    date, "blank row" inserts an empty line before line 6, and None leaves
+    the file as written."""
+    _, scen = scenario_file(tmp_path)
+    if dated:
+        scen.dates = [date(2024, 1, 1) + timedelta(days=i) for i in range(len(scen.values))]
+    path = tmp_path / name
+    write_scenarios_csv(scen, path)
+    lines = path.read_text().splitlines()
+    cells = lines[5].split(",")
+    if cell is None:
+        pass
+    elif cell == "blank row":
+        lines.insert(5, "")
+    elif cell == "cells":
+        lines[5] += ",0.5"
+    elif cell == "date":
+        lines[5] = ",".join(["2024-13-01"] + cells[1:])
+    else:
+        lines[5] = ",".join(cells[:-1] + [cell])
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def command_argv(command, path, out):
+    if command == "measure":
+        return ["measure", "--scenarios", str(path), "--kind", "variance"]
+    if command == "frontier":
+        return ["frontier", "--scenarios", str(path), "--kind", "variance",
+                "--n-points", "2", "--out", str(out)]
+    return ["simulate", "--scenarios", str(path), "--window", "0", "--n", "50",
+            "--out", str(out)]
+
+
+@pytest.mark.parametrize("command", ["measure", "frontier", "simulate"])
+@pytest.mark.parametrize(
+    "dated, cell",
+    [(dated, cell) for dated in (True, False) for cell in MALFORMED if dated or cell != "date"],
+)
+def test_malformed_cells_fail_the_same_way_everywhere(tmp_path, capsys, command, dated, cell):
+    path = odd_scenario_file(tmp_path, dated, cell)
+    out = tmp_path / "out.csv"
+    assert main(command_argv(command, path, out)) == 2
+    assert capsys.readouterr().err == f"data error: {path}:6: {MALFORMED[cell]}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["measure", "frontier", "simulate"])
+@pytest.mark.parametrize("dated", [True, False], ids=["dated", "undated"])
+@pytest.mark.parametrize("cell", list(ACCEPTED))
+def test_odd_cells_that_csv_accepts_keep_their_values(tmp_path, capsys, command, dated, cell):
+    odd = odd_scenario_file(tmp_path, dated, cell, "odd.csv")
+    plain = odd_scenario_file(tmp_path, dated, ACCEPTED[cell], "plain.csv")
+    outputs = []
+    for path in (odd, plain):
+        out = tmp_path / f"{path.stem}-out.csv"
+        argv = command_argv(command, path, out)
+        if command == "measure":
+            argv += ["--column", "A2"]
+        assert main(argv) == 0
+        outputs.append((capsys.readouterr().out, out.read_bytes() if out.exists() else None))
+    assert outputs[0] == outputs[1]
+
+
+# -- gs2 target options -------------------------------------------------------
+
+
+def test_gs2_rejects_target_options_that_leave_its_shape(tmp_path, capsys):
+    path, _ = scenario_file(tmp_path)
+    base = ["measure", "--scenarios", str(path), "--kind", "gs2"]
+    assert main(base + ["--beta-down", "0.1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: gs2 keeps its restricted target shape, which --beta-down ")
+    assert main(base + ["--up-kuma", "0.7", "--up-power", "0.3"]) == 1
+    assert "which --up-kuma, --up-power would change:" in capsys.readouterr().err
+    out = tmp_path / "frontier.csv"
+    argv = ["frontier", "--scenarios", str(path), "--kind", "gs2", "--down-kuma", "0.5",
+            "--down-power", "0.5", "--out", str(out)]
+    assert main(argv) == 1
+    assert "which --down-kuma, --down-power would change:" in capsys.readouterr().err
+    assert not out.exists()
+    argv = ["target-curve", "--gs2", "--up-power", "0.3", "--out", str(tmp_path / "t.csv")]
+    assert main(argv) == 1
+    assert "which --up-power would change:" in capsys.readouterr().err
+    # gs1 reads every target option, as before
+    assert main(["measure", "--scenarios", str(path), "--kind", "gs1", "--up-power", "0.3"]) == 1
+    assert "up-tail weights" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "options, beta_up",
+    [
+        ([], 0.75),
+        (["--beta-up", "0.6"], 0.6),
+        # checked as a gs1 target, these defaults made --beta-up 0.2 a bad spec
+        (["--beta-up", "0.2"], 0.2),
+        (["--beta-down", "0", "--up-kuma", "1", "--up-power", "0"], 0.75),
+        (["--beta-down", "0", "--up-kuma", "1", "--up-power", "0", "--beta-up", "0.6"], 0.6),
+    ],
+)
+def test_gs2_uses_its_shape_at_beta_up(tmp_path, capsys, options, beta_up):
+    path, scen = scenario_file(tmp_path)
+    argv = ["measure", "--scenarios", str(path), "--kind", "gs2"] + options
+    assert main(argv) == 0
+    config = RiskMeasureConfig(kind="gs2", target=TargetCurveSpec.gs2_shape(beta_up))
+    assert capsys.readouterr().out.strip() == format_float(measure_value(scen.values[:, 0], config))

@@ -1,9 +1,12 @@
+import csv
 import hashlib
 import math
 from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lorenzlab import (
     PricePanel,
@@ -399,3 +402,112 @@ def test_scenarios_csv_round_trip_without_dates(tmp_path):
     path.write_text("A,B\n")
     with pytest.raises(ParseError):
         read_scenarios_csv(path)
+
+
+# ---------------------------------------------------------------- one-column reads
+
+# Edge values for the reader: signed zeros, subnormals, the largest double,
+# and magnitudes whose `.17g` form has a three-digit exponent (1e+300 sends
+# the file to the csv reader, 1e-300 does not).
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300,
+               -1e-300, 1e300, -1e300, 1.7976931348623157e308, 1e99, -1e100]
+cell_values = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(EDGE_VALUES),
+    st.integers(-(10**17), 10**17).map(float),
+)
+
+
+@st.composite
+def scenario_matrices(draw):
+    t, n = draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    cells = draw(st.lists(cell_values, min_size=t * n, max_size=t * n))
+    dates = None
+    if draw(st.booleans()):
+        dates = [date(2024, 1, 1) + timedelta(days=i) for i in range(t)]
+    return ScenarioMatrix(
+        values=np.array(cells).reshape(t, n),
+        tickers=[f"T{j}" for j in range(n)],
+        dates=dates,
+    )
+
+
+@given(scenario_matrices())
+@settings(max_examples=150, deadline=None)
+def test_one_column_read_is_the_full_reads_column(tmp_path_factory, scen):
+    path = tmp_path_factory.mktemp("scen") / "scen.csv"
+    write_scenarios_csv(scen, path)
+    full = read_scenarios_csv(path)
+    reference = data._read_with_csv(path)
+    assert full.values.tobytes() == reference.values.tobytes()
+    assert full.dates == reference.dates == scen.dates
+    for j, ticker in enumerate(scen.tickers):
+        for column in (j, ticker):
+            one = read_scenarios_csv(path, column)
+            assert one.tickers == [ticker]
+            assert one.dates == scen.dates
+            assert one.values[:, 0].tobytes() == reference.values[:, j].tobytes()
+    if np.all(np.abs(scen.values) < 1e100):
+        # no three-digit positive exponent: the checked path took the file
+        assert data._read_plain(path, 0) is not None
+
+
+@given(st.from_regex(data._FINITE_SHAPE, fullmatch=True))
+def test_a_matching_shape_is_finite_whatever_its_digits(shape):
+    assert float(shape) == 0.0
+    assert abs(float(shape.replace("0", "9"))) <= 1e299
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "A,B\n1,2\n\n3,4\n",  # blank line
+        "A,B\n1\r2,3\n4,5\n",  # bare CR: csv ends the line there
+        "A,B\n1,\n3,4\n",  # empty cell
+        "A,B\n1,2,5\n3,4\n",  # a line with a cell too many
+        "A,B\n1,2\n3\n",  # a last line a cell short
+        "A,B\n1\n2\n3,4\n",  # two short lines with one line's cells
+        'A,B\n"1",2\n3,4\n',  # quoted cell
+        '"A",B\n1,2\n',  # quoted ticker
+        "\u00c4,B\n1,2\n",  # non-ASCII ticker
+        "A,B\n 1,2\n3,4\n",  # space
+        "A,B\n1_0,2\n3,4\n",  # underscore
+        "A,B\n1e100,2\n3,4\n",  # three-digit positive exponent
+    ],
+)
+def test_files_off_the_checked_path_read_as_csv_reads_them(tmp_path, text):
+    path = tmp_path / "s.csv"
+    path.write_bytes(text.encode())
+    assert data._read_plain(path, None) is None
+
+    def outcome(read):
+        try:
+            scen = read(path)
+        except ParseError as exc:
+            return str(exc)
+        return scen.tickers, scen.values.tobytes()
+
+    assert outcome(read_scenarios_csv) == outcome(data._read_with_csv)
+
+
+def test_cells_over_csvs_field_limit_go_to_csv(tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_text("A\n0.125\n")
+    old = csv.field_size_limit(4)
+    try:
+        with pytest.raises(csv.Error, match="field larger than field limit"):
+            read_scenarios_csv(path)
+    finally:
+        csv.field_size_limit(old)
+
+
+def test_unknown_column_is_bad_parameter_after_the_file_checks(tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_text("A,B\n1,2\n")
+    with pytest.raises(BadParameter, match=r"column 'C' not in \['A', 'B'\]"):
+        read_scenarios_csv(path, "C")
+    with pytest.raises(BadParameter):
+        read_scenarios_csv(path, 2)
+    path.write_text("A,B\n1,x\n")
+    with pytest.raises(ParseError, match=":2: bad value"):
+        read_scenarios_csv(path, "C")
