@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -19,8 +20,10 @@ from . import __version__
 from .curves import (
     DEFAULT_GRID,
     AnalyticFamily,
+    _open_text,
     analytic_quantile,
     empirical_quantile,
+    format_float,
     write_curve_csv,
 )
 from .data import (
@@ -38,7 +41,6 @@ from .errors import BadParameter, DataError, LorenzLabError, UsageError
 from .iterate import limit_curve, run_iteration, write_trace_csv
 from .portfolio import efficient_frontier
 from .risk import RiskMeasureConfig, TargetCurveSpec, measure_report
-from .curves import format_float
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -58,21 +60,28 @@ def _write_sidecar(out_path: str, subcommand: str, options: dict) -> None:
 
 
 def _parse_start(text: str, log_scale: bool, grid: int):
-    """Start grammar: name[:p1[,p2]] or sample:<path> (one value per line)."""
+    """Start grammar: name[:p1[,p2]] or sample:<path> (whitespace-separated
+    finite values)."""
     name, _, arg = text.partition(":")
     name = name.strip().lower()
+    if log_scale and name != "lognormal":
+        raise UsageError(f"--lognormal-log-scale needs a lognormal start, got {text!r}")
     try:
         if name == "sample":
             if not arg:
                 raise BadParameter("sample start needs a path: sample:<path>")
             try:
-                raw = Path(arg).read_text()
+                with _open_text(arg) as fh:
+                    tokens = fh.read().split()
             except OSError as exc:
                 raise DataError(f"cannot read sample file {arg!r}: {exc}") from exc
             try:
-                samples = [float(tok) for tok in raw.split()]
+                samples = [float(tok) for tok in tokens]
             except ValueError as exc:
                 raise DataError(f"{arg}: bad sample value ({exc})") from exc
+            bad = [tok for tok, x in zip(tokens, samples) if not math.isfinite(x)]
+            if bad:
+                raise DataError(f"{arg}: non-finite sample value {bad[0]!r}")
             return empirical_quantile(samples, grid)
         params = [float(tok) for tok in arg.split(",")] if arg else []
         if name == "uniform01":
@@ -107,7 +116,7 @@ def _target_from_args(ns, gs2: bool = False) -> TargetCurveSpec:
     """The target the options describe. For gs2 that is the gs2 shape at
     --beta-up unless the options spell out a gs2 shape themselves; an option
     that would move gs2 off its shape is a usage error."""
-    if getattr(ns, "identity_target", False):
+    if ns.identity_target:
         return TargetCurveSpec.diagonal()
     if gs2 and not (ns.beta_down == 0.0 and ns.up_kuma == 1.0 and ns.up_power == 0.0):
         defaults = TargetCurveSpec()
@@ -178,11 +187,7 @@ def build_parser() -> _Parser:
     it.add_argument("--out", required=True)
 
     lm = sub.add_parser("limits", help="write a limit curve")
-    lm.add_argument(
-        "--mode",
-        choices=("primal", "reflected", "simple_reflected"),
-        default="primal",
-    )
+    lm.add_argument("--mode", choices=("primal", "reflected"), default="primal")
     lm.add_argument("--grid", type=int, default=DEFAULT_GRID)
     lm.add_argument("--out", required=True)
 
@@ -237,13 +242,11 @@ def build_parser() -> _Parser:
 
 
 def _options_dict(ns) -> dict:
-    skip = {"subcommand"}
-    out = {}
-    for key, value in sorted(vars(ns).items()):
-        if key in skip:
-            continue
-        out[key.replace("_", "-")] = value
-    return out
+    return {
+        key.replace("_", "-"): value
+        for key, value in sorted(vars(ns).items())
+        if key != "subcommand"
+    }
 
 
 def _cmd_iterate(ns) -> int:
@@ -297,11 +300,20 @@ def _cmd_measure(ns) -> int:
 
 
 def _cmd_target_curve(ns) -> int:
+    if ns.gs2 and ns.identity_target:
+        raise UsageError("--gs2 and --identity-target name different targets: give one")
     spec = _target_from_args(ns, gs2=ns.gs2)
     write_curve_csv(spec.curve(ns.grid), ns.out)
     _write_sidecar(ns.out, "target-curve", _options_dict(ns))
     print(format_float(spec.integral()))
     return 0
+
+
+# The FrontierPoint fields each `.diagnostics.json` entry holds, after "point".
+_DIAGNOSTIC_KEYS = (
+    "target", "mean", "risk", "certificate", "converged", "iterations",
+    "residual_budget", "residual_target", "min_weight", "message",
+)
 
 
 def _cmd_frontier(ns) -> int:
@@ -328,23 +340,10 @@ def _cmd_frontier(ns) -> int:
             fh.write(",".join(cells) + "\n")
     _write_sidecar(ns.out, "frontier", _options_dict(ns))
     diag_path = ns.diagnostics or ns.out + ".diagnostics.json"
-    diagnostics = []
-    for i, point in enumerate(result.points):
-        diagnostics.append(
-            {
-                "point": i + 1,
-                "target": point.target,
-                "mean": point.mean,
-                "risk": point.risk,
-                "certificate": point.certificate,
-                "converged": point.converged,
-                "iterations": point.iterations,
-                "residual_budget": point.residual_budget,
-                "residual_target": point.residual_target,
-                "min_weight": point.min_weight,
-                "message": point.message,
-            }
-        )
+    diagnostics = [
+        {"point": i, **{key: getattr(point, key) for key in _DIAGNOSTIC_KEYS}}
+        for i, point in enumerate(result.points, start=1)
+    ]
     with open(diag_path, "w") as fh:
         json.dump(diagnostics, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -327,6 +328,19 @@ def analytic_quantile(family: AnalyticFamily, grid_size: int = DEFAULT_GRID) -> 
 # -- CSV round trip ------------------------------------------------------------
 
 
+@contextmanager
+def _open_text(path):
+    """`path` open for reading as UTF-8 text, with csv's newline handling; a
+    byte that is not UTF-8 is a ParseError naming the file."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x})"
+        ) from exc
+
+
 def write_curve_csv(curve: MonotoneCurve, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -338,7 +352,7 @@ def write_curve_csv(curve: MonotoneCurve, path) -> None:
 def read_curve_csv(path) -> MonotoneCurve:
     """Read a 'u,value' curve file; every rejection is a ParseError."""
     us, vs, linenos = [], [], []
-    with open(path, newline="") as fh:
+    with _open_text(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header[:2]] != ["u", "value"]:

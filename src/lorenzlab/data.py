@@ -20,7 +20,7 @@ from datetime import date
 
 import numpy as np
 
-from .curves import format_float
+from .curves import _open_text, format_float
 from .errors import (
     BadParameter,
     DataError,
@@ -49,10 +49,6 @@ class PricePanel:
     tickers: list[str]
     prices: np.ndarray  # T x N, NaN marks a missing quote
 
-    @property
-    def shape(self):
-        return self.prices.shape
-
 
 @dataclass
 class CleaningReport:
@@ -75,21 +71,13 @@ class CleaningReport:
 class ScenarioMatrix:
     values: np.ndarray  # T x N
     tickers: list[str]
-    frequency: str = "daily"
-    kind: str = "simple"
-    source: str = "historical"
-    seed: int | None = None
     dates: list[date] | None = None
-
-    @property
-    def shape(self):
-        return self.values.shape
 
 
 def load_price_panel(path) -> PricePanel:
     """Read a `date,<ticker>,...` CSV. Blank cells are missing; prices must
     be positive; dates must be unique. Rows are sorted by date."""
-    with open(path, newline="") as fh:
+    with _open_text(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or len(header) < 2 or header[0].strip().lower() != "date":
@@ -209,14 +197,7 @@ def compute_returns(
         raise InsufficientHistory("need at least two observations for returns")
     ratio = prices[1:] / prices[:-1]
     values = np.log(ratio) if kind == "log" else ratio - 1.0
-    return ScenarioMatrix(
-        values=values,
-        tickers=list(panel.tickers),
-        frequency=frequency,
-        kind=kind,
-        source="historical",
-        dates=dates[1:],
-    )
+    return ScenarioMatrix(values=values, tickers=list(panel.tickers), dates=dates[1:])
 
 
 def historical_scenarios(scenarios: ScenarioMatrix, window: int = 500) -> ScenarioMatrix:
@@ -229,10 +210,6 @@ def historical_scenarios(scenarios: ScenarioMatrix, window: int = 500) -> Scenar
     return ScenarioMatrix(
         values=scenarios.values[-window:].copy(),
         tickers=list(scenarios.tickers),
-        frequency=scenarios.frequency,
-        kind=scenarios.kind,
-        source=scenarios.source,
-        seed=scenarios.seed,
         dates=None if scenarios.dates is None else scenarios.dates[-window:],
     )
 
@@ -346,14 +323,7 @@ def copula_simulate(
         u = normal_cdf_array(_correlated_normals(chol, seed, start, stop))
         idx = np.clip(np.ceil(u * t), 1, t).astype(np.intp)
         out[start:stop] = sorted_cols[idx - 1, columns]
-    return ScenarioMatrix(
-        values=out,
-        tickers=list(scenarios.tickers),
-        frequency=scenarios.frequency,
-        kind=scenarios.kind,
-        source="simulated",
-        seed=seed,
-    )
+    return ScenarioMatrix(values=out, tickers=list(scenarios.tickers))
 
 
 # -- CSV round trips -----------------------------------------------------------
@@ -510,7 +480,7 @@ def _read_plain(path, column) -> ScenarioMatrix | None:
 def _read_with_csv(path) -> ScenarioMatrix:
     """The per-cell reader: `csv` rows and one `float` per cell. It is the
     only source of `read_scenarios_csv`'s errors."""
-    with open(path, newline="") as fh:
+    with _open_text(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or not header:

@@ -38,7 +38,6 @@ from .lorenz import (
 ENVELOPE_SLACK = 1e-6
 
 _MODES = ("primal", "reflected")
-_LIMIT_MODES = _MODES + ("simple_reflected",)
 
 
 def _mode(mode: str):
@@ -70,15 +69,8 @@ def alpha_sequence(count: int) -> np.ndarray:
 
 
 def limit_curve(mode: str, grid_size: int = DEFAULT_GRID) -> LorenzCurve:
-    """Limit of the iteration: x**phi, or its reflection 1 - (1-x)**(1/phi).
-
-    `simple_reflected` is accepted as an alias for `reflected`: reflecting
-    x**phi through (x, y) -> (1 - y, 1 - x) gives the same curve the
-    reflected operator converges to.
-    """
-    if mode not in _LIMIT_MODES:
-        raise BadParameter(f"mode must be one of {_LIMIT_MODES}, got {mode!r}")
-    power = _mode(mode.removeprefix("simple_"))[2]
+    """Limit of the iteration: x**phi, or its reflection 1 - (1-x)**(1/phi)."""
+    power = _mode(mode)[2]
     return LorenzCurve(power(_uniform_grid(grid_size), GOLDEN), convex=True, classical=True)
 
 
@@ -114,25 +106,7 @@ def envelope_violation(curve: MonotoneCurve, index: int, mode: str) -> float:
 
 
 @dataclass
-class EnvelopeReport:
-    violations: list[float]
-    ok: list[bool]
-
-    @property
-    def all_ok(self) -> bool:
-        return all(self.ok)
-
-
-def envelope_check(curves, mode: str, slack: float = ENVELOPE_SLACK) -> EnvelopeReport:
-    violations = [envelope_violation(c, i, mode) for i, c in enumerate(curves)]
-    return EnvelopeReport(violations, [v <= slack for v in violations])
-
-
-@dataclass
 class IterationTrace:
-    mode: str
-    grid_size: int
-    tol: float
     curves: list[LorenzCurve] = field(default_factory=list)
     sup_to_limit: list[float] = field(default_factory=list)
     sup_successive: list[float] = field(default_factory=list)
@@ -175,20 +149,22 @@ def run_iteration(
 ) -> IterationTrace:
     """Iterate the operator from a starting quantile curve.
 
-    `start` is a quantile function on the grid. In reflected mode,
-    normalize=True rescales the start by its maximum (later iterates live in
-    [0, 1] automatically). Stops when successive curves agree within `tol`
-    in sup norm, or after max_iter applications.
+    `start` is a quantile function on the grid. normalize=True rescales the
+    start by its maximum, which only the reflected mode accepts (later
+    iterates live in [0, 1] automatically). Stops when successive curves
+    agree within `tol` in sup norm, or after max_iter applications.
     """
     transform, inverse, _ = _mode(mode)
     if max_iter < 1:
         raise BadParameter("max_iter must be at least 1")
+    if normalize and mode != "reflected":
+        raise BadParameter("normalize applies to the reflected mode only")
     grid_size = start.grid_size
     grid = start.grid
     limit = limit_curve(mode, grid_size).values
-    trace = IterationTrace(mode=mode, grid_size=grid_size, tol=tol)
+    trace = IterationTrace()
     quantile = start
-    if normalize and mode == "reflected":
+    if normalize:
         # unit_support is idempotent, so later rounds see the same values
         quantile = unit_support(start, normalize=True)
     curve = transform(quantile)
@@ -250,16 +226,18 @@ class SelfSimilarityFit:
     nodes_used: int
 
 
-def self_similarity_residual(
-    curve: MonotoneCurve, branch: str = "down", trim: float = 0.01
-) -> SelfSimilarityFit:
+# The fraction of the domain cut at each end of the self-similarity fit,
+# where the difference quotient of a power-law curve degrades.
+_FIT_TRIM = 0.01
+
+
+def self_similarity_residual(curve: MonotoneCurve, branch: str = "down") -> SelfSimilarityFit:
     """Fit L'(x) = eps * g(x) on interior nodes.
 
     branch "down" uses g = L(x)/x (lower-tail scale invariance; the primal
     limit gives eps = phi); branch "upper" uses g = (1-L(x))/(1-x) (the
-    reflected limit gives eps = 1/phi). Derivatives are central differences;
-    `trim` cuts that fraction of the domain at each end, where the
-    difference quotient of a power-law curve degrades.
+    reflected limit gives eps = 1/phi). Derivatives are central differences,
+    fitted on [_FIT_TRIM, 1 - _FIT_TRIM].
     """
     if branch not in ("down", "upper"):
         raise BadParameter(f"branch must be 'down' or 'upper', got {branch!r}")
@@ -271,7 +249,7 @@ def self_similarity_residual(
         g = v[1:-1] / x
     else:
         g = (1.0 - v[1:-1]) / (1.0 - x)
-    mask = (x >= trim) & (x <= 1.0 - trim)
+    mask = (x >= _FIT_TRIM) & (x <= 1.0 - _FIT_TRIM)
     deriv = deriv[mask]
     g = g[mask]
     if deriv.size < 2:

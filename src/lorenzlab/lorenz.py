@@ -75,7 +75,7 @@ class LorenzCurve(MonotoneCurve):
         if abs(values[0]) > _ENDPOINT_TOL or abs(values[-1] - 1.0) > _ENDPOINT_TOL:
             raise BadParameter(
                 "curve must run from 0 to 1 "
-                f"(got endpoints {values[0]!r}, {values[-1]!r})"
+                f"(got endpoints {float(values[0])!r}, {float(values[-1])!r})"
             )
         values = np.concatenate([[0.0], values[1:-1], [1.0]])
         if values[1] < 0.0 or values[-2] > 1.0:
@@ -84,7 +84,7 @@ class LorenzCurve(MonotoneCurve):
         if self.convex:
             d2 = values[2:] - 2.0 * values[1:-1] + values[:-2]
             if d2.size and d2.min() < -_CONVEXITY_TOL:
-                raise BadParameter(f"curve is not convex (min d2 = {d2.min()!r})")
+                raise BadParameter(f"curve is not convex (min d2 = {float(d2.min())!r})")
         # Nondecreasing from values[0] = 0, so a classical curve is nonnegative.
         if self.classical:
             excess = values - self.grid
@@ -97,7 +97,7 @@ def lorenz_transform(quantile: MonotoneCurve) -> LorenzCurve:
     if quantile.values[0] < -_ENDPOINT_TOL:
         raise BadParameter("quantile takes negative values; use generalized_lorenz")
     prefix = quantile._prefix  # the same G that primal_inverse inverts
-    total = prefix[-1]
+    total = float(prefix[-1])
     if total <= 0.0:
         raise NonPositiveMean(f"mean must be positive, got {total!r}")
     return LorenzCurve(np.maximum.accumulate(prefix / total), convex=True, classical=True)
@@ -113,7 +113,7 @@ def _prefix_inverse(x, g, prefix, u) -> np.ndarray:
     """
     total = prefix[-1]
     if total <= 0.0:
-        raise NonPositiveMean(f"mean must be positive, got {total!r}")
+        raise NonPositiveMean(f"mean must be positive, got {float(total)!r}")
     target = np.clip(u, 0.0, 1.0) * total
     k = np.searchsorted(prefix, target, side="left")
     out = np.full_like(target, x[0])
@@ -191,7 +191,7 @@ def unit_support(quantile: MonotoneCurve, *, normalize: bool = False) -> Quantil
         q = q / qmax
     elif qmax > 1.0 + 1e-9:
         raise SupportExceedsUnit(
-            f"support reaches {qmax!r}; pass normalize=True to rescale"
+            f"support reaches {float(qmax)!r}; pass normalize=True to rescale"
         )
     return QuantileCurve(np.minimum(q, 1.0))
 
@@ -218,16 +218,14 @@ def reflected_inverse(quantile: MonotoneCurve, u) -> np.ndarray:
     return vals
 
 
-def reflected_transform(
-    quantile: MonotoneCurve, *, normalize: bool = False
-) -> LorenzCurve:
+def reflected_transform(quantile: MonotoneCurve) -> LorenzCurve:
     """Reflected operator for distributions supported in [0, 1].
 
-    normalize=True rescales the quantile by its maximum first (needed for
-    supports that exceed 1). Every call also runs the psi route and raises
-    CrossCheckError unless the two routes agree within 1e-6.
+    A support that exceeds 1 is SupportExceedsUnit; unit_support(quantile,
+    normalize=True) rescales it first. Every call also runs the psi route and
+    raises CrossCheckError unless the two routes agree within 1e-6.
     """
-    qc = unit_support(quantile, normalize=normalize)
+    qc = unit_support(quantile)
     mu = qc.mean
     if mu <= 0.0:
         raise NonPositiveMean(f"mean must be positive, got {mu!r}")

@@ -53,31 +53,25 @@ NONNEG_TOL = 1e-10
 _STEP = 0.3
 _RESTARTS = 4
 _DIAMETER_TOL = 1e-8
+_ITER_PER_DIM = 400
 _BIG = 1e12
 
 
-def nelder_mead(
-    f,
-    x0: np.ndarray,
-    *,
-    initial_step: float = 0.1,
-    diameter_tol: float = 1e-8,
-    max_iter: int | None = None,
-):
+def nelder_mead(f, x0: np.ndarray):
     """Plain Nelder-Mead: reflection 1, expansion 2, contraction 1/2,
-    shrink 1/2. Stops when the simplex diameter (sup norm around the best
-    vertex) falls below diameter_tol.
+    shrink 1/2, from x0 and x0 + _STEP along each axis. Stops when the
+    simplex diameter (sup norm around the best vertex) falls to
+    _DIAMETER_TOL, or after _ITER_PER_DIM iterations per dimension.
 
     Returns (x_best, f_best, iterations, final_diameter).
     """
     x0 = np.asarray(x0, dtype=float)
     n = x0.size
-    if max_iter is None:
-        max_iter = 400 * n
+    max_iter = _ITER_PER_DIM * n
     simplex = [x0]
     for i in range(n):
         step = np.zeros(n)
-        step[i] = initial_step
+        step[i] = _STEP
         simplex.append(x0 + step)
     simplex = np.array(simplex)
     fvals = np.array([f(x) for x in simplex])
@@ -88,7 +82,7 @@ def nelder_mead(
         simplex = simplex[order]
         fvals = fvals[order]
         diameter = float(np.max(np.abs(simplex[1:] - simplex[0]), initial=0.0))
-        if diameter <= diameter_tol or iterations >= max_iter:
+        if diameter <= _DIAMETER_TOL or iterations >= max_iter:
             return simplex[0], float(fvals[0]), iterations, diameter
         iterations += 1
         centroid = simplex[:-1].mean(axis=0)
@@ -266,8 +260,8 @@ def min_risk(
     if target is not None:
         if target > means.max() + 1e-12 or target < means.min() - 1e-12:
             raise InfeasibleTarget(
-                f"target {target!r} outside the attainable range "
-                f"[{means.min()!r}, {means.max()!r}]"
+                f"target {float(target)!r} outside the attainable range "
+                f"[{float(means.min())!r}, {float(means.max())!r}]"
             )
         at_max = target >= means.max() - 1e-12
         if at_max or target <= means.min() + 1e-12:
@@ -309,9 +303,7 @@ def min_risk(
         # simplex (McKinnon 1998); a fresh simplex around the result moves on.
         theta, best, iterations = to_angles(start), math.inf, 0
         for _ in range(1 + _RESTARTS):
-            x, fx, its, diameter = nelder_mead(
-                objective, theta, initial_step=_STEP, diameter_tol=_DIAMETER_TOL
-            )
+            x, fx, its, diameter = nelder_mead(objective, theta)
             iterations += its
             if not fx < best:
                 break
@@ -334,7 +326,10 @@ def efficient_frontier(
     tickers: list[str] | None = None,
 ) -> FrontierResult:
     """Risk-minimal portfolios from the global minimum's mean up to the best
-    single-asset mean. Failed points are recorded and the sweep continues."""
+    single-asset mean. Failed points are recorded and the sweep continues:
+    when the global minimum sits on the best asset, rounding can put its
+    mean just past the best asset mean, and the targets between them are
+    then outside the attainable range."""
     s = _validate_scenarios(scenarios)
     if n_points < 2:
         raise BadParameter("a frontier needs at least two points")
@@ -351,7 +346,7 @@ def efficient_frontier(
     for t in targets[1:]:
         try:
             point = min_risk(s, config, target=float(t), w0=w_prev)
-        except (InfeasibleTarget, NonPositiveMeanRegion) as exc:
+        except InfeasibleTarget as exc:
             point = FrontierPoint(
                 weights=np.full(s.shape[1], math.nan),
                 mean=math.nan,

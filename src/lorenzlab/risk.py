@@ -16,7 +16,7 @@ golden-ratio limit shapes:
 
 mixed on a lower tail [0, beta_down] and an upper tail [beta_up, 1], with a
 chord across the belly. Distances are weighted by (1 - i/T)**(v-2), which
-for v = 2 reduces the self-distance (identity target) to the Gini family.
+for v = 2 reduces the distance to the diagonal target to the Gini family.
 """
 
 from __future__ import annotations
@@ -132,8 +132,8 @@ class TargetCurveSpec:
     """Piecewise target curve: two golden-shape tails joined by a chord.
 
     Each tail mixes the two limit shapes with nonnegative weights summing to
-    one. identity=True short-circuits to the diagonal (both tails trivial,
-    integral exactly 1/2).
+    one. With beta_down = 0 and beta_up = 1 the anchors are exactly 0 and 1,
+    so the curve is the diagonal and its integral is exactly 1/2.
     """
 
     beta_down: float = 0.25
@@ -142,11 +142,8 @@ class TargetCurveSpec:
     down_power: float = 0.7
     up_kuma: float = 0.8
     up_power: float = 0.2
-    identity: bool = False
 
     def __post_init__(self):
-        if self.identity:
-            return
         if not 0.0 <= self.beta_down < self.beta_up <= 1.0:
             raise BadSpec(
                 f"need 0 <= beta_down < beta_up <= 1, got "
@@ -173,16 +170,11 @@ class TargetCurveSpec:
 
     @classmethod
     def diagonal(cls) -> "TargetCurveSpec":
-        return cls(identity=True)
+        return cls(beta_down=0.0, beta_up=1.0)
 
     @property
     def is_gs2_shape(self) -> bool:
-        return (
-            not self.identity
-            and self.beta_down == 0.0
-            and self.up_kuma == 1.0
-            and self.up_power == 0.0
-        )
+        return self.beta_down == 0.0 and self.up_kuma == 1.0 and self.up_power == 0.0
 
     def _anchors(self) -> tuple[float, float]:
         bd, bu = self.beta_down, self.beta_up
@@ -194,23 +186,16 @@ class TargetCurveSpec:
         x_arr = np.asarray(x, dtype=float)
         scalar = x_arr.ndim == 0
         x_arr = np.atleast_1d(x_arr)
-        if self.identity:
-            out = x_arr.astype(float)
-        else:
-            down = self.down_kuma * _kuma(x_arr) + self.down_power * _power(x_arr)
-            up = self.up_kuma * _kuma(x_arr) + self.up_power * _power(x_arr)
-            y_d, y_u = self._anchors()
-            slope = (y_u - y_d) / (self.beta_up - self.beta_down)
-            chord = y_d + slope * (x_arr - self.beta_down)
-            out = np.where(
-                x_arr < self.beta_down, down, np.where(x_arr > self.beta_up, up, chord)
-            )
+        down = self.down_kuma * _kuma(x_arr) + self.down_power * _power(x_arr)
+        up = self.up_kuma * _kuma(x_arr) + self.up_power * _power(x_arr)
+        y_d, y_u = self._anchors()
+        slope = (y_u - y_d) / (self.beta_up - self.beta_down)
+        chord = y_d + slope * (x_arr - self.beta_down)
+        out = np.where(x_arr < self.beta_down, down, np.where(x_arr > self.beta_up, up, chord))
         return float(out[0]) if scalar else out
 
     def integral(self) -> float:
         """Exact integral over [0, 1] (closed forms for both tail shapes)."""
-        if self.identity:
-            return 0.5
         bd, bu = self.beta_down, self.beta_up
         y_d, y_u = self._anchors()
         lower = self.down_kuma * _kuma_prefix(bd) + self.down_power * _power_prefix(bd)

@@ -435,3 +435,65 @@ def test_gs2_uses_its_shape_at_beta_up(tmp_path, capsys, options, beta_up):
     assert main(argv) == 0
     config = RiskMeasureConfig(kind="gs2", target=TargetCurveSpec.gs2_shape(beta_up))
     assert capsys.readouterr().out.strip() == format_float(measure_value(scen.values[:, 0], config))
+
+
+# -- options that would do nothing ---------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["iterate", "--mode", "primal", "--normalize"], "normalize applies to the reflected mode only"),
+        (["iterate", "--start", "uniform01", "--lognormal-log-scale"],
+         "--lognormal-log-scale needs a lognormal start, got 'uniform01'"),
+        (["target-curve", "--gs2", "--identity-target"], "--gs2 and --identity-target name different targets"),
+        (["limits", "--mode", "simple_reflected"], "invalid choice: 'simple_reflected'"),
+    ],
+)
+def test_options_that_would_do_nothing_are_usage_errors(tmp_path, capsys, argv, message):
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
+# -- bad bytes and bad sample values ------------------------------------------
+
+
+def non_utf8_input(tmp_path, command):
+    """An input file for `command` holding the byte 0xff, and the argv that reads it."""
+    out = str(tmp_path / "out.csv")
+    if command in ("clean", "returns"):
+        path = tmp_path / "prices.csv"
+        path.write_bytes(b"date,A\xff\n2024-01-01,1.0\n2024-01-02,2.0\n")
+        return path, [command, "--prices", str(path), "--out", out]
+    if command == "iterate":
+        path = tmp_path / "sample.txt"
+        path.write_bytes(b"0.3 0.9\n0.5\xff 0.7\n")
+        return path, ["iterate", "--start", f"sample:{path}", "--out", out]
+    path, _ = scenario_file(tmp_path)
+    lines = path.read_bytes().split(b"\n")
+    lines[5] = b"\xff" + lines[5]
+    path.write_bytes(b"\n".join(lines))
+    return path, command_argv(command, path, out)
+
+
+@pytest.mark.parametrize(
+    "command", ["clean", "returns", "measure", "frontier", "simulate", "iterate"]
+)
+def test_non_utf8_input_is_a_data_error(tmp_path, capsys, command):
+    path, argv = non_utf8_input(tmp_path, command)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"data error: {path}: not UTF-8 text (byte 0xff)\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e400"])
+def test_nonfinite_sample_start_is_a_data_error(tmp_path, capsys, token):
+    path = tmp_path / "sample.txt"
+    path.write_text(f"0.3 0.9\n{token} 0.5\n")
+    out = tmp_path / "trace.csv"
+    assert main(["iterate", "--start", f"sample:{path}", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"data error: {path}: non-finite sample value {token!r}\n"
+    assert not out.exists()

@@ -284,6 +284,9 @@ def test_read_curve_csv_rejects_bad_input(tmp_path):
         path.write_text(f"u,value\n{rows}\n")
         with pytest.raises(ParseError, match=f":{line}:"):
             read_curve_csv(path)
+    path.write_bytes(b"u,value\n0.0,0.0\n1.0,1.0\xff\n")
+    with pytest.raises(ParseError, match=r"bad\.csv: not UTF-8 text \(byte 0xff\)"):
+        read_curve_csv(path)
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False))

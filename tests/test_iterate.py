@@ -11,7 +11,6 @@ from lorenzlab import (
     alpha_sequence,
     analytic_quantile,
     empirical_quantile,
-    envelope_check,
     envelope_violation,
     fixed_point_residual,
     limit_curve,
@@ -45,10 +44,9 @@ def test_limit_curves_match_oracles():
     assert primal.values[2048] == pytest.approx(PRIMAL_LIMIT_HALF, abs=1e-15)
     reflected = limit_curve("reflected", 4096)
     assert reflected.values[2048] == pytest.approx(REFLECTED_LIMIT_HALF, abs=1e-15)
-    alias = limit_curve("simple_reflected", 4096)
-    assert np.array_equal(alias.values, reflected.values)
-    with pytest.raises(BadParameter):
-        limit_curve("sideways")
+    for mode in ("sideways", "simple_reflected"):
+        with pytest.raises(BadParameter):
+            limit_curve(mode)
 
 
 def test_uniform_chain_walks_the_exponent_ladder():
@@ -111,11 +109,12 @@ def test_envelope_violation_catches_a_curve_outside_its_band():
     assert envelope_violation(impostor, 0, "primal") == 0.0
 
 
-def test_envelope_check_passes_genuine_iterates(primal_traces):
+def test_trace_envelope_flags_pass_genuine_iterates(primal_traces):
     trace = primal_traces["power3"]
-    report = envelope_check(trace.curves[:20], "primal")
-    assert report.all_ok
-    assert len(report.violations) == 20
+    assert all(trace.envelope_ok[:20])
+    assert trace.envelope_violations[:20] == [
+        envelope_violation(c, i, "primal") for i, c in enumerate(trace.curves[:20])
+    ]
 
 
 def test_fixed_point_residual_of_the_diagonal():
@@ -138,6 +137,12 @@ def test_reflected_normalize_only_rescales_the_first_step():
     trace = run_iteration(start, "reflected", max_iter=3, tol=0.0, normalize=True)
     for curve in trace.curves:
         assert curve.classical
+
+
+def test_primal_rejects_normalize():
+    start = analytic_quantile(AnalyticFamily.lognormal(0.5, 0.2), 64)
+    with pytest.raises(BadParameter, match="reflected mode only"):
+        run_iteration(start, "primal", max_iter=3, normalize=True)
 
 
 # SHA-256 of every curve's values, then of sup_to_limit, for each trace;

@@ -16,6 +16,7 @@ from lorenzlab import (
     generalized_lorenz,
     lorenz_transform,
     measure_value,
+    min_risk,
     primal_inverse,
     reflected_inverse,
     reflected_transform,
@@ -29,6 +30,7 @@ from lorenzlab.errors import (
     BadParameter,
     CrossCheckError,
     EmptySample,
+    LorenzLabError,
     NonFinite,
     NonMonotone,
     NonPositiveMean,
@@ -248,7 +250,7 @@ def test_reflected_rejects_oversized_support():
     q = analytic_quantile(AnalyticFamily.lognormal(0.5, 0.2), 128)
     with pytest.raises(SupportExceedsUnit):
         reflected_transform(q)
-    L = reflected_transform(q, normalize=True)
+    L = reflected_transform(unit_support(q, normalize=True))
     assert L.classical
 
 
@@ -335,3 +337,25 @@ def test_truncate_positive_sample_reproduces_classical_polyline():
     curve = truncate_generalized(pts, grid_size=12)
     knots = np.array([1.0 / 3.0, 2.0 / 3.0, 1.0])
     assert np.allclose(curve.evaluate(knots), [1.0 / 7.0, 3.0 / 7.0, 1.0], atol=1e-15)
+
+
+# ---------------------------------------------------------------- messages
+
+
+@pytest.mark.parametrize(
+    "fail",
+    [
+        lambda: LorenzCurve(np.array([0.1, 0.5, 1.0])),
+        lambda: LorenzCurve(np.array([0.0, 0.6, 0.7, 1.0])),
+        lambda: lorenz_transform(QuantileCurve(np.zeros(5))),
+        lambda: primal_inverse(QuantileCurve(np.zeros(5)), [0.5]),
+        lambda: unit_support(MonotoneCurve(np.array([0.0, 1.0, 2.0]))),
+        lambda: min_risk(np.array([[0.01, 0.02], [0.03, 0.01]]), RiskMeasureConfig("variance"), 1.0),
+    ],
+    ids=["endpoints", "convexity", "transform-mean", "inverse-mean", "support", "target"],
+)
+def test_error_messages_print_plain_numbers(fail):
+    with pytest.raises(LorenzLabError) as info:
+        fail()
+    assert any(c.isdigit() for c in str(info.value))
+    assert "np." not in str(info.value)

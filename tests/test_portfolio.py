@@ -298,6 +298,21 @@ def test_frontier_needs_two_points():
         efficient_frontier(s, VAR, n_points=1)
 
 
+def test_frontier_records_a_target_that_rounding_puts_out_of_range():
+    # The global minimum is the best asset alone. At this scale its mean,
+    # summed in another order than the per-asset means, rounds more than
+    # 1e-12 past the best mean, so the middle target is unattainable: the
+    # point is recorded as failed and the sweep goes on.
+    x = np.random.default_rng(14).standard_normal(64)
+    s = np.column_stack([x + 1.0, 2.0 * x + 0.5]) * 1e4
+    anchor, middle, last = efficient_frontier(s, VAR, n_points=3).points
+    assert np.array_equal(anchor.weights, [1.0, 0.0])
+    assert anchor.mean > s.mean(axis=0).max() + 1e-12
+    assert not middle.converged and np.isnan(middle.weights).all()
+    assert "outside the attainable range" in middle.message
+    assert last.converged
+
+
 # ---------------------------------------------------------------- pinned bits
 
 # Recorded before measure_value bound each measure to its sample size; a
