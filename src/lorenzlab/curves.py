@@ -3,8 +3,10 @@
 Everything downstream (Lorenz operators, iteration, risk measures) works with
 nondecreasing piecewise-linear interpolants stored as their values at the
 nodes k/M; the constructor checks that they are nondecreasing, and nothing
-writes into them afterwards. The three primitive operations are evaluation,
-the generalized inverse
+writes into them afterwards. The nodes themselves are one read-only array
+per M, shared by every curve of that size: `curve.grid` cannot be written
+into, and a caller that needs its own copy takes one. The three primitive
+operations are evaluation, the generalized inverse
 
     f^{-1}(u) = inf { y : f(y) >= u },
 
@@ -18,7 +20,7 @@ import csv
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -39,6 +41,9 @@ DEFAULT_GRID = 4096
 
 _ENDPOINT_TOL = 1e-12
 
+# Grid sizes kept alive at once; a run uses one or two.
+_GRID_CACHE_SIZE = 8
+
 
 def format_float(x: float) -> str:
     """Shortest 17-significant-digit form, stable across runs."""
@@ -50,12 +55,22 @@ def _as_scalar_or_array(result: np.ndarray, scalar_input: bool):
     return float(result[0]) if scalar_input else result
 
 
+@lru_cache(maxsize=_GRID_CACHE_SIZE)
+def _shared_grid(m: int) -> np.ndarray:
+    grid = np.linspace(0.0, 1.0, m + 1)
+    grid.flags.writeable = False
+    return grid
+
+
 def _uniform_grid(grid_size: int) -> np.ndarray:
-    """The nodes k/M, k = 0..M, of the uniform grid with M = grid_size >= 1."""
+    """The nodes k/M, k = 0..M, of the uniform grid with M = grid_size >= 1.
+
+    One read-only array per M is shared by every caller.
+    """
     m = int(grid_size)
     if m < 1:
         raise BadParameter("grid_size must be at least 1")
-    return np.linspace(0.0, 1.0, m + 1)
+    return _shared_grid(m)
 
 
 def _sample(samples) -> np.ndarray:
@@ -105,8 +120,9 @@ class MonotoneCurve:
         """M: the number of segments."""
         return self.values.size - 1
 
-    @cached_property
+    @property
     def grid(self) -> np.ndarray:
+        """The nodes k/M: the read-only array shared by every curve of size M."""
         return _uniform_grid(self.grid_size)
 
     @cached_property

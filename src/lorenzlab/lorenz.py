@@ -116,19 +116,20 @@ def _prefix_inverse(x, g, prefix, u) -> np.ndarray:
         raise NonPositiveMean(f"mean must be positive, got {float(total)!r}")
     target = np.clip(u, 0.0, 1.0) * total
     k = np.searchsorted(prefix, target, side="left")
-    out = np.full_like(target, x[0])
-    interior = k > 0
-    i = k[interior] - 1
-    r = target[interior] - prefix[i]
+    # A target with k = 0 is solved in cell 0 too, and its root discarded.
+    # Every cell with k > 0 has prefix[k - 1] < prefix[k], so a positive
+    # width; cell 0 can have zero width (psi route with Q(1) = 1).
+    i = np.maximum(k - 1, 0)
+    r = target - prefix[i]
     a = g[i]
     lo = x[i]
     width = x[i + 1] - lo
-    slope = (g[i + 1] - a) / width
-    # Stable quadratic root of (slope/2) d^2 + a d = r; exact linear limit.
-    denom = a + np.sqrt(a * a + 2.0 * slope * r)
-    delta = np.where(denom > 0.0, 2.0 * r / np.where(denom > 0.0, denom, 1.0), 0.0)
-    out[interior] = lo + np.minimum(delta, width)
-    return out
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = (g[i + 1] - a) / width
+        # Stable quadratic root of (slope/2) d^2 + a d = r; exact linear limit.
+        denom = a + np.sqrt(a * a + 2.0 * slope * r)
+        delta = np.where(denom > 0.0, 2.0 * r / np.where(denom > 0.0, denom, 1.0), 0.0)
+    return np.where(k > 0, lo + np.minimum(delta, width), x[0])
 
 
 def _psi_route(q: QuantileCurve) -> np.ndarray:

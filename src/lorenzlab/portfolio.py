@@ -326,10 +326,11 @@ def efficient_frontier(
     tickers: list[str] | None = None,
 ) -> FrontierResult:
     """Risk-minimal portfolios from the global minimum's mean up to the best
-    single-asset mean. Failed points are recorded and the sweep continues:
-    when the global minimum sits on the best asset, rounding can put its
-    mean just past the best asset mean, and the targets between them are
-    then outside the attainable range."""
+    single-asset mean.
+
+    The targets are clipped to the attainable range [min, max] of the asset
+    means: when the global minimum sits on one asset, its mean (summed in
+    another order than the asset means) can round just past that range."""
     s = _validate_scenarios(scenarios)
     if n_points < 2:
         raise BadParameter("a frontier needs at least two points")
@@ -341,27 +342,14 @@ def efficient_frontier(
 
     anchor = min_risk(s, config)
     result = FrontierResult(points=[anchor], tickers=list(tickers))
-    targets = np.linspace(anchor.mean, float(means.max()), n_points)
+    targets = np.clip(
+        np.linspace(anchor.mean, float(means.max()), n_points), means.min(), means.max()
+    )
     w_prev = anchor.weights
     for t in targets[1:]:
-        try:
-            point = min_risk(s, config, target=float(t), w0=w_prev)
-        except InfeasibleTarget as exc:
-            point = FrontierPoint(
-                weights=np.full(s.shape[1], math.nan),
-                mean=math.nan,
-                risk=math.nan,
-                target=float(t),
-                converged=False,
-                iterations=0,
-                residual_budget=math.nan,
-                residual_target=math.nan,
-                min_weight=math.nan,
-                message=str(exc),
-            )
-        else:
-            if point.converged:
-                w_prev = point.weights
+        point = min_risk(s, config, target=float(t), w0=w_prev)
+        if point.converged:
+            w_prev = point.weights
         result.points.append(point)
     return result
 

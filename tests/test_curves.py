@@ -10,12 +10,19 @@ from lorenzlab import (
     LorenzCurve,
     MonotoneCurve,
     QuantileCurve,
+    TargetCurveSpec,
     analytic_quantile,
     empirical_quantile,
     format_float,
+    generalized_lorenz,
+    limit_curve,
+    lorenz_transform,
     primal_inverse,
     read_curve_csv,
     reflected_inverse,
+    reflected_transform,
+    simple_reflect,
+    truncate_generalized,
     write_curve_csv,
 )
 from lorenzlab.errors import (
@@ -241,6 +248,37 @@ def test_family_parameter_validation():
         AnalyticFamily.lognormal(-0.5, 0.2)
     with pytest.raises(BadParameter):
         AnalyticFamily.point_mass(math.inf)
+
+
+def test_curves_of_one_size_share_one_read_only_grid(tmp_path):
+    m = 64
+    q = analytic_quantile(AnalyticFamily.uniform01(), m)
+    grid = q.grid
+    assert empirical_quantile([1.0, 2.0], m).grid is grid
+    assert limit_curve("reflected", m).grid is grid
+    assert analytic_quantile(AnalyticFamily.uniform01(), 32).grid is not grid
+    with pytest.raises(ValueError):
+        grid[1] = 0.5
+    write_curve_csv(q, tmp_path / "q.csv")
+    # Every array the public API builds from the nodes is its own.
+    outputs = [
+        q.values,
+        AnalyticFamily.uniform01().quantile(grid),
+        q.evaluate(grid),
+        q.generalized_inverse(grid),
+        q.prefix_integral(grid),
+        primal_inverse(q, grid),
+        reflected_inverse(q, grid),
+        lorenz_transform(q).values,
+        reflected_transform(q).values,
+        simple_reflect(lorenz_transform(q)).values,
+        limit_curve("primal", m).values,
+        truncate_generalized(generalized_lorenz([1.0, 2.0, 4.0]), grid_size=m).values,
+        TargetCurveSpec().curve(m).values,
+        read_curve_csv(tmp_path / "q.csv").values,
+    ]
+    for out in outputs:
+        assert not np.shares_memory(out, grid)
 
 
 def test_analytic_quantile_tail_handling():

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from lorenzlab import (
     self_similarity_residual,
     write_trace_csv,
 )
+import lorenzlab.lorenz as lorenz_module
 from lorenzlab.errors import BadParameter
 
 from oracles import (
@@ -137,6 +139,20 @@ def test_reflected_normalize_only_rescales_the_first_step():
     trace = run_iteration(start, "reflected", max_iter=3, tol=0.0, normalize=True)
     for curve in trace.curves:
         assert curve.classical
+
+
+def test_reflected_two_atom_run_agrees_across_zero_width_cells(monkeypatch):
+    # A two-atom start rescaled to top out at 1: the psi route's first cell
+    # has zero width, and the repeated quantile values give many more.
+    # Both routes are exact, so they must agree to rounding in every round.
+    monkeypatch.setattr(lorenz_module, "_ROUTE_AGREEMENT", 1e-12)
+    start = empirical_quantile([0.35, 0.9], 1024)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        trace = run_iteration(start, "reflected", max_iter=40, tol=0.0, normalize=True)
+    assert trace.iterations == 40
+    assert all(trace.envelope_ok)
+    assert trace.sup_to_limit[-1] < 1e-5
 
 
 def test_primal_rejects_normalize():

@@ -1,4 +1,6 @@
+import bisect
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -176,6 +178,64 @@ def test_primal_inverse_composes_with_transform():
     back = q.prefix_integral(x) / q.total_integral
     assert np.allclose(back, u, atol=1e-12)
     assert primal_inverse(q, 1.0) == 1.0
+
+
+def prefix_inverse_loop(x, g, prefix, u):
+    """Reference for lorenz._prefix_inverse: one target at a time, cell
+    i = k - 1 found by bisect, the same formulas in float64 scalars."""
+    total = prefix[-1]
+    nodes = prefix.tolist()
+    out = []
+    for target in np.clip(u, 0.0, 1.0) * total:
+        k = bisect.bisect_left(nodes, target)
+        if k == 0:
+            out.append(x[0])
+            continue
+        i = k - 1
+        r = target - prefix[i]
+        a = g[i]
+        lo = x[i]
+        width = x[i + 1] - lo
+        slope = (g[i + 1] - a) / width
+        denom = a + np.sqrt(a * a + 2.0 * slope * r)
+        delta = 2.0 * r / denom if denom > 0.0 else 0.0
+        out.append(lo + min(delta, width))
+    return np.array(out)
+
+
+@st.composite
+def quantiles_with_flats(draw):
+    """Nondecreasing node values with leading zeros (G flat at the start)
+    and repeated levels."""
+    zeros = draw(st.integers(0, 6))
+    levels = draw(
+        st.lists(
+            st.sampled_from([0.25, 1.0, 3.0]) | st.floats(1e-3, 10.0),
+            min_size=2,
+            max_size=30,
+        )
+    )
+    return QuantileCurve(np.concatenate([np.zeros(zeros), np.sort(levels)]))
+
+
+@given(quantiles_with_flats(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_primal_inverse_is_the_left_inverse_of_the_prefix(q, data):
+    total = q.total_integral
+    # unsorted points, with 0, 1 and the exact node targets among them
+    drawn = data.draw(st.lists(st.floats(0.0, 1.0), max_size=20))
+    u = np.array(data.draw(st.permutations(drawn + [0.0, 1.0] + list(q._prefix / total))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        y = primal_inverse(q, u)
+    assert np.array_equal(y, prefix_inverse_loop(q.grid, q.values, q._prefix, u))
+    # G(y) = u G(1) within rounding ...
+    target = u * total
+    assert np.allclose(q.prefix_integral(y), target, rtol=0.0, atol=1e-12 * (total + q.values[-1]))
+    # ... and the infimum: a zero target maps to 0, a positive one past G's flat start
+    flat_end = q.grid[np.count_nonzero(q.values == 0.0) - 1] if q.values[0] == 0.0 else 0.0
+    assert np.all(y[target == 0.0] == 0.0)
+    assert np.all(y[target > 0.0] >= flat_end)
 
 
 # ---------------------------------------------------------------- support
