@@ -73,6 +73,35 @@ def _uniform_grid(grid_size: int) -> np.ndarray:
     return _shared_grid(m)
 
 
+def _nondecreasing(a: np.ndarray) -> bool:
+    # False for NaN, which compares false both ways
+    return bool(np.all(a[1:] >= a[:-1]))
+
+
+def _sorted_searchsorted(nodes: np.ndarray, targets: np.ndarray, side: str) -> np.ndarray:
+    """np.searchsorted(nodes, targets, side) for 1-d nodes, bit for bit.
+
+    When the targets are 1-d and both arrays are nondecreasing, the targets
+    are merged into the nodes by one stable sort of their concatenation,
+    which finds two sorted runs and merges them in linear time instead of
+    searching every target. Ties keep the side's order: a 'left' target
+    goes before the nodes equal to it, a 'right' one after them, so a
+    target's index is its merged position minus its own rank. Anything else
+    takes the binary search, including nodes that rounding left a hair out
+    of order, where only the search defines the answer.
+    """
+    if targets.ndim != 1 or not (_nondecreasing(targets) and _nondecreasing(nodes)):
+        return np.searchsorted(nodes, targets, side=side)
+    n = targets.size
+    if side == "left":
+        order = np.argsort(np.concatenate([targets, nodes]), kind="stable")
+        merged = np.flatnonzero(order < n)
+    else:
+        order = np.argsort(np.concatenate([nodes, targets]), kind="stable")
+        merged = np.flatnonzero(order >= nodes.size)
+    return merged - np.arange(n)
+
+
 def _sample(samples) -> np.ndarray:
     """samples as a 1-d float array; any other shape is BadParameter."""
     x = np.asarray(samples, dtype=float)
@@ -159,7 +188,7 @@ class MonotoneCurve:
             raise OutOfRange("inverse argument outside the curve's range")
         u_clip = np.clip(u_arr, v[0], v[-1])
         # First node index k with v[k] >= u; 'left' guarantees v[k-1] < u.
-        k = np.searchsorted(v, u_clip, side="left")
+        k = _sorted_searchsorted(v, u_clip, "left")
         h = 1.0 / self.grid_size
         out = np.zeros_like(u_clip)
         interior = k > 0

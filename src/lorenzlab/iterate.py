@@ -14,6 +14,9 @@ sequence alpha_1 = 1, alpha_{n+1} = 1 + 1/alpha_n (ratios of consecutive
 Fibonacci numbers) drives the theoretical envelopes: from the second
 operator output on, the n-th iterate is pinched between f(x, alpha_n) and
 f(x, alpha_{n+1}). The first output is only guaranteed classical.
+Consecutive rounds share one exponent, so checking a round against its
+envelopes computes one new power of the grid; the other is the previous
+round's.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -38,6 +42,13 @@ from .lorenz import (
 ENVELOPE_SLACK = 1e-6
 
 _MODES = ("primal", "reflected")
+
+# The alpha table's first length; it doubles for longer runs.
+_ALPHA_TABLE = 64
+
+# Envelope curves kept alive at once: a round reads two, one of which the
+# next round reads again.
+_ENVELOPE_CACHE_SIZE = 4
 
 
 def _mode(mode: str):
@@ -74,6 +85,34 @@ def limit_curve(mode: str, grid_size: int = DEFAULT_GRID) -> LorenzCurve:
     return LorenzCurve(power(_uniform_grid(grid_size), GOLDEN), convex=True, classical=True)
 
 
+@lru_cache(maxsize=None)
+def _alpha_table(count: int) -> np.ndarray:
+    table = alpha_sequence(count)
+    table.flags.writeable = False
+    return table
+
+
+def _exponent_pair(step: int):
+    """(larger, smaller) of alpha_step and alpha_{step+1}, step >= 1.
+
+    Read from one table of alpha_1..alpha_64, doubled whenever a step runs
+    past it, so no round rebuilds the sequence.
+    """
+    if step < 1:
+        raise BadParameter("envelopes start at step 1")
+    count = max(_ALPHA_TABLE, 1 << int(step).bit_length())
+    pair = _alpha_table(count)[step - 1 : step + 1]
+    return pair.max(), pair.min()
+
+
+@lru_cache(maxsize=_ENVELOPE_CACHE_SIZE)
+def _grid_power(mode: str, grid_size: int, a) -> np.ndarray:
+    """f(x, a) of the mode at the nodes of the size-M grid, read-only."""
+    values = _mode(mode)[2](_uniform_grid(grid_size), a)
+    values.flags.writeable = False
+    return values
+
+
 def envelope_bounds(step: int, mode: str, x: np.ndarray):
     """Lower/upper envelope for the `step`-th operator output, step >= 1.
 
@@ -82,17 +121,19 @@ def envelope_bounds(step: int, mode: str, x: np.ndarray):
     means a smaller curve.
     """
     power = _mode(mode)[2]
-    if step < 1:
-        raise BadParameter("envelopes start at step 1")
-    pair = alpha_sequence(step + 1)[step - 1 :]
-    return power(x, pair.max()), power(x, pair.min())
+    larger, smaller = _exponent_pair(step)
+    return power(x, larger), power(x, smaller)
 
 
 def envelope_violation(curve: MonotoneCurve, index: int, mode: str) -> float:
     """Worst node excursion of `curve` outside its envelope.
 
     index is 0-based into the trace: index 0 (the first output) is only
-    checked classical (0 <= L <= x); later outputs use the alpha envelopes.
+    checked classical (0 <= L <= x); later outputs use the alpha envelopes,
+    the same values envelope_bounds gives at the grid nodes. Round n binds
+    (alpha_n, alpha_{n+1}) and round n + 1 binds (alpha_{n+1}, alpha_{n+2}),
+    so the envelope curves are cached per (mode, M, exponent) and each round
+    computes one new power; the other carries over from the round before.
     """
     x = curve.grid
     v = curve.values
@@ -100,7 +141,9 @@ def envelope_violation(curve: MonotoneCurve, index: int, mode: str) -> float:
         lower = np.zeros_like(x)
         upper = x
     else:
-        lower, upper = envelope_bounds(index, mode, x)
+        larger, smaller = _exponent_pair(index)
+        lower = _grid_power(mode, curve.grid_size, larger)
+        upper = _grid_power(mode, curve.grid_size, smaller)
     excess = np.maximum(lower - v, v - upper)
     return float(max(excess.max(), 0.0))
 

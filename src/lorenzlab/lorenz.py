@@ -12,9 +12,12 @@ operator is the equilibrium-transform analogue
 restricted to distributions supported in [0, 1]. Both operators return
 convex curves through (0, 0) and (1, 1), and both are inverted in closed
 form: for a piecewise-linear Q each is piecewise quadratic between known
-breakpoints, so one searchsorted and one stable quadratic root per point
-give the exact value. Sampling a curve at the nodes and inverting the
-polyline would instead lose accuracy exactly where the curve is steep.
+breakpoints, so finding each point's cell and one stable quadratic root
+per point give the exact value. The iteration inverts at all grid nodes,
+whose targets are sorted: their cells come from one linear merge with the
+breakpoints, and only unsorted points take a binary search each. Sampling
+a curve at the nodes and inverting the polyline would instead lose
+accuracy exactly where the curve is steep.
 
 reflected_transform evaluates L_ref on two routes that share no code: the
 expectation m(t) = E[min(Q, t)] inverted cell by cell, and the equivalent
@@ -37,7 +40,7 @@ import numpy as np
 
 from .curves import (
     _ENDPOINT_TOL, DEFAULT_GRID, MonotoneCurve, QuantileCurve,
-    _sample, _sorted_sample, _uniform_grid,
+    _sample, _sorted_sample, _sorted_searchsorted, _uniform_grid,
 )
 from .errors import (
     BadParameter,
@@ -108,14 +111,16 @@ def _prefix_inverse(x, g, prefix, u) -> np.ndarray:
 
     g is nonnegative, nondecreasing and linear between its nodes x (which
     may repeat, for a jump); prefix holds G at the nodes. G is a convex
-    quadratic on each cell, so every target inverts with one searchsorted
-    and one stable root.
+    quadratic on each cell, so every target inverts with one stable root
+    once its cell is known. Nondecreasing u (the grid nodes) find their
+    cells by one linear merge with prefix; any other u by a binary search
+    per point.
     """
     total = prefix[-1]
     if total <= 0.0:
         raise NonPositiveMean(f"mean must be positive, got {float(total)!r}")
     target = np.clip(u, 0.0, 1.0) * total
-    k = np.searchsorted(prefix, target, side="left")
+    k = _sorted_searchsorted(prefix, target, "left")
     # A target with k = 0 is solved in cell 0 too, and its root discarded.
     # Every cell with k > 0 has prefix[k - 1] < prefix[k], so a positive
     # width; cell 0 can have zero width (psi route with Q(1) = 1).
@@ -143,7 +148,9 @@ def _psi_route(q: QuantileCurve) -> np.ndarray:
     x = np.concatenate([[0.0], 1.0 - q.values[::-1], [1.0]])
     g = np.concatenate([[0.0], q.grid, [1.0]])
     prefix = np.concatenate([[0.0], np.cumsum(0.5 * np.diff(x) * (g[1:] + g[:-1]))])
-    return np.maximum.accumulate(1.0 - _prefix_inverse(x, g, prefix, 1.0 - q.grid))
+    # ascending targets, so the cells are found by a merge; reversed back
+    y = _prefix_inverse(x, g, prefix, 1.0 - q.grid[::-1])[::-1]
+    return np.maximum.accumulate(1.0 - y)
 
 
 def _min_route(qc: QuantileCurve, mu: float) -> np.ndarray:
@@ -161,7 +168,7 @@ def _min_route(qc: QuantileCurve, mu: float) -> np.ndarray:
     # m'(t) at each node value; the cell below Q_0 has slope one throughout.
     slope = np.concatenate([[1.0], 1.0 - frac])
     target = mu * frac[:-1]
-    j = np.searchsorted(m, target, side="right") - 1
+    j = _sorted_searchsorted(m, target, "right") - 1
     lo = t[j]
     width = t[j + 1] - lo
     a = slope[j]

@@ -44,3 +44,10 @@ def reflected_traces():
         name: run_iteration(start, "reflected", max_iter=40, tol=0.0, normalize=True)
         for name, start in five_starts().items()
     }
+
+
+@pytest.fixture(scope="session")
+def fine_primal_trace():
+    """The primal lognormal(0.5, 0.2) run on the M = 65536 grid."""
+    start = analytic_quantile(AnalyticFamily.lognormal(0.5, 0.2), 65536)
+    return run_iteration(start, "primal", max_iter=40, tol=0.0)

@@ -25,6 +25,7 @@ from lorenzlab import (
     truncate_generalized,
     write_curve_csv,
 )
+from lorenzlab.curves import _sorted_searchsorted
 from lorenzlab.errors import (
     BadParameter,
     EmptySample,
@@ -279,6 +280,43 @@ def test_curves_of_one_size_share_one_read_only_grid(tmp_path):
     ]
     for out in outputs:
         assert not np.shares_memory(out, grid)
+
+
+@st.composite
+def search_nodes(draw):
+    """Nondecreasing nodes, 0 to 40 of them: flat runs from zero increments,
+    leading zeros, and the prefix integral of a two-atom quantile, whose
+    levels repeat."""
+    if draw(st.booleans()):
+        low, high = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2)))
+        m = draw(st.integers(1, 16))
+        return empirical_quantile([low, high], m)._prefix
+    zeros = draw(st.integers(0, 3))
+    steps = draw(st.lists(st.sampled_from([0.0, 0.5]) | st.floats(0.0, 2.0), max_size=37))
+    return np.concatenate([np.zeros(zeros), np.cumsum(steps)])
+
+
+@given(search_nodes(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_sorted_searchsorted_is_searchsorted(nodes, data):
+    # targets equal to a node, below the first and above the last, and in
+    # between; 0 to 2 of them as often as longer lists
+    pool = list(nodes) + [-1.0, -0.0, 0.0, 1e3]
+    element = st.sampled_from(pool) | st.floats(-1.0, 100.0)
+    picks = data.draw(st.lists(element, max_size=2) | st.lists(element, max_size=30))
+    shuffled = np.array(data.draw(st.permutations(picks)), dtype=float)
+    # sorted targets are merged; unsorted ones, or nodes out of order, take
+    # the binary search
+    for nodes_, targets in [
+        (nodes, np.sort(shuffled)),
+        (nodes, shuffled),
+        (nodes[::-1], np.sort(shuffled)),
+    ]:
+        for side in ("left", "right"):
+            want = np.searchsorted(nodes_, targets, side=side)
+            got = _sorted_searchsorted(nodes_, targets, side)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
 
 
 def test_analytic_quantile_tail_handling():

@@ -189,12 +189,63 @@ def trace_digest(trace) -> str:
     return h.hexdigest()
 
 
-def test_trace_bits_are_pinned(primal_traces, reflected_traces):
+def test_trace_bits_are_pinned(primal_traces, reflected_traces, fine_primal_trace):
     got = {f"primal/{name}": trace_digest(t) for name, t in primal_traces.items()}
     got.update(
         {f"reflected/{name}": trace_digest(t) for name, t in reflected_traces.items()}
     )
-    start = analytic_quantile(AnalyticFamily.lognormal(0.5, 0.2), 65536)
-    fine = run_iteration(start, "primal", max_iter=40, tol=0.0)
-    got["primal65536/lognormal"] = trace_digest(fine)
+    got["primal65536/lognormal"] = trace_digest(fine_primal_trace)
     assert got == TRACE_DIGESTS
+
+
+def reference_envelope_violations(curves, mode) -> list[float]:
+    """The envelope excursion of curves[n] as the n-th operator output, from
+    fresh powers of the grid and a fresh alpha recurrence."""
+    x = np.linspace(0.0, 1.0, curves[0].grid_size + 1)
+    alphas = [1.0]  # alphas[n - 1] is alpha_n
+    while len(alphas) <= len(curves):
+        alphas.append(1.0 + 1.0 / alphas[-1])
+    out = []
+    for index, curve in enumerate(curves):
+        if index == 0:
+            lower, upper = np.zeros_like(x), x
+        else:
+            pair = alphas[index - 1], alphas[index]
+            if mode == "primal":
+                lower, upper = x ** max(pair), x ** min(pair)
+            else:
+                lower = 1.0 - (1.0 - x) ** (1.0 / max(pair))
+                upper = 1.0 - (1.0 - x) ** (1.0 / min(pair))
+        v = curve.values
+        out.append(float(max(np.maximum(lower - v, v - upper).max(), 0.0)))
+    return out
+
+
+def test_envelope_violations_match_fresh_powers(
+    primal_traces, reflected_traces, fine_primal_trace
+):
+    runs = [("primal", t) for t in primal_traces.values()]
+    runs += [("reflected", t) for t in reflected_traces.values()]
+    runs.append(("primal", fine_primal_trace))
+    for mode, trace in runs:
+        assert trace.iterations == 40
+        assert trace.envelope_violations == reference_envelope_violations(trace.curves, mode)
+    # Primal and reflected at M = 4096 and primal at M = 65536, round by
+    # round: an envelope cached under the wrong mode or size would show.
+    # Genuine iterates sit inside their envelopes in the early rounds, so
+    # each run also checks two probes that leave every envelope, one
+    # below the lower and one above the upper.
+    sequences = []
+    for mode, trace in [
+        ("primal", primal_traces["lognormal"]),
+        ("reflected", reflected_traces["lognormal"]),
+        ("primal", fine_primal_trace),
+    ]:
+        x = np.linspace(0.0, 1.0, trace.curves[0].grid_size + 1)
+        below = LorenzCurve(x**8)
+        above = LorenzCurve(1.0 - (1.0 - x) ** 8, convex=False, classical=False)
+        for curves in (trace.curves, [below] * 40, [above] * 40):
+            sequences.append((mode, curves, reference_envelope_violations(curves, mode)))
+    for index in range(40):
+        for mode, curves, want in sequences:
+            assert envelope_violation(curves[index], index, mode) == want[index]

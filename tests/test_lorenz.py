@@ -229,6 +229,9 @@ def test_primal_inverse_is_the_left_inverse_of_the_prefix(q, data):
         warnings.simplefilter("error", RuntimeWarning)
         y = primal_inverse(q, u)
     assert np.array_equal(y, prefix_inverse_loop(q.grid, q.values, q._prefix, u))
+    # the same points in ascending order find their cells by a merge instead
+    order = np.argsort(u, kind="stable")
+    assert np.array_equal(primal_inverse(q, u[order]), y[order])
     # G(y) = u G(1) within rounding ...
     target = u * total
     assert np.allclose(q.prefix_integral(y), target, rtol=0.0, atol=1e-12 * (total + q.values[-1]))
