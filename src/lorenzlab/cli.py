@@ -108,23 +108,37 @@ def _parse_start(text: str, log_scale: bool, grid: int):
     return analytic_quantile(family, grid)
 
 
+_TARGET_FIELDS = ("beta_down", "beta_up", "down_kuma", "down_power", "up_kuma", "up_power")
 # The target options that gs2's restricted shape fixes; only --beta-up is free.
-_GS2_FIXED = ("beta_down", "down_kuma", "down_power", "up_kuma", "up_power")
+_GS2_FIXED = tuple(name for name in _TARGET_FIELDS if name != "beta_up")
+
+
+def _moved_target_options(ns, names) -> list[str]:
+    """The options among `names` given values other than their defaults."""
+    defaults = TargetCurveSpec()
+    return [
+        "--" + name.replace("_", "-")
+        for name in names
+        if getattr(ns, name) != getattr(defaults, name)
+    ]
 
 
 def _target_from_args(ns, gs2: bool = False) -> TargetCurveSpec:
-    """The target the options describe. For gs2 that is the gs2 shape at
-    --beta-up unless the options spell out a gs2 shape themselves; an option
-    that would move gs2 off its shape is a usage error."""
+    """The target the options describe. --identity-target is the diagonal,
+    which any other target option would change. For gs2 the target is the
+    gs2 shape at --beta-up unless the options spell out a gs2 shape
+    themselves; an option that would move gs2 off its shape is a usage
+    error."""
     if ns.identity_target:
+        moved = _moved_target_options(ns, _TARGET_FIELDS)
+        if moved:
+            raise UsageError(
+                f"--identity-target sets the diagonal target, which {', '.join(moved)} "
+                "would change: give one or the other"
+            )
         return TargetCurveSpec.diagonal()
     if gs2 and not (ns.beta_down == 0.0 and ns.up_kuma == 1.0 and ns.up_power == 0.0):
-        defaults = TargetCurveSpec()
-        moved = [
-            "--" + name.replace("_", "-")
-            for name in _GS2_FIXED
-            if getattr(ns, name) != getattr(defaults, name)
-        ]
+        moved = _moved_target_options(ns, _GS2_FIXED)
         if moved:
             raise UsageError(
                 f"gs2 keeps its restricted target shape, which {', '.join(moved)} "
@@ -132,25 +146,22 @@ def _target_from_args(ns, gs2: bool = False) -> TargetCurveSpec:
                 "(--beta-down 0 --up-kuma 1 --up-power 0)"
             )
         return TargetCurveSpec.gs2_shape(ns.beta_up)
-    return TargetCurveSpec(
-        beta_down=ns.beta_down,
-        beta_up=ns.beta_up,
-        down_kuma=ns.down_kuma,
-        down_power=ns.down_power,
-        up_kuma=ns.up_kuma,
-        up_power=ns.up_power,
-    )
+    return TargetCurveSpec(**{name: getattr(ns, name) for name in _TARGET_FIELDS})
 
 
 def _add_target_args(sub):
     sub.add_argument("--identity-target", action="store_true", help="diagonal target")
     defaults = TargetCurveSpec()
-    sub.add_argument("--beta-down", type=float, default=defaults.beta_down)
-    sub.add_argument("--beta-up", type=float, default=defaults.beta_up)
-    sub.add_argument("--down-kuma", type=float, default=defaults.down_kuma)
-    sub.add_argument("--down-power", type=float, default=defaults.down_power)
-    sub.add_argument("--up-kuma", type=float, default=defaults.up_kuma)
-    sub.add_argument("--up-power", type=float, default=defaults.up_power)
+    for name in _TARGET_FIELDS:
+        option = "--" + name.replace("_", "-")
+        sub.add_argument(option, type=float, default=getattr(defaults, name))
+
+
+def _add_tail_args(sub):
+    """--tail-fraction p or --confidence c (p = 1 - c), not both."""
+    tail = sub.add_mutually_exclusive_group()
+    tail.add_argument("--tail-fraction", type=float, default=0.05)
+    tail.add_argument("--confidence", type=float, default=None)
 
 
 def _tail_fraction(ns) -> float:
@@ -196,8 +207,7 @@ def build_parser() -> _Parser:
     ms.add_argument("--column", default=None, help="ticker name (default: first)")
     ms.add_argument("--kind", required=True)
     ms.add_argument("--v", type=float, default=2.5)
-    ms.add_argument("--tail-fraction", type=float, default=0.05)
-    ms.add_argument("--confidence", type=float, default=None)
+    _add_tail_args(ms)
     _add_target_args(ms)
     ms.add_argument("--out", default=None)
 
@@ -211,8 +221,7 @@ def build_parser() -> _Parser:
     fr.add_argument("--scenarios", required=True)
     fr.add_argument("--kind", required=True)
     fr.add_argument("--v", type=float, default=2.5)
-    fr.add_argument("--tail-fraction", type=float, default=0.05)
-    fr.add_argument("--confidence", type=float, default=None)
+    _add_tail_args(fr)
     _add_target_args(fr)
     fr.add_argument("--n-points", type=int, default=10)
     fr.add_argument("--diagnostics", default=None)

@@ -73,6 +73,15 @@ def _uniform_grid(grid_size: int) -> np.ndarray:
     return _shared_grid(m)
 
 
+def _trapezoid_prefix(width, v: np.ndarray) -> np.ndarray:
+    """Integrals from the first node to each node of the polyline with node
+    values v and cell widths `width` (a scalar or one per cell)."""
+    out = np.empty_like(v)
+    out[0] = 0.0
+    np.cumsum(0.5 * width * (v[1:] + v[:-1]), out=out[1:])
+    return out
+
+
 def _nondecreasing(a: np.ndarray) -> bool:
     # False for NaN, which compares false both ways
     return bool(np.all(a[1:] >= a[:-1]))
@@ -157,13 +166,7 @@ class MonotoneCurve:
     @cached_property
     def _prefix(self) -> np.ndarray:
         # Exact trapezoid prefix integral at the nodes.
-        v = self.values
-        h = 1.0 / self.grid_size
-        seg = 0.5 * h * (v[1:] + v[:-1])
-        out = np.empty_like(v)
-        out[0] = 0.0
-        np.cumsum(seg, out=out[1:])
-        return out
+        return _trapezoid_prefix(1.0 / self.grid_size, self.values)
 
     def evaluate(self, x):
         """Interpolated value at x (scalar or array); domain is [0, 1]."""

@@ -113,24 +113,12 @@ def _grid_power(mode: str, grid_size: int, a) -> np.ndarray:
     return values
 
 
-def envelope_bounds(step: int, mode: str, x: np.ndarray):
-    """Lower/upper envelope for the `step`-th operator output, step >= 1.
-
-    The parity bookkeeping reduces to: the binding exponent pair is
-    (alpha_step, alpha_{step+1}), and for power curves a larger exponent
-    means a smaller curve.
-    """
-    power = _mode(mode)[2]
-    larger, smaller = _exponent_pair(step)
-    return power(x, larger), power(x, smaller)
-
-
 def envelope_violation(curve: MonotoneCurve, index: int, mode: str) -> float:
     """Worst node excursion of `curve` outside its envelope.
 
     index is 0-based into the trace: index 0 (the first output) is only
     checked classical (0 <= L <= x); later outputs use the alpha envelopes,
-    the same values envelope_bounds gives at the grid nodes. Round n binds
+    where the larger exponent gives the lower power curve. Round n binds
     (alpha_n, alpha_{n+1}) and round n + 1 binds (alpha_{n+1}, alpha_{n+2}),
     so the envelope curves are cached per (mode, M, exponent) and each round
     computes one new power; the other carries over from the round before.

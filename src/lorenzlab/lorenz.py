@@ -11,18 +11,18 @@ operator is the equilibrium-transform analogue
 
 restricted to distributions supported in [0, 1]. Both operators return
 convex curves through (0, 0) and (1, 1), and both are inverted in closed
-form: for a piecewise-linear Q each is piecewise quadratic between known
-breakpoints, so finding each point's cell and one stable quadratic root
-per point give the exact value. The iteration inverts at all grid nodes,
-whose targets are sorted: their cells come from one linear merge with the
-breakpoints, and only unsorted points take a binary search each. Sampling
-a curve at the nodes and inverting the polyline would instead lose
-accuracy exactly where the curve is steep.
+form. For a piecewise-linear Q each inversion inverts a continuous G that
+is quadratic on each cell, with a slope linear between known nodes:
+_prefix_inverse finds each target's cell and takes one stable quadratic
+root. The iteration inverts at all grid nodes, whose targets are sorted:
+their cells come from one linear merge with the node values, and only
+unsorted targets take a binary search each. Sampling a curve at the nodes
+and inverting the polyline would instead lose accuracy where it is steep.
 
-reflected_transform evaluates L_ref on two routes that share no code: the
-expectation m(t) = E[min(Q, t)] inverted cell by cell, and the equivalent
-form L_ref(x) = 1 - psi^{-1}(1 - x), with psi the normalized integral of
-the inverse of 1 - Q(1 - y). Every call compares them and raises
+reflected_transform evaluates L_ref on two routes built from different
+data: a concave-cell inversion of m(t) = E[min(Q, t)], and a convex-cell
+inversion of psi, the normalized integral of the inverse of 1 - Q(1 - y),
+in L_ref(x) = 1 - psi^{-1}(1 - x). Every call compares them and raises
 CrossCheckError if they differ by more than 1e-6; both are exact, so the
 observed gap is rounding-level.
 
@@ -40,7 +40,7 @@ import numpy as np
 
 from .curves import (
     _ENDPOINT_TOL, DEFAULT_GRID, MonotoneCurve, QuantileCurve,
-    _sample, _sorted_sample, _sorted_searchsorted, _uniform_grid,
+    _sample, _sorted_sample, _sorted_searchsorted, _trapezoid_prefix, _uniform_grid,
 )
 from .errors import (
     BadParameter,
@@ -95,45 +95,47 @@ class LorenzCurve(MonotoneCurve):
                 raise BadParameter("classical curve must stay below the diagonal")
 
 
-def lorenz_transform(quantile: MonotoneCurve) -> LorenzCurve:
-    """Normalized prefix integral of a nonnegative quantile curve."""
+def _positive_mean(quantile: MonotoneCurve) -> float:
+    """The mean G(1) of a quantile both operators accept: nonnegative, mean > 0."""
     if quantile.values[0] < -_ENDPOINT_TOL:
         raise BadParameter("quantile takes negative values; use generalized_lorenz")
-    prefix = quantile._prefix  # the same G that primal_inverse inverts
-    total = float(prefix[-1])
+    total = float(quantile._prefix[-1])
     if total <= 0.0:
         raise NonPositiveMean(f"mean must be positive, got {total!r}")
-    return LorenzCurve(np.maximum.accumulate(prefix / total), convex=True, classical=True)
+    return total
 
 
-def _prefix_inverse(x, g, prefix, u) -> np.ndarray:
-    """inf { y : G(y) >= u * G(x[-1]) } for G(y) = integral_{x[0]}^y g.
+def lorenz_transform(quantile: MonotoneCurve) -> LorenzCurve:
+    """Normalized prefix integral of a nonnegative quantile curve."""
+    values = quantile._prefix / _positive_mean(quantile)  # the G primal_inverse inverts
+    return LorenzCurve(np.maximum.accumulate(values), convex=True, classical=True)
 
-    g is nonnegative, nondecreasing and linear between its nodes x (which
-    may repeat, for a jump); prefix holds G at the nodes. G is a convex
-    quadratic on each cell, so every target inverts with one stable root
-    once its cell is known. Nondecreasing u (the grid nodes) find their
-    cells by one linear merge with prefix; any other u by a binary search
-    per point.
+
+def _prefix_inverse(x, G, g, target, side: str = "left") -> np.ndarray:
+    """Inverse of a continuous piecewise-quadratic G at absolute targets.
+
+    G is nondecreasing and takes the values G at the nodes x (which may
+    repeat, for a jump); its slope is linear between the node values g. "left"
+    gives inf { y : G(y) >= target }, "right" gives sup { y : G(y) <= target };
+    a target with no cell below it maps to x[0]. Every target inverts with
+    one stable root once its cell is known. Nondecreasing targets (the grid
+    nodes) find their cells by one linear merge with G; any others by a
+    binary search per point.
     """
-    total = prefix[-1]
-    if total <= 0.0:
-        raise NonPositiveMean(f"mean must be positive, got {float(total)!r}")
-    target = np.clip(u, 0.0, 1.0) * total
-    k = _sorted_searchsorted(prefix, target, "left")
+    k = _sorted_searchsorted(G, target, side)
     # A target with k = 0 is solved in cell 0 too, and its root discarded.
-    # Every cell with k > 0 has prefix[k - 1] < prefix[k], so a positive
-    # width; cell 0 can have zero width (psi route with Q(1) = 1).
     i = np.maximum(k - 1, 0)
-    r = target - prefix[i]
+    r = target - G[i]
     a = g[i]
     lo = x[i]
     width = x[i + 1] - lo
     with np.errstate(divide="ignore", invalid="ignore"):
         slope = (g[i + 1] - a) / width
-        # Stable quadratic root of (slope/2) d^2 + a d = r; exact linear limit.
-        denom = a + np.sqrt(a * a + 2.0 * slope * r)
-        delta = np.where(denom > 0.0, 2.0 * r / np.where(denom > 0.0, denom, 1.0), 0.0)
+        # Stable root of (slope/2) d^2 + a d = r, exact in the linear limit; the
+        # clamp absorbs rounding on falling slopes. Kept roots have r >= 0, so a
+        # denominator that is not positive, or NaN in a zero-width cell, gives +0.
+        denom = a + np.sqrt(np.maximum(a * a + 2.0 * slope * r, 0.0))
+        delta = 2.0 * r / np.where(denom > 0.0, denom, np.inf)
     return np.where(k > 0, lo + np.minimum(delta, width), x[0])
 
 
@@ -147,9 +149,9 @@ def _psi_route(q: QuantileCurve) -> np.ndarray:
     """
     x = np.concatenate([[0.0], 1.0 - q.values[::-1], [1.0]])
     g = np.concatenate([[0.0], q.grid, [1.0]])
-    prefix = np.concatenate([[0.0], np.cumsum(0.5 * np.diff(x) * (g[1:] + g[:-1]))])
+    prefix = _trapezoid_prefix(np.diff(x), g)
     # ascending targets, so the cells are found by a merge; reversed back
-    y = _prefix_inverse(x, g, prefix, 1.0 - q.grid[::-1])[::-1]
+    y = _prefix_inverse(x, prefix, g, (1.0 - q.grid[::-1]) * prefix[-1])[::-1]
     return np.maximum.accumulate(1.0 - y)
 
 
@@ -158,8 +160,8 @@ def _min_route(qc: QuantileCurve, mu: float) -> np.ndarray:
 
     m(t) = E[min(Q, t)] equals t up to Q_0 and prefix_k + Q_k (1 - k/M) at
     the node value Q_k. Between node values its slope 1 - F(t) is linear in
-    t, so each cell is a concave quadratic, inverted by one stable root.
-    m is flat at mu past Q's top, so L_ref(1) = 1.
+    t, so each cell is a concave quadratic. m is flat at mu past Q's top,
+    so L_ref(1) = 1.
     """
     q = qc.values
     frac = qc.grid
@@ -167,18 +169,7 @@ def _min_route(qc: QuantileCurve, mu: float) -> np.ndarray:
     m = np.concatenate([[0.0], qc._prefix + q * (1.0 - frac)])
     # m'(t) at each node value; the cell below Q_0 has slope one throughout.
     slope = np.concatenate([[1.0], 1.0 - frac])
-    target = mu * frac[:-1]
-    j = _sorted_searchsorted(m, target, "right") - 1
-    lo = t[j]
-    width = t[j + 1] - lo
-    a = slope[j]
-    # Rounding can land a target in a zero-width cell; its root is d = 0.
-    safe = np.where(width > 0.0, width, 1.0)
-    curv = np.where(width > 0.0, (a - slope[j + 1]) / safe, 0.0)
-    r = target - m[j]
-    # Stable root of a d - (curv/2) d^2 = r; a >= 1/M > 0 on every cell.
-    delta = 2.0 * r / (a + np.sqrt(np.maximum(a * a - 2.0 * curv * r, 0.0)))
-    vals = np.append(lo + np.minimum(delta, width), 1.0)
+    vals = np.append(_prefix_inverse(t, m, slope, mu * frac[:-1], "right"), 1.0)
     return np.maximum.accumulate(vals)
 
 
@@ -204,6 +195,12 @@ def unit_support(quantile: MonotoneCurve, *, normalize: bool = False) -> Quantil
     return QuantileCurve(np.minimum(q, 1.0))
 
 
+def _reflected_support(quantile: MonotoneCurve) -> tuple[QuantileCurve, float]:
+    """unit_support(quantile) and its mean, checked positive."""
+    qc = unit_support(quantile)
+    return qc, _positive_mean(qc)
+
+
 def reflected_inverse(quantile: MonotoneCurve, u) -> np.ndarray:
     """Generalized inverse of reflected_transform(quantile), evaluated exactly.
 
@@ -211,10 +208,7 @@ def reflected_inverse(quantile: MonotoneCurve, u) -> np.ndarray:
     and exact prefix integral. The quantile must already satisfy the
     operator's support precondition.
     """
-    qc = unit_support(quantile)
-    mu = qc.mean
-    if mu <= 0.0:
-        raise NonPositiveMean(f"mean must be positive, got {mu!r}")
+    qc, mu = _reflected_support(quantile)
     u_arr = np.clip(np.atleast_1d(np.asarray(u, dtype=float)), 0.0, 1.0)
     p = qc.generalized_inverse(u_arr, clamp=True)
     expected_min = qc.prefix_integral(p) + u_arr * (1.0 - p)
@@ -233,10 +227,7 @@ def reflected_transform(quantile: MonotoneCurve) -> LorenzCurve:
     normalize=True) rescales it first. Every call also runs the psi route and
     raises CrossCheckError unless the two routes agree within 1e-6.
     """
-    qc = unit_support(quantile)
-    mu = qc.mean
-    if mu <= 0.0:
-        raise NonPositiveMean(f"mean must be positive, got {mu!r}")
+    qc, mu = _reflected_support(quantile)
     vals = _min_route(qc, mu)
     gap = float(np.max(np.abs(vals - _psi_route(qc))))
     if gap > _ROUTE_AGREEMENT:
@@ -254,13 +245,12 @@ def primal_inverse(quantile: MonotoneCurve, u) -> np.ndarray:
     would lose O(h^phi) accuracy in the cells where the curve is singular,
     which is exactly where the iteration needs it.
     """
-    q = quantile.values
-    if q[0] < -_ENDPOINT_TOL:
-        raise BadParameter("cannot invert the transform of a negative quantile")
+    total = _positive_mean(quantile)
     u_arr = np.atleast_1d(np.asarray(u, dtype=float))
     if np.isnan(u_arr).any():
         raise OutOfRange("inverse argument is NaN")
-    return _prefix_inverse(quantile.grid, q, quantile._prefix, u_arr)
+    target = np.clip(u_arr, 0.0, 1.0) * total
+    return _prefix_inverse(quantile.grid, quantile._prefix, quantile.values, target)
 
 
 def simple_reflect(curve: MonotoneCurve) -> LorenzCurve:

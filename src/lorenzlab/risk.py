@@ -216,7 +216,7 @@ def gs_measure(samples, target: TargetCurveSpec, v: float = 2.5, absolute: bool 
             * sum_{i<T} (1 - i/T)^(v-2) |S_i/S_T - target(i/T)|
 
     absolute=True replaces the samples by their absolute values first (and
-    mu by the absolute mean).
+    mu by the absolute mean), and so is gs2: the target must have its shape.
     """
     x = _sample(samples)
     return _bound("gs2" if absolute else "gs1", x.size, v, None, target)(x)
@@ -253,6 +253,11 @@ def _bound(kind: str, t: int, v, tail_fraction, target):
         return gini_value
     if not isinstance(target, TargetCurveSpec):
         raise BadSpec(f"{kind} needs a TargetCurveSpec target, got {type(target).__name__}")
+    if kind == "gs2" and not target.is_gs2_shape:
+        raise BadSpec(
+            "gs2 requires the restricted target (beta_down = 0, pure "
+            "concave upper tail)"
+        )
     target_values, integral = target.evaluate(xi), target.integral()
 
     def gs_value(x):
@@ -284,11 +289,6 @@ class RiskMeasureConfig:
             object.__setattr__(self, "target", default)
         # Binding runs the kind's parameter checks.
         self._bind(2)
-        if self.kind == "gs2" and not self.target.is_gs2_shape:
-            raise BadSpec(
-                "gs2 requires the restricted target (beta_down = 0, pure "
-                "concave upper tail)"
-            )
 
     def _bind(self, t: int):
         return _bound(self.kind, t, self.v, self.tail_fraction, self.target)

@@ -447,6 +447,20 @@ def test_gs2_uses_its_shape_at_beta_up(tmp_path, capsys, options, beta_up):
         (["iterate", "--start", "uniform01", "--lognormal-log-scale"],
          "--lognormal-log-scale needs a lognormal start, got 'uniform01'"),
         (["target-curve", "--gs2", "--identity-target"], "--gs2 and --identity-target name different targets"),
+        # the diagonal has no shape for the other target options to change
+        (["target-curve", "--identity-target", "--beta-up", "0.6"],
+         "--identity-target sets the diagonal target, which --beta-up would change"),
+        (["measure", "--scenarios", "unused.csv", "--kind", "gs1", "--identity-target",
+          "--beta-down", "0.1", "--up-power", "0.3"],
+         "--identity-target sets the diagonal target, which --beta-down, --up-power would change"),
+        # --confidence c is --tail-fraction 1 - c: giving both, even the
+        # default tail fraction, names the tail twice
+        (["measure", "--scenarios", "unused.csv", "--kind", "cvar",
+          "--tail-fraction", "0.2", "--confidence", "0.6"],
+         "argument --confidence: not allowed with argument --tail-fraction"),
+        (["frontier", "--scenarios", "unused.csv", "--kind", "cvar",
+          "--confidence", "0.6", "--tail-fraction", "0.05"],
+         "argument --tail-fraction: not allowed with argument --confidence"),
         (["limits", "--mode", "simple_reflected"], "invalid choice: 'simple_reflected'"),
     ],
 )

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lorenzlab import (
@@ -180,25 +180,32 @@ def test_primal_inverse_composes_with_transform():
     assert primal_inverse(q, 1.0) == 1.0
 
 
-def prefix_inverse_loop(x, g, prefix, u):
+def prefix_inverse_loop(x, G, g, targets, side="left"):
     """Reference for lorenz._prefix_inverse: one target at a time, cell
-    i = k - 1 found by bisect, the same formulas in float64 scalars."""
-    total = prefix[-1]
-    nodes = prefix.tolist()
+    i = k - 1 found by bisect, in float64 scalars. Each side keeps the
+    formulas of the routes that use it: "left" (primal, psi) solves a
+    convex cell, "right" (the min route) a concave one, with a guard for
+    zero-width cells and a clamp under the root."""
+    search = bisect.bisect_left if side == "left" else bisect.bisect_right
+    nodes = G.tolist()
     out = []
-    for target in np.clip(u, 0.0, 1.0) * total:
-        k = bisect.bisect_left(nodes, target)
+    for target in targets:
+        k = search(nodes, target)
         if k == 0:
             out.append(x[0])
             continue
         i = k - 1
-        r = target - prefix[i]
+        r = target - G[i]
         a = g[i]
         lo = x[i]
         width = x[i + 1] - lo
-        slope = (g[i + 1] - a) / width
-        denom = a + np.sqrt(a * a + 2.0 * slope * r)
-        delta = 2.0 * r / denom if denom > 0.0 else 0.0
+        if side == "left":
+            slope = (g[i + 1] - a) / width
+            denom = a + np.sqrt(a * a + 2.0 * slope * r)
+            delta = 2.0 * r / denom if denom > 0.0 else 0.0
+        else:
+            curv = (a - g[i + 1]) / width if width > 0.0 else 0.0
+            delta = 2.0 * r / (a + np.sqrt(max(a * a - 2.0 * curv * r, 0.0)))
         out.append(lo + min(delta, width))
     return np.array(out)
 
@@ -228,7 +235,7 @@ def test_primal_inverse_is_the_left_inverse_of_the_prefix(q, data):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         y = primal_inverse(q, u)
-    assert np.array_equal(y, prefix_inverse_loop(q.grid, q.values, q._prefix, u))
+    assert np.array_equal(y, prefix_inverse_loop(q.grid, q._prefix, q.values, u * total))
     # the same points in ascending order find their cells by a merge instead
     order = np.argsort(u, kind="stable")
     assert np.array_equal(primal_inverse(q, u[order]), y[order])
@@ -239,6 +246,39 @@ def test_primal_inverse_is_the_left_inverse_of_the_prefix(q, data):
     flat_end = q.grid[np.count_nonzero(q.values == 0.0) - 1] if q.values[0] == 0.0 else 0.0
     assert np.all(y[target == 0.0] == 0.0)
     assert np.all(y[target > 0.0] >= flat_end)
+
+
+@st.composite
+def unit_quantiles(draw):
+    """Nondecreasing node values in [0, 1] with repeated levels, which give
+    m(t) zero-width cells, and a positive mean."""
+    levels = draw(
+        st.lists(
+            st.sampled_from([0.0, 0.35, 0.9, 1.0]) | st.floats(0.0, 1.0, allow_subnormal=False),
+            min_size=2,
+            max_size=40,
+        ).filter(lambda v: max(v) > 0.0)
+    )
+    return QuantileCurve(np.sort(levels))
+
+
+@given(unit_quantiles())
+@example(empirical_quantile([0.35, 0.9], M))
+@example(analytic_quantile(AnalyticFamily.point_mass(0.7), M))
+@example(UNIFORM)
+@example(empirical_quantile([0.2, 0.9], 33))  # targets that tie m's node values
+@settings(max_examples=200, deadline=None)
+def test_min_route_is_its_scalar_loop(q):
+    # the route's breakpoints (t, m, slope), inverted one target at a time
+    frac = q.grid
+    t = np.concatenate([[0.0], q.values])
+    m = np.concatenate([[0.0], q._prefix + q.values * (1.0 - frac)])
+    slope = np.concatenate([[1.0], 1.0 - frac])
+    vals = prefix_inverse_loop(t, m, slope, q.mean * frac[:-1], "right")
+    expected = np.maximum.accumulate(np.append(vals, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert np.array_equal(lorenz_module._min_route(q, q.mean), expected)
 
 
 # ---------------------------------------------------------------- support

@@ -263,6 +263,14 @@ def test_gs_absolute_variant_folds_the_sample():
     )
 
 
+def test_gs_absolute_variant_keeps_the_gs2_shape():
+    # gs_measure(absolute=True) is gs2, so both paths reject a gs1 target
+    with pytest.raises(BadSpec, match="gs2 requires the restricted target"):
+        gs_measure([0.04, -0.03, 0.02, -0.01, 0.05], TargetCurveSpec(), v=2.5, absolute=True)
+    with pytest.raises(BadSpec, match="gs2 requires the restricted target"):
+        RiskMeasureConfig("gs2", target=TargetCurveSpec())
+
+
 def test_gs_accepts_negative_entries_with_positive_total():
     spec = TargetCurveSpec()
     value = gs_measure([-0.02, 0.01, 0.05, 0.03], spec, v=2.5)
