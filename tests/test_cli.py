@@ -447,6 +447,7 @@ def test_gs2_uses_its_shape_at_beta_up(tmp_path, capsys, options, beta_up):
         (["iterate", "--start", "uniform01", "--lognormal-log-scale"],
          "--lognormal-log-scale needs a lognormal start, got 'uniform01'"),
         (["target-curve", "--gs2", "--identity-target"], "--gs2 and --identity-target name different targets"),
+        (["limits", "--mode", "simple_reflected"], "invalid choice: 'simple_reflected'"),
         # the diagonal has no shape for the other target options to change
         (["target-curve", "--identity-target", "--beta-up", "0.6"],
          "--identity-target sets the diagonal target, which --beta-up would change"),
@@ -461,7 +462,6 @@ def test_gs2_uses_its_shape_at_beta_up(tmp_path, capsys, options, beta_up):
         (["frontier", "--scenarios", "unused.csv", "--kind", "cvar",
           "--confidence", "0.6", "--tail-fraction", "0.05"],
          "argument --tail-fraction: not allowed with argument --confidence"),
-        (["limits", "--mode", "simple_reflected"], "invalid choice: 'simple_reflected'"),
     ],
 )
 def test_options_that_would_do_nothing_are_usage_errors(tmp_path, capsys, argv, message):
