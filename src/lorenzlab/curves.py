@@ -379,7 +379,8 @@ def analytic_quantile(family: AnalyticFamily, grid_size: int = DEFAULT_GRID) -> 
 @contextmanager
 def _open_text(path):
     """`path` open for reading as UTF-8 text, with csv's newline handling; a
-    byte that is not UTF-8 is a ParseError naming the file."""
+    byte that is not UTF-8, or a csv reader error such as a cell over csv's
+    field size limit, is a ParseError naming the file."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             yield fh
@@ -387,6 +388,8 @@ def _open_text(path):
         raise ParseError(
             f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x})"
         ) from exc
+    except csv.Error as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def write_curve_csv(curve: MonotoneCurve, path) -> None:

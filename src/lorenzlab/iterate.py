@@ -43,9 +43,6 @@ ENVELOPE_SLACK = 1e-6
 
 _MODES = ("primal", "reflected")
 
-# The alpha table's first length; it doubles for longer runs.
-_ALPHA_TABLE = 64
-
 # Envelope curves kept alive at once: a round reads two, one of which the
 # next round reads again.
 _ENVELOPE_CACHE_SIZE = 4
@@ -85,26 +82,6 @@ def limit_curve(mode: str, grid_size: int = DEFAULT_GRID) -> LorenzCurve:
     return LorenzCurve(power(_uniform_grid(grid_size), GOLDEN), convex=True, classical=True)
 
 
-@lru_cache(maxsize=None)
-def _alpha_table(count: int) -> np.ndarray:
-    table = alpha_sequence(count)
-    table.flags.writeable = False
-    return table
-
-
-def _exponent_pair(step: int):
-    """(larger, smaller) of alpha_step and alpha_{step+1}, step >= 1.
-
-    Read from one table of alpha_1..alpha_64, doubled whenever a step runs
-    past it, so no round rebuilds the sequence.
-    """
-    if step < 1:
-        raise BadParameter("envelopes start at step 1")
-    count = max(_ALPHA_TABLE, 1 << int(step).bit_length())
-    pair = _alpha_table(count)[step - 1 : step + 1]
-    return pair.max(), pair.min()
-
-
 @lru_cache(maxsize=_ENVELOPE_CACHE_SIZE)
 def _grid_power(mode: str, grid_size: int, a) -> np.ndarray:
     """f(x, a) of the mode at the nodes of the size-M grid, read-only."""
@@ -129,7 +106,8 @@ def envelope_violation(curve: MonotoneCurve, index: int, mode: str) -> float:
         lower = np.zeros_like(x)
         upper = x
     else:
-        larger, smaller = _exponent_pair(index)
+        pair = alpha_sequence(index + 1)[index - 1 :]
+        larger, smaller = pair.max(), pair.min()
         lower = _grid_power(mode, curve.grid_size, larger)
         upper = _grid_power(mode, curve.grid_size, smaller)
     excess = np.maximum(lower - v, v - upper)
@@ -151,25 +129,6 @@ class IterationTrace:
         return len(self.curves)
 
 
-# Stagnation detector: the last window of successive gaps is all above
-# tolerance, roughly flat, and already down at grid-resolution scale.
-_STALL_WINDOW = 5
-_STALL_FLATNESS = 2.0
-_STALL_GRID_FACTOR = 64.0
-
-
-def _stalled(gaps: list[float], tol: float, grid_size: int) -> bool:
-    if len(gaps) < _STALL_WINDOW:
-        return False
-    recent = gaps[-_STALL_WINDOW:]
-    lo, hi = min(recent), max(recent)
-    return (
-        lo >= tol
-        and hi <= _STALL_FLATNESS * lo
-        and lo <= _STALL_GRID_FACTOR / grid_size
-    )
-
-
 def run_iteration(
     start: MonotoneCurve,
     mode: str,
@@ -183,16 +142,19 @@ def run_iteration(
     `start` is a quantile function on the grid. normalize=True rescales the
     start by its maximum, which only the reflected mode accepts (later
     iterates live in [0, 1] automatically). Stops when successive curves
-    agree within `tol` in sup norm, or after max_iter applications.
+    agree within `tol` in sup norm, or after max_iter applications. The gap
+    contracts by about 1/phi**2 per round until rounding stops it, so the first
+    gap from round 3 on that does not fall sets no_progress; it never stops.
     """
     transform, inverse, _ = _mode(mode)
     if max_iter < 1:
         raise BadParameter("max_iter must be at least 1")
+    if not tol >= 0:
+        raise BadParameter(f"tol must be at least 0, got {tol}")
     if normalize and mode != "reflected":
         raise BadParameter("normalize applies to the reflected mode only")
-    grid_size = start.grid_size
     grid = start.grid
-    limit = limit_curve(mode, grid_size).values
+    limit = limit_curve(mode, start.grid_size).values
     trace = IterationTrace()
     quantile = start
     if normalize:
@@ -212,7 +174,7 @@ def run_iteration(
         trace.envelope_ok.append(trace.envelope_violations[-1] <= ENVELOPE_SLACK)
         if trace.converged:
             break
-        if _stalled(trace.sup_successive[1:], tol, grid_size):
+        if n >= 3 and not gap < trace.sup_successive[-2]:
             trace.no_progress = True
         if n == max_iter:
             break

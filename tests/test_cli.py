@@ -462,6 +462,9 @@ def test_gs2_uses_its_shape_at_beta_up(tmp_path, capsys, options, beta_up):
         (["frontier", "--scenarios", "unused.csv", "--kind", "cvar",
           "--confidence", "0.6", "--tail-fraction", "0.05"],
          "argument --tail-fraction: not allowed with argument --confidence"),
+        # a tolerance no gap can fall below would make --tol do nothing
+        (["iterate", "--tol", "nan"], "tol must be at least 0, got nan"),
+        (["iterate", "--tol", "-1"], "tol must be at least 0, got -1.0"),
     ],
 )
 def test_options_that_would_do_nothing_are_usage_errors(tmp_path, capsys, argv, message):
@@ -500,6 +503,26 @@ def test_non_utf8_input_is_a_data_error(tmp_path, capsys, command):
     path, argv = non_utf8_input(tmp_path, command)
     assert main(argv) == 2
     assert capsys.readouterr().err == f"data error: {path}: not UTF-8 text (byte 0xff)\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["clean", "returns", "measure", "frontier", "simulate"])
+def test_cell_over_csvs_field_limit_is_a_data_error(tmp_path, capsys, command):
+    out = str(tmp_path / "out.csv")
+    limit = csv.field_size_limit()
+    cell = b"1" * (limit + 1)
+    if command in ("clean", "returns"):
+        path = tmp_path / "prices.csv"
+        path.write_bytes(b"date,A\n2024-01-01,1.0\n2024-01-02," + cell + b"\n")
+        argv = [command, "--prices", str(path), "--out", out]
+    else:
+        path, _ = scenario_file(tmp_path)
+        lines = path.read_bytes().split(b"\n")
+        lines[5] = cell + lines[5]
+        path.write_bytes(b"\n".join(lines))
+        argv = command_argv(command, path, out)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"data error: {path}: field larger than field limit ({limit})\n"
     assert not (tmp_path / "out.csv").exists()
 
 

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lorenzlab import (
     AnalyticFamily,
@@ -79,13 +81,43 @@ def test_stopping_rule_uses_successive_sup():
 
 
 def test_coarse_grid_trips_the_stall_flag():
-    # with tol = 0 convergence is unreachable; once the successive gaps go
-    # flat at rounding scale the stall detector should stop the loop
+    # with tol = 0 convergence is unreachable; once the successive gap stops
+    # falling at rounding scale the flag is set, but the loop runs on
     start = empirical_quantile([0.35, 0.9], 64)
     trace = run_iteration(start, "reflected", max_iter=40, tol=0.0)
     assert not trace.converged
     assert trace.no_progress
-    assert trace.iterations <= 40
+    assert trace.iterations == 40
+    # the flag rises in the first round whose gap does not fall
+    gaps = trace.sup_successive
+    first = next(n for n in range(3, 41) if not gaps[n - 1] < gaps[n - 2])
+    assert not run_iteration(start, "reflected", max_iter=first - 1, tol=0.0).no_progress
+    assert run_iteration(start, "reflected", max_iter=first, tol=0.0).no_progress
+    trace = run_iteration(start, "reflected", max_iter=40, tol=1e-4)
+    assert trace.converged
+    assert not trace.no_progress
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    atoms=st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)), min_size=2, max_size=60),
+    power=st.floats(0.05, 40.0),
+    grid=st.integers(8, 512),
+)
+def test_successive_gap_falls_until_rounding_level(atoms, power, grid):
+    # a -> 1 + 1/a contracts near phi, so the successive gap falls every
+    # round until rounding stops it; the stall flag rests on this. Reflected
+    # starts are normalized: with a maximum near 1e-17, 1 - Q rounds to 1
+    # and the operator's route check fails.
+    assume(max(atoms) > 0.0)
+    start = empirical_quantile([a**power for a in atoms], grid)
+    for mode, normalize in (("primal", False), ("reflected", True)):
+        trace = run_iteration(start, mode, max_iter=60, tol=0.0, normalize=normalize)
+        gaps = trace.sup_successive[1:]
+        stalls = [gap for prev, gap in zip(gaps, gaps[1:]) if not gap < prev]
+        assert trace.no_progress == bool(stalls)
+        if stalls:
+            assert stalls[0] <= 1e-13
 
 
 def test_trace_csv_round_trip(tmp_path):
