@@ -341,22 +341,26 @@ def write_prices_csv(panel: PricePanel, path) -> None:
 def write_scenarios_csv(scenarios: ScenarioMatrix, path) -> None:
     """Historical matrices keep their date column; simulated ones have none.
 
-    Values are written as `format_float` does (`.17g`), one `%` format per
-    row; rows end in `csv.writer`'s `\\r\\n`."""
-    values = np.asarray(scenarios.values, dtype=float)
-    row_format = ",".join(["%.17g"] * values.shape[1]) + "\r\n"
-    rows = values.tolist()
+    Values are written as `format_float` does (`.17g`), with one `%.17g`
+    per distinct bit pattern: a simulated matrix only resamples its
+    history, so it repeats each value many times. Bit patterns keep -0.0
+    apart from 0.0, and every NaN prints `nan`. Each row then joins the
+    formatted strings; rows end in `csv.writer`'s `\\r\\n`."""
+    values = np.ascontiguousarray(scenarios.values, dtype=float)
+    bits, inverse = np.unique(values.view(np.int64).ravel(), return_inverse=True)
+    text = np.array(["%.17g" % v for v in bits.view(float).tolist()], dtype=object)
+    rows = text[inverse.reshape(values.shape)].tolist()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         if scenarios.dates is not None:
             writer.writerow(["date"] + list(scenarios.tickers))
             fh.writelines(
-                day.isoformat() + "," + row_format % tuple(row)
+                day.isoformat() + "," + ",".join(row) + "\r\n"
                 for day, row in zip(scenarios.dates, rows)
             )
         else:
             writer.writerow(list(scenarios.tickers))
-            fh.writelines(row_format % tuple(row) for row in rows)
+            fh.writelines(",".join(row) + "\r\n" for row in rows)
 
 
 # The checked reading path of `read_scenarios_csv`. A data line of a plain

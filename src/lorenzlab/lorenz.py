@@ -129,11 +129,13 @@ def _prefix_inverse(x, G, g, target, side: str = "left") -> np.ndarray:
     a = g[i]
     lo = x[i]
     width = x[i + 1] - lo
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         slope = (g[i + 1] - a) / width
         # Stable root of (slope/2) d^2 + a d = r, exact in the linear limit; the
         # clamp absorbs rounding on falling slopes. Kept roots have r >= 0, so a
         # denominator that is not positive, or NaN in a zero-width cell, gives +0.
+        # A subnormal width can overflow the slope to inf; the clamp to
+        # [0, width] still bounds the root.
         denom = a + np.sqrt(np.maximum(a * a + 2.0 * slope * r, 0.0))
         delta = 2.0 * r / np.where(denom > 0.0, denom, np.inf)
     return np.where(k > 0, lo + np.minimum(delta, width), x[0])

@@ -27,6 +27,9 @@ Two implementations give the same bits. The scalar one (`Xoshiro256pp`,
   arithmetic (`+ - * / sqrt` are correctly rounded in both). `log`, `exp`
   and `erfc` go through `math` element by element: numpy's own `log` and
   `exp` are not correctly rounded and differ from `math` on some inputs.
+  Each element is passed to `math` as a Python float from `tolist()`, and
+  `np.fromiter` collects the results in the input's shape, with no object
+  array in between; a domain or range error raises as the scalar call does.
 """
 
 from __future__ import annotations
@@ -256,8 +259,11 @@ def normals_from_states(states: np.ndarray, count: int) -> np.ndarray:
 
 def _via_math(fn):
     # one `math` call per element: the array results equal the scalar ones
-    ufunc = np.frompyfunc(fn, 1, 1)
-    return lambda x: np.asarray(ufunc(x), dtype=float)
+    def apply(x):
+        x = np.asarray(x, dtype=float)
+        return np.fromiter(map(fn, x.ravel().tolist()), float, count=x.size).reshape(x.shape)
+
+    return apply
 
 
 _log = _via_math(math.log)

@@ -449,6 +449,68 @@ def test_one_column_read_is_the_full_reads_column(tmp_path_factory, scen):
         assert data._read_plain(path, 0) is not None
 
 
+def per_row_scenarios_csv(scenarios, path):
+    """The writer before it formatted each distinct value once: one
+    `%.17g` format per row."""
+    values = np.asarray(scenarios.values, dtype=float)
+    row_format = ",".join(["%.17g"] * values.shape[1]) + "\r\n"
+    rows = values.tolist()
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        if scenarios.dates is not None:
+            writer.writerow(["date"] + list(scenarios.tickers))
+            fh.writelines(
+                day.isoformat() + "," + row_format % tuple(row)
+                for day, row in zip(scenarios.dates, rows)
+            )
+        else:
+            writer.writerow(list(scenarios.tickers))
+            fh.writelines(row_format % tuple(row) for row in rows)
+
+
+def assert_writes_like_the_per_row_writer(scen, folder):
+    write_scenarios_csv(scen, folder / "new.csv")
+    per_row_scenarios_csv(scen, folder / "old.csv")
+    assert (folder / "new.csv").read_bytes() == (folder / "old.csv").read_bytes()
+
+
+@given(scenario_matrices())
+@settings(max_examples=150, deadline=None)
+def test_writer_bytes_are_the_per_row_writers(tmp_path_factory, scen):
+    assert_writes_like_the_per_row_writer(scen, tmp_path_factory.mktemp("scen"))
+
+
+def nan_payload(bits):
+    return np.array([bits], dtype=np.uint64).view(float)[0]
+
+
+@pytest.mark.parametrize(
+    "scen",
+    [
+        # the copula resamples its history: 1,500 cells, at most 900 values
+        copula_simulate(history_matrix(), n=500, seed=9),
+        copula_simulate(
+            ScenarioMatrix(values=history_matrix().values[:, :1], tickers=["A"]),
+            n=200, seed=3,
+        ),
+        ScenarioMatrix(values=np.empty((0, 3)), tickers=["A", "B", "C"]),
+        ScenarioMatrix(values=np.empty((0, 2)), tickers=["A", "B"], dates=[]),
+        # NaNs of other bit patterns all print nan; -0.0 stays -0
+        ScenarioMatrix(
+            values=np.array([
+                [math.nan, -math.nan, nan_payload(0x7FF0000000000001)],
+                [0.0, -0.0, math.inf],
+                [-0.0, 0.0, -math.inf],
+            ]),
+            tickers=["A", "B", "C"],
+        ),
+    ],
+    ids=["copula", "one-column", "zero-rows", "zero-rows-dated", "nan-inf-zeros"],
+)
+def test_writer_bytes_on_repeats_and_edge_shapes(tmp_path, scen):
+    assert_writes_like_the_per_row_writer(scen, tmp_path)
+
+
 @given(st.from_regex(data._FINITE_SHAPE, fullmatch=True))
 def test_a_matching_shape_is_finite_whatever_its_digits(shape):
     assert float(shape) == 0.0

@@ -325,6 +325,17 @@ def test_reflected_cross_check_fires(monkeypatch):
         reflected_transform(UNIFORM)
 
 
+@pytest.mark.parametrize("top", [1e-17, 2.2e-311])
+def test_reflected_on_a_tiny_maximum_fails_the_route_check_without_warnings(top):
+    # 1 - Q rounds to 1 on the psi route, so the routes disagree; at a
+    # subnormal width the min route's cell slope also overflows to inf,
+    # which must stay silent and leave the same error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(CrossCheckError):
+            reflected_transform(QuantileCurve(np.array([0.0, top])))
+
+
 def test_reflected_handles_positive_minimum():
     # atoms bounded away from zero once broke the cross-check route
     q = empirical_quantile([0.35, 0.9], M)

@@ -8,6 +8,9 @@ from hypothesis import strategies as st
 from lorenzlab.rng import (
     _P_LOW,
     Xoshiro256pp,
+    _erfc,
+    _log,
+    exp_array,
     next_u64_array,
     normal_cdf,
     normal_cdf_array,
@@ -162,3 +165,38 @@ def test_normal_inverse_cdf_at_the_smallest_p():
     mixed = [0.3, 5e-324, 0.99, 1e-315, 2.0**-53]
     want = [normal_inverse_cdf(p) for p in mixed]
     assert same_bits(normal_inverse_cdf_array(mixed), want)
+
+
+# -- the `math` helpers, element by element -------------------------------------
+
+MATH_HELPERS = [
+    (_log, math.log, st.floats(0.0, exclude_min=True)),
+    (_erfc, math.erfc, st.floats(allow_nan=False)),
+    (exp_array, math.exp, st.floats(max_value=709.0, allow_nan=False)),
+]
+
+
+@pytest.mark.parametrize("helper, scalar, values", MATH_HELPERS, ids=["log", "erfc", "exp"])
+@given(data=st.data())
+def test_math_helpers_are_the_scalar_calls(helper, scalar, values, data):
+    x = np.array(data.draw(st.lists(values, max_size=24)), dtype=float)
+    rows = data.draw(st.sampled_from([None, 1, 2, 3]))
+    if rows is not None and x.size % rows == 0:
+        x = x.reshape(rows, -1)  # a 2-d block keeps its shape
+    got = helper(x)
+    assert got.shape == x.shape and got.dtype == float
+    assert same_bits(got.ravel(), [scalar(v) for v in x.ravel().tolist()])
+    assert helper(np.empty((0, 3))).shape == (0, 3)
+
+
+@pytest.mark.parametrize(
+    "helper, scalar, bad",
+    [(_log, math.log, 0.0), (_log, math.log, -1.0), (exp_array, math.exp, 710.0)],
+)
+def test_math_helpers_raise_as_the_scalar_call(helper, scalar, bad):
+    with pytest.raises((ValueError, OverflowError)) as want:
+        scalar(bad)
+    with pytest.raises(want.type) as got:
+        helper(np.array([[0.5, bad], [1.0, 2.0]]))
+    assert got.type is want.type
+    assert str(got.value) == str(want.value)
