@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Every file-producing subcommand also writes `<output>.run.json` next to each
-output: the tool version plus the fully resolved options, so a result can be
-reproduced from the sidecar alone. No timestamps or environment state go
-into outputs; rerunning the same invocation produces byte-identical files.
+output (but not next to the curves of `iterate --dump-curves`): the tool
+version plus the fully resolved options, so a result can be reproduced from
+the sidecar alone. No timestamps or environment state go into outputs;
+rerunning the same invocation produces byte-identical files.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 """
@@ -11,9 +12,11 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
@@ -37,7 +40,7 @@ from .data import (
     write_prices_csv,
     write_scenarios_csv,
 )
-from .errors import BadParameter, DataError, LorenzLabError, UsageError
+from .errors import BadParameter, DataError, LorenzLabError, NumericError, UsageError
 from .iterate import limit_curve, run_iteration, write_trace_csv
 from .portfolio import efficient_frontier
 from .risk import RiskMeasureConfig, TargetCurveSpec, measure_report
@@ -47,16 +50,20 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _write_sidecar(out_path: str, subcommand: str, options: dict) -> None:
-    sidecar = {
-        "tool": "lorenzlab",
-        "version": __version__,
-        "subcommand": subcommand,
-        "options": options,
-    }
-    with open(str(out_path) + ".run.json", "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
+def _write_json(path, record) -> None:
+    """The one JSON format of every file the CLI writes: indent 2, sorted
+    keys, a trailing newline."""
+    with open(path, "w") as fh:
+        json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _write_sidecar(out_path, ns) -> None:
+    """`<out_path>.run.json`: the version, the subcommand and every resolved
+    option of the parsed command line `ns`."""
+    options = {k.replace("_", "-"): v for k, v in vars(ns).items() if k != "subcommand"}
+    sidecar = {"tool": "lorenzlab", "version": __version__, "subcommand": ns.subcommand}
+    _write_json(str(out_path) + ".run.json", {**sidecar, "options": options})
 
 
 def _parse_start(text: str, log_scale: bool, grid: int):
@@ -250,15 +257,7 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _options_dict(ns) -> dict:
-    return {
-        key.replace("_", "-"): value
-        for key, value in sorted(vars(ns).items())
-        if key != "subcommand"
-    }
-
-
-def _cmd_iterate(ns) -> int:
+def _cmd_iterate(ns) -> None:
     start = _parse_start(ns.start, ns.lognormal_log_scale, ns.grid)
     trace = run_iteration(
         start,
@@ -268,7 +267,7 @@ def _cmd_iterate(ns) -> int:
         normalize=ns.normalize,
     )
     write_trace_csv(trace, ns.out)
-    _write_sidecar(ns.out, "iterate", _options_dict(ns))
+    _write_sidecar(ns.out, ns)
     if ns.dump_curves is not None:
         directory = Path(ns.dump_curves)
         directory.mkdir(parents=True, exist_ok=True)
@@ -281,13 +280,11 @@ def _cmd_iterate(ns) -> int:
         f"{trace.iterations} iterations, {status}, "
         f"final sup distance to limit {format_float(trace.sup_to_limit[-1])}"
     )
-    return 0
 
 
-def _cmd_limits(ns) -> int:
+def _cmd_limits(ns) -> None:
     write_curve_csv(limit_curve(ns.mode, ns.grid), ns.out)
-    _write_sidecar(ns.out, "limits", _options_dict(ns))
-    return 0
+    _write_sidecar(ns.out, ns)
 
 
 def _load_column(path, column):
@@ -295,105 +292,80 @@ def _load_column(path, column):
     return read_scenarios_csv(path, 0 if column is None else column).values[:, 0]
 
 
-def _cmd_measure(ns) -> int:
+def _cmd_measure(ns) -> None:
     config = _config_from_args(ns)
     samples = _load_column(ns.scenarios, ns.column)
     report = measure_report(samples, config)
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if ns.out is not None:
-        with open(ns.out, "w") as fh:
-            fh.write(text)
-        _write_sidecar(ns.out, "measure", _options_dict(ns))
+        _write_json(ns.out, report)
+        _write_sidecar(ns.out, ns)
     print(format_float(report["value"]))
-    return 0
 
 
-def _cmd_target_curve(ns) -> int:
+def _cmd_target_curve(ns) -> None:
     if ns.gs2 and ns.identity_target:
         raise UsageError("--gs2 and --identity-target name different targets: give one")
     spec = _target_from_args(ns, gs2=ns.gs2)
     write_curve_csv(spec.curve(ns.grid), ns.out)
-    _write_sidecar(ns.out, "target-curve", _options_dict(ns))
+    _write_sidecar(ns.out, ns)
     print(format_float(spec.integral()))
-    return 0
 
 
-# The FrontierPoint fields each `.diagnostics.json` entry holds, after "point".
-_DIAGNOSTIC_KEYS = (
-    "target", "mean", "risk", "certificate", "converged", "iterations",
-    "residual_budget", "residual_target", "min_weight", "message",
-)
-
-
-def _cmd_frontier(ns) -> int:
+def _cmd_frontier(ns) -> None:
     config = _config_from_args(ns)
     scen = read_scenarios_csv(ns.scenarios)
     result = efficient_frontier(
         scen.values, config, n_points=ns.n_points, tickers=scen.tickers
     )
-    anchor = result.points[0]
     with open(ns.out, "w", newline="") as fh:
-        fh.write(
-            "target_return,risk,converged,"
-            + ",".join(f"w_{t}" for t in result.tickers)
-            + "\n"
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(
+            ["target_return", "risk", "converged"] + [f"w_{t}" for t in result.tickers]
         )
         for point in result.points:
             shown_target = point.mean if point.target is None else point.target
-            cells = [
-                format_float(shown_target),
-                format_float(point.risk),
-                "true" if point.converged else "false",
-            ]
-            cells += [format_float(w) for w in point.weights]
-            fh.write(",".join(cells) + "\n")
-    _write_sidecar(ns.out, "frontier", _options_dict(ns))
-    diag_path = ns.diagnostics or ns.out + ".diagnostics.json"
+            converged = "true" if point.converged else "false"
+            cells = [format_float(shown_target), format_float(point.risk), converged]
+            writer.writerow(cells + [format_float(w) for w in point.weights])
+    _write_sidecar(ns.out, ns)
     diagnostics = [
-        {"point": i, **{key: getattr(point, key) for key in _DIAGNOSTIC_KEYS}}
+        {f.name: getattr(point, f.name) for f in fields(point) if f.name != "weights"}
+        | {"point": i}
         for i, point in enumerate(result.points, start=1)
     ]
-    with open(diag_path, "w") as fh:
-        json.dump(diagnostics, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    _write_sidecar(diag_path, "frontier", _options_dict(ns))
-    if not anchor.converged:
-        print("anchor point failed to converge", file=sys.stderr)
-        return 3
-    return 0
+    diag_path = ns.diagnostics or ns.out + ".diagnostics.json"
+    _write_json(diag_path, diagnostics)
+    _write_sidecar(diag_path, ns)
+    if not result.points[0].converged:
+        raise NumericError("anchor point failed to converge")
 
 
-def _cmd_clean(ns) -> int:
+def _cmd_clean(ns) -> None:
     panel = load_price_panel(ns.prices)
     cleaned, report = clean_panel(panel, coverage=ns.coverage)
     if ns.take_every is not None:
         cleaned = take_every(cleaned, ns.take_every)
     write_prices_csv(cleaned, ns.out)
-    _write_sidecar(ns.out, "clean", _options_dict(ns))
+    _write_sidecar(ns.out, ns)
     report_path = ns.report or ns.out + ".report.json"
-    with open(report_path, "w") as fh:
-        json.dump(report.as_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    _write_sidecar(report_path, "clean", _options_dict(ns))
-    return 0
+    _write_json(report_path, report.as_dict())
+    _write_sidecar(report_path, ns)
 
 
-def _cmd_returns(ns) -> int:
+def _cmd_returns(ns) -> None:
     panel = load_price_panel(ns.prices)
     scen = compute_returns(panel, frequency=ns.frequency, kind=ns.kind)
     write_scenarios_csv(scen, ns.out)
-    _write_sidecar(ns.out, "returns", _options_dict(ns))
-    return 0
+    _write_sidecar(ns.out, ns)
 
 
-def _cmd_simulate(ns) -> int:
+def _cmd_simulate(ns) -> None:
     scen = read_scenarios_csv(ns.scenarios)
     if ns.window:
         scen = historical_scenarios(scen, ns.window)
     sim = copula_simulate(scen, n=ns.n, seed=ns.seed)
     write_scenarios_csv(sim, ns.out)
-    _write_sidecar(ns.out, "simulate", _options_dict(ns))
-    return 0
+    _write_sidecar(ns.out, ns)
 
 
 _COMMANDS = {
@@ -412,16 +384,17 @@ _PREFIXES = {1: "error", 2: "data error", 3: "numeric failure"}
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; the only place a failure becomes an exit code. A
+    LorenzLabError exits with its class's code, an OSError as a DataError."""
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)
-        return _COMMANDS[ns.subcommand](ns)
-    except LorenzLabError as exc:
-        print(f"{_PREFIXES[exc.exit_code]}: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except OSError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
+        _COMMANDS[ns.subcommand](ns)
+    except (LorenzLabError, OSError) as exc:
+        code = getattr(exc, "exit_code", DataError.exit_code)
+        print(f"{_PREFIXES[code]}: {exc}", file=sys.stderr)
+        return code
+    return 0
 
 
 def run() -> None:

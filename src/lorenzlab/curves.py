@@ -271,7 +271,9 @@ class AnalyticFamily:
 
     @classmethod
     def kumaraswamy_limit(cls):
-        """Distribution whose c.d.f. is 1-(1-x)^phi on [0, 1]."""
+        """Distribution on [0, 1] with quantile 1-(1-p)^phi, so c.d.f.
+        1-(1-x)^(1/phi): the paper's Kumaraswamy law with conjugate
+        coefficient 1/phi."""
         return cls("kumaraswamy_limit")
 
     @classmethod
@@ -406,14 +408,16 @@ def read_curve_csv(path) -> MonotoneCurve:
     with _open_text(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["u", "value"]:
+        if header is None or [h.strip() for h in header] != ["u", "value"]:
             raise ParseError(f"{path}:1: expected a 'u,value' header")
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
+            if len(row) != 2:
+                raise ParseError(f"{path}:{lineno}: wrong number of cells")
             try:
                 u, v = float(row[0]), float(row[1])
-            except (ValueError, IndexError) as exc:
+            except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: malformed row ({exc})") from exc
             if not (math.isfinite(u) and math.isfinite(v)):
                 raise ParseError(f"{path}:{lineno}: non-finite value in {row!r}")

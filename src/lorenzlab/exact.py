@@ -6,8 +6,9 @@ certificate recomputed from scratch from its result:
 
 - variance: the QP min w'Cw by the primal active-set method (Nocedal &
   Wright 2006, Alg. 16.3), started at the center of X. A singular C (fewer
-  scenarios than assets, duplicate or constant columns) is handled by
-  stepping along a zero-curvature descent direction to the nearest bound.
+  scenarios than assets, duplicate or constant columns) needs no extra step:
+  the gradient Cw has no component along a flat direction of C, so each
+  face step is the model's minimum with the flat directions left out.
   Certificate: the KKT residual (w'g - min over X of g.v) / w'g, g = Cw.
 - cvar and mad: the duals of the Rockafellar-Uryasev (2000) and
   Konno-Yamazaki (1991) LPs, solved by one dense bounded-variable simplex
@@ -148,13 +149,13 @@ def _variance(s, means, target):
         f = np.flatnonzero(free)
         g = cov @ w
         if not at_minimum:
-            p, full = _face_step(cov[np.ix_(f, f)], g[f], rows[:, f], curvature)
+            p = _face_step(cov[np.ix_(f, f)], g[f], rows[:, f], curvature)
             if np.max(np.abs(p), initial=0.0) > _STEP_TOL:
                 # p sums to zero, so some weight shrinks and blocks the step.
                 shrink = np.flatnonzero(p < 0.0)
                 ratios = w[f[shrink]] / -p[shrink]
                 k = int(np.argmin(ratios))
-                if full and ratios[k] >= 1.0:
+                if ratios[k] >= 1.0:
                     w[f] += p
                     at_minimum = True
                 else:
@@ -175,21 +176,18 @@ def _variance(s, means, target):
 
 
 def _face_step(hess, grad, rows, curvature):
-    """Step p on the face (rows @ p = 0) toward the minimum of the quadratic
-    model 1/2 p'Hp + grad.p. Returns (p, full): full is True when w + p is
-    that minimum and False when p is a zero-curvature descent direction,
-    along which the model falls without bound."""
+    """Step p on the face (rows @ p = 0) to the minimum of the quadratic model
+    1/2 p'Hp + grad.p, with grad = Hw. H is positive semidefinite, so a flat
+    direction u of the face has Hu = 0 and u.grad = (Hu).w = 0: the model is
+    bounded below, and p leaves the flat directions out."""
     _, sv, vt = np.linalg.svd(rows)
     basis = vt[int(np.sum(sv > 1e-12 * sv[0])) :].T
     if basis.shape[1] == 0:
-        return np.zeros(rows.shape[1]), True
+        return np.zeros(rows.shape[1])
     ev, vec = np.linalg.eigh(basis.T @ hess @ basis)
     coef = vec.T @ (basis.T @ grad)
-    flat = ev <= 1e-12 * curvature
-    descent = flat & (np.abs(coef) > 1e-12 * curvature)
-    if descent.any():
-        return -basis @ (vec[:, descent] @ coef[descent]), False
-    return -basis @ (vec[:, ~flat] @ (coef[~flat] / ev[~flat])), True
+    curved = ev > 1e-12 * curvature
+    return -basis @ (vec[:, curved] @ (coef[curved] / ev[curved]))
 
 
 # -- cvar and mad: the LP duals --------------------------------------------------------

@@ -123,8 +123,11 @@ def _prefix_inverse(x, G, g, target, side: str = "left") -> np.ndarray:
     binary search per point.
     """
     k = _sorted_searchsorted(G, target, side)
-    # A target with k = 0 is solved in cell 0 too, and its root discarded.
-    i = np.maximum(k - 1, 0)
+    # A target with k = 0 is solved in cell 0 too, and its root discarded. One
+    # with k = len(G), at or past G's top (a subnormal mean times a grid
+    # fraction can round up to it), is solved in the last cell, where a
+    # positive slope clamps its root to x[-1].
+    i = np.clip(k - 1, 0, G.size - 2)
     r = target - G[i]
     a = g[i]
     lo = x[i]

@@ -1,19 +1,28 @@
 import csv
 import json
 import math
+from dataclasses import replace
 from datetime import date, timedelta
 
 import numpy as np
 import pytest
 
 from lorenzlab import (
+    AnalyticFamily,
     ScenarioMatrix,
     TargetCurveSpec,
+    analytic_quantile,
+    copula_simulate,
+    efficient_frontier,
     empirical_quantile,
     generalized_lorenz,
+    historical_scenarios,
     limit_curve,
+    read_scenarios_csv,
+    run_iteration,
     truncate_generalized,
     write_scenarios_csv,
+    write_trace_csv,
 )
 from lorenzlab.cli import main
 from lorenzlab.curves import format_float, read_curve_csv
@@ -534,3 +543,133 @@ def test_nonfinite_sample_start_is_a_data_error(tmp_path, capsys, token):
     assert main(["iterate", "--start", f"sample:{path}", "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"data error: {path}: non-finite sample value {token!r}\n"
     assert not out.exists()
+
+
+# -- starts, options and outcomes that other tests do not reach ----------------
+
+
+def library_trace_bytes(tmp_path, start, mode, max_iter, tol, normalize=False):
+    path = tmp_path / "library.csv"
+    write_trace_csv(run_iteration(start, mode, max_iter=max_iter, tol=tol, normalize=normalize), path)
+    return path.read_bytes()
+
+
+def test_sample_start_stalls_at_grid_resolution(tmp_path, capsys):
+    sample = tmp_path / "two_atom.txt"
+    sample.write_text("0.35\n0.9\n")
+    out = tmp_path / "trace.csv"
+    argv = ["iterate", "--mode", "reflected", "--start", f"sample:{sample}", "--grid", "64",
+            "--max-iter", "40", "--tol", "0", "--out", str(out)]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    assert printed.startswith("40 iterations, not converged (stalled at grid resolution), ")
+    start = empirical_quantile([0.35, 0.9], 64)
+    assert out.read_bytes() == library_trace_bytes(tmp_path, start, "reflected", 40, 0.0)
+    assert read_sidecar(out)["options"]["start"] == f"sample:{sample}"
+
+
+@pytest.mark.parametrize(
+    "start, log_scale, family",
+    [
+        ("power:3", False, AnalyticFamily.power(3.0)),
+        ("pareto:1,2.5", False, AnalyticFamily.pareto(1.0, 2.5)),
+        ("point-mass:0.7", False, AnalyticFamily.point_mass(0.7)),
+        ("kumaraswamy-limit", False, AnalyticFamily.kumaraswamy_limit()),
+        ("lognormal:-0.5,0.3", True, AnalyticFamily.lognormal_logscale(-0.5, 0.3)),
+    ],
+)
+def test_named_starts_are_their_families(tmp_path, capsys, start, log_scale, family):
+    out = tmp_path / "trace.csv"
+    argv = ["iterate", "--start", start, "--grid", "128", "--max-iter", "8", "--out", str(out)]
+    assert main(argv + ["--lognormal-log-scale"] * log_scale) == 0
+    start_curve = analytic_quantile(family, 128)
+    assert out.read_bytes() == library_trace_bytes(tmp_path, start_curve, "primal", 8, 1e-4)
+    assert read_sidecar(out)["options"]["lognormal-log-scale"] is log_scale
+
+
+@pytest.mark.parametrize(
+    "start, message",
+    [
+        ("power:1,2", "error: wrong number of parameters in start 'power:1,2'\n"),
+        ("pareto:1,x", "error: bad start parameter in 'pareto:1,x': could not convert string to float: 'x'\n"),
+    ],
+)
+def test_bad_start_parameters_are_usage_errors(tmp_path, capsys, start, message):
+    out = tmp_path / "trace.csv"
+    assert main(["iterate", "--start", start, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
+def test_identity_target_is_the_diagonal(tmp_path, capsys):
+    diagonal, spelled = tmp_path / "diagonal.csv", tmp_path / "spelled.csv"
+    assert main(["target-curve", "--identity-target", "--grid", "64", "--out", str(diagonal)]) == 0
+    assert main(["target-curve", "--beta-down", "0", "--beta-up", "1", "--grid", "64",
+                 "--out", str(spelled)]) == 0
+    assert capsys.readouterr().out == "0.5\n0.5\n"
+    assert diagonal.read_bytes() == spelled.read_bytes()
+
+
+def test_simulate_window_keeps_the_last_rows(tmp_path):
+    path, scen = scenario_file(tmp_path, t=60)
+    out = tmp_path / "sim.csv"
+    argv = ["simulate", "--scenarios", str(path), "--window", "30", "--n", "200", "--seed", "4",
+            "--out", str(out)]
+    assert main(argv) == 0
+    library = tmp_path / "library.csv"
+    write_scenarios_csv(copula_simulate(historical_scenarios(scen, 30), n=200, seed=4), library)
+    assert out.read_bytes() == library.read_bytes()
+    # the copula resamples each column's own history, here its last 30 rows
+    sim = read_scenarios_csv(out).values
+    for j in range(scen.values.shape[1]):
+        assert set(sim[:, j]) <= set(scen.values[-30:, j])
+        assert not set(sim[:, j]) <= set(scen.values[-29:, j])
+
+
+def test_clean_take_every_keeps_every_kth_date(tmp_path):
+    prices = tmp_path / "prices.csv"
+    prices.write_text(
+        "date,A,B\n" + "".join(f"2024-01-{d:02d},{d},{2 * d}\n" for d in range(1, 8))
+    )
+    out = tmp_path / "clean.csv"
+    assert main(["clean", "--prices", str(prices), "--take-every", "2", "--out", str(out)]) == 0
+    assert out.read_text() == "date,A,B\n" + "".join(
+        f"2024-01-{d:02d},{d},{2 * d}\n" for d in (1, 3, 5, 7)
+    )
+    assert read_sidecar(out)["options"]["take-every"] == 2
+    assert read_sidecar(tmp_path / "clean.csv.report.json")["subcommand"] == "clean"
+
+
+def test_unconverged_anchor_is_a_numeric_failure_after_the_files(tmp_path, capsys, monkeypatch):
+    def unconverged_anchor(*args, **kwargs):
+        result = efficient_frontier(*args, **kwargs)
+        result.points[0] = replace(result.points[0], converged=False)
+        return result
+
+    monkeypatch.setattr("lorenzlab.cli.efficient_frontier", unconverged_anchor)
+    path, _ = scenario_file(tmp_path)
+    out = tmp_path / "frontier.csv"
+    argv = ["frontier", "--scenarios", str(path), "--kind", "variance", "--n-points", "3",
+            "--out", str(out)]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == "numeric failure: anchor point failed to converge\n"
+    diagnostics = tmp_path / "frontier.csv.diagnostics.json"
+    for written in (out, diagnostics):
+        assert read_sidecar(written)["subcommand"] == "frontier"
+    assert out.read_text().splitlines()[1].split(",")[2] == "false"
+    assert [d["converged"] for d in json.loads(diagnostics.read_text())] == [False, True, True]
+
+
+def test_frontier_quotes_a_ticker_with_a_comma(tmp_path):
+    path, _ = scenario_file(tmp_path)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text('"A,x",B,C\n' + "".join(lines[1:]))
+    out = tmp_path / "frontier.csv"
+    argv = ["frontier", "--scenarios", str(path), "--kind", "variance", "--n-points", "3",
+            "--out", str(out)]
+    assert main(argv) == 0
+    with open(out, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["target_return", "risk", "converged", "w_A,x", "w_B", "w_C"]
+    assert [len(row) for row in rows] == [6, 6, 6]
+    assert out.read_text().startswith('target_return,risk,converged,"w_A,x",w_B,w_C\n')

@@ -345,20 +345,24 @@ def test_read_curve_csv_rejects_bad_input(tmp_path):
     path.write_text("u,value\n0.0,0.0\n")
     with pytest.raises(ParseError):
         read_curve_csv(path)
-    path.write_text("x,y\n0.0,0.0\n1.0,1.0\n")
-    with pytest.raises(ParseError):
-        read_curve_csv(path)
+    for header in ("x,y", "u,value,junk"):
+        path.write_text(f"{header}\n0,0,abc\n1,1,2,3\n")
+        with pytest.raises(ParseError, match=r"bad\.csv:1: expected a 'u,value' header"):
+            read_curve_csv(path)
     path.write_text("u,value\n0.0,0.0\n0.7,0.5\n1.0,1.0\n")
     with pytest.raises(ParseError, match=":3:"):
         read_curve_csv(path)
     for rows, line in [
         ("0.0,0.0\n0.5,nan\n1.0,1.0", 3),
         ("0.0,0.0\n0.5,inf\n1.0,1.0", 3),
-        ("0.0,0.0\n0.5\n1.0,1.0", 3),
         ("0.0,0.0\n0.5,0.6\n1.0,0.4", 4),
     ]:
         path.write_text(f"u,value\n{rows}\n")
         with pytest.raises(ParseError, match=f":{line}:"):
+            read_curve_csv(path)
+    for rows, line in [("0.0,0.0\n0.5\n1.0,1.0", 3), ("0,0,abc\n1,1", 2), ("0,0\n1,1,2,3", 3)]:
+        path.write_text(f"u,value\n{rows}\n")
+        with pytest.raises(ParseError, match=f"bad\\.csv:{line}: wrong number of cells"):
             read_curve_csv(path)
     path.write_bytes(b"u,value\n0.0,0.0\n1.0,1.0\xff\n")
     with pytest.raises(ParseError, match=r"bad\.csv: not UTF-8 text \(byte 0xff\)"):

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lorenzlab import (
@@ -194,18 +194,25 @@ def prefix_inverse_loop(x, G, g, targets, side="left"):
         if k == 0:
             out.append(x[0])
             continue
-        i = k - 1
+        # a target at or past G's top is solved in the last cell
+        i = min(k, len(nodes) - 1) - 1
         r = target - G[i]
         a = g[i]
         lo = x[i]
         width = x[i + 1] - lo
-        if side == "left":
-            slope = (g[i + 1] - a) / width
-            denom = a + np.sqrt(a * a + 2.0 * slope * r)
-            delta = 2.0 * r / denom if denom > 0.0 else 0.0
-        else:
-            curv = (a - g[i + 1]) / width if width > 0.0 else 0.0
-            delta = 2.0 * r / (a + np.sqrt(max(a * a - 2.0 * curv * r, 0.0)))
+        # a subnormal width can overflow the slope to inf; the clamp to the
+        # width still bounds the root, and a target on the cell's lower node
+        # (r = 0, right side only) is the cell's lower end
+        with np.errstate(over="ignore"):
+            if side == "left":
+                slope = (g[i + 1] - a) / width
+                denom = a + np.sqrt(a * a + 2.0 * slope * r)
+                delta = 2.0 * r / denom if denom > 0.0 else 0.0
+            elif r > 0.0:
+                curv = (a - g[i + 1]) / width if width > 0.0 else 0.0
+                delta = 2.0 * r / (a + np.sqrt(max(a * a - 2.0 * curv * r, 0.0)))
+            else:
+                delta = 0.0
         out.append(lo + min(delta, width))
     return np.array(out)
 
@@ -251,15 +258,18 @@ def test_primal_inverse_is_the_left_inverse_of_the_prefix(q, data):
 @st.composite
 def unit_quantiles(draw):
     """Nondecreasing node values in [0, 1] with repeated levels, which give
-    m(t) zero-width cells, and a positive mean."""
+    m(t) zero-width cells, subnormal ones, which give subnormal widths, and
+    a positive mean."""
     levels = draw(
         st.lists(
-            st.sampled_from([0.0, 0.35, 0.9, 1.0]) | st.floats(0.0, 1.0, allow_subnormal=False),
+            st.sampled_from([0.0, 5e-324, 1e-310, 0.35, 0.9, 1.0]) | st.floats(0.0, 1.0),
             min_size=2,
             max_size=40,
-        ).filter(lambda v: max(v) > 0.0)
+        )
     )
-    return QuantileCurve(np.sort(levels))
+    q = QuantileCurve(np.sort(levels))
+    assume(q.mean > 0.0)
+    return q
 
 
 @given(unit_quantiles())
@@ -267,6 +277,9 @@ def unit_quantiles(draw):
 @example(analytic_quantile(AnalyticFamily.point_mass(0.7), M))
 @example(UNIFORM)
 @example(empirical_quantile([0.2, 0.9], 33))  # targets that tie m's node values
+@example(QuantileCurve(np.array([0.0, 1e-310, 0.5])))  # a slope that overflows
+# a subnormal mean: mu * frac rounds up to m's top, past every cell
+@example(QuantileCurve(np.array([5e-324, 5e-324, 1.5e-323, 2e-323, 2.5e-323])))
 @settings(max_examples=200, deadline=None)
 def test_min_route_is_its_scalar_loop(q):
     # the route's breakpoints (t, m, slope), inverted one target at a time
@@ -334,6 +347,17 @@ def test_reflected_on_a_tiny_maximum_fails_the_route_check_without_warnings(top)
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(CrossCheckError):
             reflected_transform(QuantileCurve(np.array([0.0, top])))
+
+
+def test_reflected_on_a_subnormal_mean_fails_the_route_check():
+    # mu times a grid fraction rounds up to the top of m(t), past every cell
+    # of the min route; that target takes the last cell instead of indexing
+    # past it, and the routes disagree as on any tiny maximum
+    q = QuantileCurve(np.array([5e-324, 5e-324, 1.5e-323, 2e-323, 2.5e-323]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(CrossCheckError):
+            reflected_transform(q)
 
 
 def test_reflected_handles_positive_minimum():
