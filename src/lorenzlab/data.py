@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import math
-import re
 import warnings
 from dataclasses import dataclass, field
 from datetime import date
@@ -363,18 +362,58 @@ def write_scenarios_csv(scenarios: ScenarioMatrix, path) -> None:
             fh.writelines(",".join(row) + "\r\n" for row in rows)
 
 
-# The checked reading path of `read_scenarios_csv`. A data line of a plain
-# file holds only these bytes; any other one (a quote, a space, `_`, the
-# letters of nan or inf) sends the file to the csv reader.
-_PLAIN_BYTES = b"0123456789.eE+-,\r\n"
-# A cell's shape is the cell with every digit replaced by 0; the table also
-# turns line ends into commas, so one split yields every cell's shape.
-_SHAPE = str.maketrans("123456789\n", "000000000,")
-# Python's float grammar over the plain bytes, with at most 200 integer
-# digits and an exponent that is negative or has at most two digits. Digits
-# are interchangeable in that grammar, so `float` accepts a cell whose shape
-# matches, and the value is below 1e299 in magnitude whatever the digits are.
-_FINITE_SHAPE = re.compile(r"[+-]?(?:0{1,200}(?:\.0*)?|\.0+)(?:[eE](?:-0+|\+?0{1,2}))?")
+# The checked reading path of `read_scenarios_csv` scans a file's body once,
+# for its tokens: the bytes that are not digits. Each token has a class, and
+# the delimiters come first, so `cls <= _END` marks them. `_END` is the end of
+# a file whose last line has no line end; `_OFF` is every byte off the path.
+_COMMA, _LF, _END, _CR, _PLUS, _MINUS, _DOT, _EXP, _OFF = range(9)
+_CLASS = np.full(256, _OFF, dtype=np.int8)
+_CLASS[np.frombuffer(b",\n\r+-.eE", dtype=np.uint8)] = (
+    _COMMA, _LF, _CR, _PLUS, _MINUS, _DOT, _EXP, _EXP
+)
+# The digits right before a token, bucketed: none, 1-2, 3-200, over 200.
+_NONE, _FEW, _SOME, _MANY = range(4)
+_BUCKET = np.repeat(np.arange(4, dtype=np.int8), (1, 2, 198, 1))
+
+
+def _token_rules() -> np.ndarray:
+    """Whether a token may follow the two before it, given its class and
+    digits and theirs: indexed by `(4 * cls + digits)` of the token before
+    the last, the last, and the token itself, then flattened.
+
+    A cell that passes is Python's float grammar over these bytes with at
+    most 200 integer digits and an exponent that is negative or has at most
+    two digits. Digits are interchangeable in that grammar, so `float`
+    accepts the cell, and its value is below 1e299 in magnitude whatever the
+    digits are. A CR is a line end only with an LF right after it."""
+    ok = np.zeros((9, 4, 9, 4, 9, 4), dtype=bool)
+    every, counts = range(9), range(4)
+
+    def allow(before, prev, prev_digits, cls, digits):
+        ok[np.ix_(before, counts, prev, prev_digits, cls, digits)] = True
+
+    start, sign = [_COMMA, _LF], [_PLUS, _MINUS]  # start: the token before a cell
+    cell_end = [_COMMA, _LF, _END, _CR]
+    integer = [_FEW, _SOME]
+    # the mantissa: [sign] (1-200 digits [. digits] | . 1+ digits)
+    allow(every, start, counts, sign, [_NONE])
+    allow(every, start, counts, [_DOT], [_NONE, _FEW, _SOME])
+    allow(start, sign, counts, [_DOT], [_NONE, _FEW, _SOME])
+    for after in ([_EXP], cell_end):
+        allow(every, start, counts, after, integer)
+        allow(start, sign, counts, after, integer)
+        allow(every, [_DOT], integer, after, counts)
+        allow(every, [_DOT], [_NONE], after, [_FEW, _SOME, _MANY])
+    # the exponent: e (- 1+ digits | [+] 1-2 digits)
+    allow(every, [_EXP], counts, sign, [_NONE])
+    allow(every, [_EXP], counts, cell_end, [_FEW])
+    allow([_EXP], [_PLUS], counts, cell_end, [_FEW])
+    allow([_EXP], [_MINUS], counts, cell_end, [_FEW, _SOME, _MANY])
+    allow(every, [_CR], counts, [_LF], [_NONE])
+    return ok.ravel()
+
+
+_RULES = _token_rules()
 
 
 def read_scenarios_csv(path, column: str | int | None = None) -> ScenarioMatrix:
@@ -411,14 +450,14 @@ def _select(scenarios: ScenarioMatrix, column) -> ScenarioMatrix:
 def _read_plain(path, column) -> ScenarioMatrix | None:
     """`read_scenarios_csv` for a plain file, or None for any other.
 
-    A plain file has an ASCII header without quotes, and data lines of
-    `_PLAIN_BYTES` with the header's number of cells, ending in LF or CRLF.
-    Its date cells (if any) are ISO dates, every other cell's shape matches
-    `_FINITE_SHAPE`, and no cell exceeds csv's field size limit. csv splits
-    such a file at its commas and line ends, and `float` parses each value
-    cell to a finite number, so the result is the csv reader's. Any other
-    file (a blank line, an empty cell, a bad value or date, an unknown
-    `column`) goes to the csv reader, which gives its values or its error."""
+    A plain file has an ASCII header without quotes, and data lines with the
+    header's number of cells, ending in LF or CRLF. Its date cells (if any)
+    are ISO dates, every other cell passes `_token_rules`, and no cell
+    exceeds csv's field size limit. csv splits such a file at its commas and
+    line ends, and `float` parses each value cell to a finite number, so the
+    result is the csv reader's. Any other file (a blank line, an empty cell,
+    a bad value or date, an unknown `column`) goes to the csv reader, which
+    gives its values or its error."""
     with open(path, "rb") as fh:
         head, _, body = fh.read().partition(b"\n")
     head = head.removesuffix(b"\r")
@@ -431,36 +470,15 @@ def _read_plain(path, column) -> ScenarioMatrix | None:
     index = None if column is None else _column_index(tickers, column)
     if not (head and tickers and body) or (column is not None and index is None):
         return None
-    if body.translate(None, _PLAIN_BYTES):
+    width = len(header)
+    bounds = _cell_bounds(body, width, has_dates, limit)
+    if bounds is None:
         return None
-    if b"\r" in body:
-        unix = body.translate(None, b"\r")
-        if len(body) - len(unix) != body.count(b"\r\n"):
-            return None  # a bare CR, which csv reads as a line end
-        body = unix
-    body = body.removesuffix(b"\n")
+    starts, ends = bounds
     text = body.decode()  # ASCII: cells are the str tokens csv would give
 
-    # cell k is text[starts[k]:ends[k]]; once every line is known to hold
-    # width cells, column j is cells j, j + width, j + 2 * width, ...
-    width = len(header)
-    codes = np.frombuffer(body, dtype=np.uint8)
-    ends = np.append(np.flatnonzero((codes == ord(",")) | (codes == ord("\n"))), len(body))
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    line_ends = ends[width - 1 : -1 : width]
-    if (
-        ends.size % width
-        or body.count(b"\n") != line_ends.size
-        or (codes[line_ends] != ord("\n")).any()
-        or (ends - starts).max() > limit
-    ):
-        return None
-    shapes = text.translate(_SHAPE).split(",")
-    if has_dates:
-        del shapes[::width]
-    if not all(map(_FINITE_SHAPE.fullmatch, set(shapes))):
-        return None
-
+    # column j is cells j, j + width, j + 2 * width, ...; a CRLF line's last
+    # cell keeps its CR, which `float` strips
     def cells(j):
         bounds = zip(starts[j::width].tolist(), ends[j::width].tolist())
         return [text[start:end] for start, end in bounds]
@@ -475,10 +493,55 @@ def _read_plain(path, column) -> ScenarioMatrix | None:
         values = np.array(list(map(float, cells(has_dates + index))))
         return ScenarioMatrix(values=values[:, None], tickers=[tickers[index]], dates=dates)
     flat = text.replace("\n", ",").split(",")
+    del flat[ends.size :]  # the empty piece after a final LF
     if has_dates:
         del flat[::width]
     values = np.array(list(map(float, flat))).reshape(-1, len(tickers))
     return ScenarioMatrix(values=values, tickers=tickers, dates=dates)
+
+
+def _cell_bounds(body: bytes, width: int, has_dates: bool, limit: int):
+    """Cell k of a plain body is `body[starts[k]:ends[k]]` (a CRLF line's
+    last cell with its CR); None for a body that is not plain. One scan over the tokens checks every cell against
+    `_RULES` (date cells only for their bytes), every `width`-th delimiter
+    for a line end and every other one for a comma, and each cell's length
+    against `limit`."""
+    codes = np.frombuffer(body, dtype=np.uint8)
+    at = np.flatnonzero(codes - np.uint8(ord("0")) > np.uint8(9))  # every byte but a digit
+    cls = _CLASS.take(codes.take(at))
+    if not body.endswith(b"\n"):
+        at = np.append(at, len(body))
+        cls = np.append(cls, np.int8(_END))
+    digits = _BUCKET.take(np.minimum(np.diff(at, prepend=-1) - 1, 201))
+    token = np.empty(cls.size + 2, dtype=np.uint16)
+    token[:2] = 4 * _LF  # a cell starts at the first byte
+    token[2:] = cls * np.int8(4) + digits
+    key = token[:-2] * np.uint16(36 * 36)
+    key += token[1:-1] * np.uint16(36)
+    key += token[2:]
+    ok = _RULES.take(key.astype(np.intp))
+    delimiter = np.flatnonzero(cls <= np.int8(_END))
+    if has_dates:
+        # a date cell's tokens, its comma included, are checked for their bytes only
+        new_cell = np.zeros(cls.size, dtype=np.intp)
+        new_cell[delimiter[:-1] + 1] = 1
+        ok |= (np.cumsum(new_cell) % width == 0) & (cls != np.int8(_OFF))
+    if not ok.all():
+        return None
+    ends, kinds = at.take(delimiter), cls.take(delimiter)
+    # every width-th delimiter is a line end and no other one is; the last
+    # delimiter is always a line end, so a count that is not a multiple of
+    # width leaves one out of `line_ends`
+    line_ends = kinds[width - 1 :: width]  # _COMMA is 0, a line end is not
+    if np.count_nonzero(kinds) != line_ends.size or not line_ends.all():
+        return None
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    lengths = ends - starts
+    last = lengths[width - 1 :: width]  # a view: drop the CR of a CRLF line
+    last -= codes.take(ends[width - 1 :: width] - 1) == np.uint8(ord("\r"))
+    if lengths.max() > limit:
+        return None
+    return starts, ends
 
 
 def _read_with_csv(path) -> ScenarioMatrix:

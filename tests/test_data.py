@@ -1,6 +1,8 @@
 import csv
 import hashlib
+import itertools
 import math
+import re
 from datetime import date, timedelta
 
 import numpy as np
@@ -511,10 +513,62 @@ def test_writer_bytes_on_repeats_and_edge_shapes(tmp_path, scen):
     assert_writes_like_the_per_row_writer(scen, tmp_path)
 
 
-@given(st.from_regex(data._FINITE_SHAPE, fullmatch=True))
+# The cells the checked path takes, as a specification: a cell's shape is the
+# cell with every digit replaced by 0, and a cell passes when its shape
+# matches. This is Python's float grammar over `0-9.eE+-`, with at most 200
+# integer digits and an exponent that is negative or has at most two digits.
+FINITE_SHAPE = re.compile(r"[+-]?(?:0{1,200}(?:\.0*)?|\.0+)(?:[eE](?:-0+|\+?0{1,2}))?")
+TO_SHAPE = str.maketrans("123456789", "000000000")
+
+
+@given(st.from_regex(FINITE_SHAPE, fullmatch=True))
 def test_a_matching_shape_is_finite_whatever_its_digits(shape):
     assert float(shape) == 0.0
     assert abs(float(shape.replace("0", "9"))) <= 1e299
+
+
+matching_cells = st.from_regex(FINITE_SHAPE, fullmatch=True)
+probe_cells = st.one_of(st.text("0123456789.eE+-", max_size=8), matching_cells)
+
+
+@st.composite
+def scan_lines(draw):
+    """1-3 lines of 1-3 cells: one probe cell, the others matching."""
+    width, count = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    cells = draw(st.lists(matching_cells, min_size=width * count, max_size=width * count))
+    cells[draw(st.integers(0, len(cells) - 1))] = draw(probe_cells)
+    lines = [cells[k : k + width] for k in range(0, len(cells), width)]
+    ends = [draw(st.sampled_from(["\n", "\r\n"])) for _ in lines[:-1]]
+    # a last line with no text and no line end would be no line at all
+    ends.append(draw(st.sampled_from(["\n", "\r\n", ""])) or "\n" * (lines[-1] == [""]))
+    return width, lines, ends
+
+
+@given(scan_lines())
+@settings(max_examples=400, deadline=None)
+def test_the_scan_takes_a_line_exactly_when_every_cell_matches(tmp_path_factory, drawn):
+    width, lines, ends = drawn
+    path = tmp_path_factory.mktemp("scan") / "s.csv"
+    header = ",".join(f"T{j}" for j in range(width))
+    body = "".join(",".join(line) + end for line, end in zip(lines, ends))
+    path.write_bytes((header + "\n" + body).encode())
+    shapes = [cell.translate(TO_SHAPE) for line in lines for cell in line]
+    matches = all(map(FINITE_SHAPE.fullmatch, shapes))
+    scen = data._read_plain(path, None)
+    assert (scen is not None) == matches
+    if matches:
+        assert scen.values.tobytes() == data._read_with_csv(path).values.tobytes()
+
+
+def test_the_scan_takes_every_short_cell_exactly_when_it_matches():
+    """Every cell of up to five pieces, each `.`, `e`, `+`, `-` or a run of 1,
+    2 or 199 digits: runs of 3, 200 and 201 digits are among them."""
+    pieces = ["9", "99", "9" * 199, ".", "e", "+", "-"]
+    limit = csv.field_size_limit()
+    for size in range(1, 6):
+        for cell in map("".join, itertools.product(pieces, repeat=size)):
+            taken = data._cell_bounds(cell.encode() + b"\n", 1, False, limit) is not None
+            assert taken == bool(FINITE_SHAPE.fullmatch(cell.translate(TO_SHAPE))), cell
 
 
 @pytest.mark.parametrize(
@@ -526,17 +580,26 @@ def test_a_matching_shape_is_finite_whatever_its_digits(shape):
         "A,B\n1,2,5\n3,4\n",  # a line with a cell too many
         "A,B\n1,2\n3\n",  # a last line a cell short
         "A,B\n1\n2\n3,4\n",  # two short lines with one line's cells
+        "A,B\n1\n2,3,4\n",  # a short line, then a long one
         'A,B\n"1",2\n3,4\n',  # quoted cell
         '"A",B\n1,2\n',  # quoted ticker
         "\u00c4,B\n1,2\n",  # non-ASCII ticker
         "A,B\n 1,2\n3,4\n",  # space
         "A,B\n1_0,2\n3,4\n",  # underscore
         "A,B\n1e100,2\n3,4\n",  # three-digit positive exponent
+        "A,B\n1,2\r\r\n3,4\n",  # CR CR LF
+        "A,B\n1,2\r",  # a bare CR at the end
+        "A,B\n1-2,3\n",  # a sign inside a cell
+        "A,B\n1e5.0,2\n",
+        "A,B\n.e1,2\n",
+        "date,A\n2024-13-01,1\n",  # a bad date
+        "date,A\n2024-01-01,2024-01-02\n",  # a date in a value column
+        "date,A\n2024-01-0\udcff,1\n",  # a byte that is not UTF-8, in a date
     ],
 )
 def test_files_off_the_checked_path_read_as_csv_reads_them(tmp_path, text):
     path = tmp_path / "s.csv"
-    path.write_bytes(text.encode())
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
     assert data._read_plain(path, None) is None
 
     def outcome(read):
@@ -556,6 +619,9 @@ def test_cells_over_csvs_field_limit_go_to_csv(tmp_path):
     try:
         with pytest.raises(ParseError, match="field larger than field limit"):
             read_scenarios_csv(path)
+        # a line's CR is no part of its last cell
+        path.write_bytes(b"A\r\n0.12\r\n")
+        assert data._read_plain(path, None).values.tolist() == [[0.12]]
     finally:
         csv.field_size_limit(old)
 
