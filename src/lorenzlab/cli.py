@@ -41,7 +41,7 @@ from .data import (
     write_scenarios_csv,
 )
 from .errors import BadParameter, DataError, LorenzLabError, NumericError, UsageError
-from .iterate import limit_curve, run_iteration, write_trace_csv
+from .iterate import _MODES, limit_curve, run_iteration, write_trace_csv
 from .portfolio import efficient_frontier
 from .risk import RiskMeasureConfig, TargetCurveSpec, measure_report
 
@@ -64,6 +64,11 @@ def _write_sidecar(out_path, ns) -> None:
     options = {k.replace("_", "-"): v for k, v in vars(ns).items() if k != "subcommand"}
     sidecar = {"tool": "lorenzlab", "version": __version__, "subcommand": ns.subcommand}
     _write_json(str(out_path) + ".run.json", {**sidecar, "options": options})
+
+
+# The analytic start names: each is the AnalyticFamily constructor of that
+# name, with '-' read as '_'.
+_STARTS = ("uniform01", "power", "kumaraswamy_limit", "pareto", "lognormal", "point_mass")
 
 
 def _parse_start(text: str, log_scale: bool, grid: int):
@@ -91,23 +96,12 @@ def _parse_start(text: str, log_scale: bool, grid: int):
                 raise DataError(f"{arg}: non-finite sample value {bad[0]!r}")
             return empirical_quantile(samples, grid)
         params = [float(tok) for tok in arg.split(",")] if arg else []
-        if name == "uniform01":
-            family = AnalyticFamily.uniform01()
-        elif name == "power":
-            family = AnalyticFamily.power(*params)
-        elif name in ("kumaraswamy-limit", "kumaraswamy_limit"):
-            family = AnalyticFamily.kumaraswamy_limit()
-        elif name == "pareto":
-            family = AnalyticFamily.pareto(*params)
-        elif name == "lognormal":
-            if log_scale:
-                family = AnalyticFamily.lognormal_logscale(*params)
-            else:
-                family = AnalyticFamily.lognormal(*params)
-        elif name in ("point-mass", "point_mass"):
-            family = AnalyticFamily.point_mass(*params)
-        else:
+        constructor = name.replace("-", "_")
+        if constructor not in _STARTS:
             raise BadParameter(f"unknown start {name!r}")
+        if log_scale:
+            constructor = "lognormal_logscale"
+        family = getattr(AnalyticFamily, constructor)(*params)
     except TypeError:
         raise BadParameter(f"wrong number of parameters in start {text!r}") from None
     except ValueError as exc:
@@ -115,7 +109,7 @@ def _parse_start(text: str, log_scale: bool, grid: int):
     return analytic_quantile(family, grid)
 
 
-_TARGET_FIELDS = ("beta_down", "beta_up", "down_kuma", "down_power", "up_kuma", "up_power")
+_TARGET_FIELDS = tuple(f.name for f in fields(TargetCurveSpec))
 # The target options that gs2's restricted shape fixes; only --beta-up is free.
 _GS2_FIXED = tuple(name for name in _TARGET_FIELDS if name != "beta_up")
 
@@ -144,7 +138,8 @@ def _target_from_args(ns, gs2: bool = False) -> TargetCurveSpec:
                 "would change: give one or the other"
             )
         return TargetCurveSpec.diagonal()
-    if gs2 and not (ns.beta_down == 0.0 and ns.up_kuma == 1.0 and ns.up_power == 0.0):
+    # the spec's gs2 rule on the raw options, ahead of the spec's own checks
+    if gs2 and not TargetCurveSpec.is_gs2_shape.fget(ns):
         moved = _moved_target_options(ns, _GS2_FIXED)
         if moved:
             raise UsageError(
@@ -194,7 +189,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     it = sub.add_parser("iterate", help="iterate a Lorenz operator from a start")
-    it.add_argument("--mode", choices=("primal", "reflected"), default="primal")
+    it.add_argument("--mode", choices=_MODES, default="primal")
     it.add_argument("--start", default="lognormal:0.5,0.2")
     it.add_argument("--lognormal-log-scale", action="store_true")
     it.add_argument("--grid", type=int, default=DEFAULT_GRID)
@@ -205,7 +200,7 @@ def build_parser() -> _Parser:
     it.add_argument("--out", required=True)
 
     lm = sub.add_parser("limits", help="write a limit curve")
-    lm.add_argument("--mode", choices=("primal", "reflected"), default="primal")
+    lm.add_argument("--mode", choices=_MODES, default="primal")
     lm.add_argument("--grid", type=int, default=DEFAULT_GRID)
     lm.add_argument("--out", required=True)
 

@@ -252,9 +252,48 @@ def empirical_quantile(samples, grid_size: int = DEFAULT_GRID) -> QuantileCurve:
     return QuantileCurve(values)
 
 
+def _primal_power(x, a):
+    """x**a: the primal power family; a = phi gives the primal limit."""
+    return x**a
+
+
+def _reflected_power(x, a):
+    """1 - (1 - x)**(1/a): the reflected power family; a = phi gives the
+    reflected limit, and f(., 1/a) is the inverse of f(., a)."""
+    return 1.0 - (1.0 - x) ** (1.0 / a)
+
+
+def _pareto_quantile(p, scale, shape):
+    with np.errstate(divide="ignore"):
+        return scale * (1.0 - p) ** (-1.0 / shape)
+
+
+def _lognormal_quantile(p, mean, sd):
+    sigma2 = math.log1p((sd / mean) ** 2)
+    mu = math.log(mean) - 0.5 * sigma2
+    out = np.where(p <= 0.0, 0.0, math.inf)
+    inside = (p > 0.0) & (p < 1.0)
+    out[inside] = exp_array(mu + math.sqrt(sigma2) * normal_inverse_cdf_array(p[inside]))
+    return out
+
+
+# Each law's (Q(p, *params), mean(*params)), by kind; p is a 1-d array in [0, 1].
+_LAWS = {
+    "uniform01": (lambda p: p, lambda: 0.5),
+    "power": (lambda p, a: _primal_power(p, 1.0 / a), lambda a: a / (a + 1.0)),
+    # Q is the inverse of the reflected limit; its mean phi/(1+phi) is phi - 1
+    "kumaraswamy_limit": (lambda p: _reflected_power(p, 1.0 / GOLDEN), lambda: GOLDEN - 1.0),
+    "pareto": (_pareto_quantile, lambda scale, shape: scale * shape / (shape - 1.0)),
+    "lognormal": (_lognormal_quantile, lambda mean, sd: mean),
+    "point_mass": (lambda p, c: np.full_like(p, c), lambda c: c),
+}
+
+
 @dataclass(frozen=True)
 class AnalyticFamily:
-    """A named quantile family with closed-form Q(p)."""
+    """A named quantile family with closed-form Q(p) and mean: uniform01,
+    power, kumaraswamy_limit, pareto, lognormal (also built by
+    lognormal_logscale) or point_mass, each by the constructor of its name."""
 
     kind: str
     params: tuple = ()
@@ -306,57 +345,20 @@ class AnalyticFamily:
             raise BadParameter("point mass location must be finite")
         return cls("point_mass", (float(c),))
 
+    def _law(self):
+        try:
+            return _LAWS[self.kind]
+        except KeyError:
+            raise BadParameter(f"unknown analytic family {self.kind!r}") from None
+
     def quantile(self, p):
         """Q(p) for p in [0, 1]; may be +inf at p = 1 for heavy tails."""
-        p_arr = np.asarray(p, dtype=float)
-        scalar = p_arr.ndim == 0
-        p_arr = np.atleast_1d(p_arr)
-        if self.kind == "uniform01":
-            out = p_arr.copy()
-        elif self.kind == "power":
-            (a,) = self.params
-            out = p_arr ** (1.0 / a)
-        elif self.kind == "kumaraswamy_limit":
-            out = 1.0 - (1.0 - p_arr) ** GOLDEN
-        elif self.kind == "pareto":
-            scale, shape = self.params
-            with np.errstate(divide="ignore"):
-                out = scale * (1.0 - p_arr) ** (-1.0 / shape)
-        elif self.kind == "lognormal":
-            mean, sd = self.params
-            sigma2 = math.log1p((sd / mean) ** 2)
-            sigma = math.sqrt(sigma2)
-            mu = math.log(mean) - 0.5 * sigma2
-            out = np.where(p_arr <= 0.0, 0.0, math.inf)
-            # NaN stays inside, so the inverse rejects it
-            inside = ~((p_arr <= 0.0) | (p_arr >= 1.0))
-            z = normal_inverse_cdf_array(p_arr[inside])
-            out[inside] = exp_array(mu + sigma * z)
-        elif self.kind == "point_mass":
-            (c,) = self.params
-            out = np.full_like(p_arr, c)
-        else:
-            raise BadParameter(f"unknown analytic family {self.kind!r}")
-        return _as_scalar_or_array(out, scalar)
+        p_arr, scalar = _unit_points(p, "probability")
+        return _as_scalar_or_array(self._law()[0](p_arr, *self.params), scalar)
 
     @property
     def mean(self) -> float:
-        if self.kind == "uniform01":
-            return 0.5
-        if self.kind == "power":
-            (a,) = self.params
-            return a / (a + 1.0)
-        if self.kind == "kumaraswamy_limit":
-            # integral of 1 - (1-p)^phi over [0, 1]: phi/(1+phi) = phi - 1
-            return GOLDEN - 1.0
-        if self.kind == "pareto":
-            scale, shape = self.params
-            return scale * shape / (shape - 1.0)
-        if self.kind == "lognormal":
-            return self.params[0]
-        if self.kind == "point_mass":
-            return self.params[0]
-        raise BadParameter(f"unknown analytic family {self.kind!r}")
+        return self._law()[1](*self.params)
 
 
 def analytic_quantile(family: AnalyticFamily, grid_size: int = DEFAULT_GRID) -> QuantileCurve:

@@ -29,6 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .curves import GOLDEN, DEFAULT_GRID, MonotoneCurve, QuantileCurve, _uniform_grid, format_float
+from .curves import _primal_power, _reflected_power
 from .errors import BadParameter
 from .lorenz import (
     LorenzCurve,
@@ -55,13 +56,9 @@ def _mode(mode: str):
     module's names (the benchmark's tracer) sees every call.
     """
     if mode == "primal":
-        return lorenz_transform, primal_inverse, lambda x, a: x**a
+        return lorenz_transform, primal_inverse, _primal_power
     if mode == "reflected":
-        return (
-            reflected_transform,
-            reflected_inverse,
-            lambda x, a: 1.0 - (1.0 - x) ** (1.0 / a),
-        )
+        return reflected_transform, reflected_inverse, _reflected_power
     raise BadParameter(f"mode must be one of {_MODES}, got {mode!r}")
 
 

@@ -27,13 +27,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .curves import GOLDEN, _sample, _sorted_sample, _uniform_grid
+from .curves import GOLDEN, _primal_power, _reflected_power, _sample, _sorted_sample, _uniform_grid
 from .errors import BadParameter, BadSpec, EmptySample
 from .lorenz import LorenzCurve, _partial_sum_ratios
 
 MEASURE_KINDS = ("variance", "mad", "cvar", "gmd", "extended_gini", "gs1", "gs2")
-
-_INV_GOLDEN = 1.0 / GOLDEN
 
 
 def variance(samples) -> float:
@@ -108,17 +106,14 @@ def gini(samples) -> float:
 # -- target curves -------------------------------------------------------------
 
 
-def _kuma(x):
-    return 1.0 - (1.0 - x) ** _INV_GOLDEN
-
-
-def _power(x):
-    return x**GOLDEN
+def _tail(kuma_weight, power_weight, x):
+    """A tail of the target: kuma_weight * k(x) + power_weight * p(x)."""
+    return kuma_weight * _reflected_power(x, GOLDEN) + power_weight * _primal_power(x, GOLDEN)
 
 
 def _kuma_prefix(t: float) -> float:
     """integral_0^t of 1 - (1-x)^(1/phi)."""
-    a = _INV_GOLDEN
+    a = 1.0 / GOLDEN
     return t - (1.0 - (1.0 - t) ** (1.0 + a)) / (1.0 + a)
 
 
@@ -177,17 +172,16 @@ class TargetCurveSpec:
         return self.beta_down == 0.0 and self.up_kuma == 1.0 and self.up_power == 0.0
 
     def _anchors(self) -> tuple[float, float]:
-        bd, bu = self.beta_down, self.beta_up
-        anchor_down = self.down_kuma * _kuma(bd) + self.down_power * _power(bd)
-        anchor_up = self.up_kuma * _kuma(bu) + self.up_power * _power(bu)
+        anchor_down = _tail(self.down_kuma, self.down_power, self.beta_down)
+        anchor_up = _tail(self.up_kuma, self.up_power, self.beta_up)
         return float(anchor_down), float(anchor_up)
 
     def evaluate(self, x):
         x_arr = np.asarray(x, dtype=float)
         scalar = x_arr.ndim == 0
         x_arr = np.atleast_1d(x_arr)
-        down = self.down_kuma * _kuma(x_arr) + self.down_power * _power(x_arr)
-        up = self.up_kuma * _kuma(x_arr) + self.up_power * _power(x_arr)
+        down = _tail(self.down_kuma, self.down_power, x_arr)
+        up = _tail(self.up_kuma, self.up_power, x_arr)
         y_d, y_u = self._anchors()
         slope = (y_u - y_d) / (self.beta_up - self.beta_down)
         chord = y_d + slope * (x_arr - self.beta_down)

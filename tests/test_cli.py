@@ -576,6 +576,10 @@ def test_sample_start_stalls_at_grid_resolution(tmp_path, capsys):
         ("point-mass:0.7", False, AnalyticFamily.point_mass(0.7)),
         ("kumaraswamy-limit", False, AnalyticFamily.kumaraswamy_limit()),
         ("lognormal:-0.5,0.3", True, AnalyticFamily.lognormal_logscale(-0.5, 0.3)),
+        ("uniform01", False, AnalyticFamily.uniform01()),
+        ("lognormal:0.5,0.2", False, AnalyticFamily.lognormal(0.5, 0.2)),
+        ("kumaraswamy_limit", False, AnalyticFamily.kumaraswamy_limit()),
+        ("point_mass:0.7", False, AnalyticFamily.point_mass(0.7)),
     ],
 )
 def test_named_starts_are_their_families(tmp_path, capsys, start, log_scale, family):
@@ -592,6 +596,9 @@ def test_named_starts_are_their_families(tmp_path, capsys, start, log_scale, fam
     [
         ("power:1,2", "error: wrong number of parameters in start 'power:1,2'\n"),
         ("pareto:1,x", "error: bad start parameter in 'pareto:1,x': could not convert string to float: 'x'\n"),
+        ("gamma:1", "error: unknown start 'gamma'\n"),
+        ("uniform01:1", "error: wrong number of parameters in start 'uniform01:1'\n"),
+        ("kumaraswamy-limit:2", "error: wrong number of parameters in start 'kumaraswamy-limit:2'\n"),
     ],
 )
 def test_bad_start_parameters_are_usage_errors(tmp_path, capsys, start, message):

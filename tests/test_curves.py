@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -131,8 +132,10 @@ def test_generalized_inverse_range_checks():
         (lambda q: q.generalized_inverse(math.nan, clamp=True), OutOfRange),
         (lambda q: primal_inverse(q, [math.nan]), OutOfRange),
         (lambda q: reflected_inverse(q, [math.nan]), OutOfRange),
+        (lambda q: AnalyticFamily.lognormal(0.5, 0.2).quantile(math.nan), OutOfDomain),
     ],
-    ids=["evaluate", "prefix_integral", "inverse", "inverse_clamped", "primal", "reflected"],
+    ids=["evaluate", "prefix_integral", "inverse", "inverse_clamped", "primal", "reflected",
+         "family_quantile"],
 )
 def test_nan_points_are_rejected(call, error):
     with pytest.raises(error):
@@ -249,6 +252,66 @@ def test_family_parameter_validation():
         AnalyticFamily.lognormal(-0.5, 0.2)
     with pytest.raises(BadParameter):
         AnalyticFamily.point_mass(math.inf)
+    with pytest.raises(BadParameter, match="unknown analytic family 'gamma'"):
+        AnalyticFamily("gamma").mean
+
+
+# One member of each family, built by each constructor.
+FAMILIES = {
+    "uniform01": AnalyticFamily.uniform01(),
+    "power": AnalyticFamily.power(3.0),
+    "kumaraswamy_limit": AnalyticFamily.kumaraswamy_limit(),
+    "pareto": AnalyticFamily.pareto(1.0, 2.5),
+    "lognormal": AnalyticFamily.lognormal(0.5, 0.2),
+    "lognormal_logscale": AnalyticFamily.lognormal_logscale(-0.5, 0.4),
+    "point_mass": AnalyticFamily.point_mass(0.7),
+}
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+@pytest.mark.parametrize("p", [-0.01, 1.01, [0.5, 1.01]])
+def test_family_quantile_rejects_points_outside_the_unit_interval(name, p):
+    with pytest.raises(OutOfDomain, match="probability outside"):
+        FAMILIES[name].quantile(p)
+
+
+def test_family_quantile_absorbs_endpoint_dust():
+    fam = AnalyticFamily.power(3.0)
+    assert fam.quantile(-1e-13) == 0.0
+    assert fam.quantile(1.0 + 1e-13) == 1.0
+
+
+# SHA-256 of analytic_quantile(family, 4096).values, and the family's mean,
+# recorded before the families were gathered into one table. Pareto and
+# lognormal also cover the replaced infinite top node. The power-law
+# families go through numpy's float64 `power`, so these bits belong to the
+# numpy build and CPU they were recorded on (numpy 2.4, x86-64).
+FAMILY_DIGESTS = {
+    "uniform01": ("818e307fee696baa22036a579eca9d38ff1f2044191369306fdf580c56dc5697", 0.5),
+    "power": ("aba2c078fd1375f1de147642798c7d06bb9ed1f33fbc9157415ec0cb0de7f117", 0.75),
+    "kumaraswamy_limit": (
+        "277b27a2a96c2554fb2414c66ed2fa0a8a1a1adc8c8709d384d07830868c6834",
+        0.6180339887498949,
+    ),
+    "pareto": (
+        "173a3cb2096126841e7d5c769f94a656537de031c9c67701779c287faa897b56",
+        1.6666666666666667,
+    ),
+    "lognormal": ("dee6cba6f9620f677b86d84181fb384fcac3e00e888ff962884d5d81c8380a19", 0.5),
+    "lognormal_logscale": (
+        "aec84adc0c68c5f6f44e9f9f982c1090de2b65751686e35144eb42df4c813d9c",
+        0.6570468198150567,
+    ),
+    "point_mass": ("3d13ec7244855eb8f0db8b171d07f694045bec17ef24f471023699bab4df2aad", 0.7),
+}
+
+
+def test_family_bits_are_pinned():
+    got = {
+        name: (hashlib.sha256(analytic_quantile(fam, 4096).values.tobytes()).hexdigest(), fam.mean)
+        for name, fam in FAMILIES.items()
+    }
+    assert got == FAMILY_DIGESTS
 
 
 def test_curves_of_one_size_share_one_read_only_grid(tmp_path):

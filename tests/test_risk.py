@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -174,6 +175,30 @@ def test_diagonal_target_integral_is_exactly_half():
     spec = TargetCurveSpec.diagonal()
     assert spec.integral() == 0.5
     assert spec.evaluate(0.37) == 0.37
+
+
+# SHA-256 of .curve(4096).values, and .integral(), recorded before the tail
+# mixture was written once; the tails go through numpy's float64 `power`, so
+# these bits belong to the numpy build and CPU they were recorded on (numpy
+# 2.4, x86-64).
+TARGET_DIGESTS = {
+    "default": ("9858c0dc96d406ba75039ace7e7eca1324ed4ebe395c6dd5286db3cf19d4e97e", 0.37831366377825054),
+    "gs2_shape": ("f0464d18370c4df9ffbf9f41e64fc287d5e62302f7231b94fb8eb61622963581", 0.40020875334438905),
+    "diagonal": ("818e307fee696baa22036a579eca9d38ff1f2044191369306fdf580c56dc5697", 0.5),
+}
+
+
+def test_target_bits_are_pinned():
+    specs = {
+        "default": TargetCurveSpec(),
+        "gs2_shape": TargetCurveSpec.gs2_shape(),
+        "diagonal": TargetCurveSpec.diagonal(),
+    }
+    got = {
+        name: (hashlib.sha256(spec.curve(4096).values.tobytes()).hexdigest(), spec.integral())
+        for name, spec in specs.items()
+    }
+    assert got == TARGET_DIGESTS
 
 
 def test_target_spec_validation():
