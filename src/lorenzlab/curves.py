@@ -277,15 +277,41 @@ def _lognormal_quantile(p, mean, sd):
     return out
 
 
-# Each law's (Q(p, *params), mean(*params)), by kind; p is a 1-d array in [0, 1].
+def _pareto_problem(scale, shape):
+    if not scale > 0.0:
+        return "pareto scale must be positive"
+    if not shape > 1.0:
+        return "pareto shape must exceed 1 for a finite mean"
+    return None
+
+
+# Each law's (Q(p, *params), mean(*params), problem(*params)), by kind; p is a
+# 1-d array in [0, 1], and problem says what is wrong with the parameters, or
+# returns None.
 _LAWS = {
-    "uniform01": (lambda p: p, lambda: 0.5),
-    "power": (lambda p, a: _primal_power(p, 1.0 / a), lambda a: a / (a + 1.0)),
+    "uniform01": (lambda p: p, lambda: 0.5, lambda: None),
+    "power": (
+        lambda p, a: _primal_power(p, 1.0 / a),
+        lambda a: a / (a + 1.0),
+        lambda a: None if a > 0.0 else "power family needs a > 0",
+    ),
     # Q is the inverse of the reflected limit; its mean phi/(1+phi) is phi - 1
-    "kumaraswamy_limit": (lambda p: _reflected_power(p, 1.0 / GOLDEN), lambda: GOLDEN - 1.0),
-    "pareto": (_pareto_quantile, lambda scale, shape: scale * shape / (shape - 1.0)),
-    "lognormal": (_lognormal_quantile, lambda mean, sd: mean),
-    "point_mass": (lambda p, c: np.full_like(p, c), lambda c: c),
+    "kumaraswamy_limit": (
+        lambda p: _reflected_power(p, 1.0 / GOLDEN),
+        lambda: GOLDEN - 1.0,
+        lambda: None,
+    ),
+    "pareto": (_pareto_quantile, lambda scale, shape: scale * shape / (shape - 1.0), _pareto_problem),
+    "lognormal": (
+        _lognormal_quantile,
+        lambda mean, sd: mean,
+        lambda mean, sd: None if mean > 0.0 and sd > 0.0 else "lognormal needs positive mean and sd",
+    ),
+    "point_mass": (
+        lambda p, c: np.full_like(p, c),
+        lambda c: c,
+        lambda c: None if math.isfinite(c) else "point mass location must be finite",
+    ),
 }
 
 
@@ -293,10 +319,24 @@ _LAWS = {
 class AnalyticFamily:
     """A named quantile family with closed-form Q(p) and mean: uniform01,
     power, kumaraswamy_limit, pareto, lognormal (also built by
-    lognormal_logscale) or point_mass, each by the constructor of its name."""
+    lognormal_logscale) or point_mass, each by the constructor of its name.
+    Built directly or by a constructor, the parameters are checked the same
+    way and stored as floats."""
 
     kind: str
     params: tuple = ()
+
+    def __post_init__(self):
+        problem = self._law()[2]
+        try:
+            params = tuple(map(float, self.params))
+            message = problem(*params)
+        except (TypeError, ValueError):
+            # not numbers, or not as many as the family takes
+            raise BadParameter(f"bad {self.kind} parameters {self.params!r}") from None
+        if message is not None:
+            raise BadParameter(message)
+        object.__setattr__(self, "params", params)
 
     @classmethod
     def uniform01(cls):
@@ -304,9 +344,7 @@ class AnalyticFamily:
 
     @classmethod
     def power(cls, a: float):
-        if not a > 0.0:
-            raise BadParameter("power family needs a > 0")
-        return cls("power", (float(a),))
+        return cls("power", (a,))
 
     @classmethod
     def kumaraswamy_limit(cls):
@@ -317,18 +355,12 @@ class AnalyticFamily:
 
     @classmethod
     def pareto(cls, scale: float, shape: float):
-        if not scale > 0.0:
-            raise BadParameter("pareto scale must be positive")
-        if not shape > 1.0:
-            raise BadParameter("pareto shape must exceed 1 for a finite mean")
-        return cls("pareto", (float(scale), float(shape)))
+        return cls("pareto", (scale, shape))
 
     @classmethod
     def lognormal(cls, mean: float, sd: float):
         """Parameterized by the mean and standard deviation of the variable."""
-        if not mean > 0.0 or not sd > 0.0:
-            raise BadParameter("lognormal needs positive mean and sd")
-        return cls("lognormal", (float(mean), float(sd)))
+        return cls("lognormal", (mean, sd))
 
     @classmethod
     def lognormal_logscale(cls, mu: float, sigma: float):
@@ -341,9 +373,7 @@ class AnalyticFamily:
 
     @classmethod
     def point_mass(cls, c: float):
-        if not math.isfinite(c):
-            raise BadParameter("point mass location must be finite")
-        return cls("point_mass", (float(c),))
+        return cls("point_mass", (c,))
 
     def _law(self):
         try:

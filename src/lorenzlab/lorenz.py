@@ -197,6 +197,13 @@ def unit_support(quantile: MonotoneCurve, *, normalize: bool = False) -> Quantil
         raise SupportExceedsUnit(
             f"support reaches {float(qmax)!r}; pass normalize=True to rescale"
         )
+    elif qmax > 0.0 and 1.0 - qmax == 1.0:
+        # The reflected operator's cross-check works with 1 - Q, which would
+        # round to 1 at every node.
+        raise BadParameter(
+            f"support reaches only {float(qmax)!r}, below float resolution "
+            "next to 1; pass normalize=True to rescale"
+        )
     return QuantileCurve(np.minimum(q, 1.0))
 
 
@@ -296,12 +303,14 @@ class GeneralizedLorenzPoints:
 
 
 def _partial_sum_ratios(sorted_x: np.ndarray) -> tuple[np.ndarray, float]:
-    """(S_i/S_n for i = 1..n, S_n) of a sorted sample; S_n must be positive."""
-    partial = np.cumsum(sorted_x)
+    """(S_i/S_n for i = 1..n, S_n) of a sorted sample; S_n must be positive.
+    The ratios are written over sorted_x."""
+    partial = sorted_x.cumsum(out=sorted_x)
     total = float(partial[-1])
     if total <= 0.0:
         raise NonPositiveMean(f"sample total must be positive, got {total!r}")
-    return partial / total, total
+    partial /= total
+    return partial, total
 
 
 def generalized_lorenz(samples) -> GeneralizedLorenzPoints:
@@ -309,9 +318,10 @@ def generalized_lorenz(samples) -> GeneralizedLorenzPoints:
     if x.size == 0:
         raise EmptySample("cannot build a curve from an empty sample")
     x = _sorted_sample(x)
+    nonnegative = x[0] >= 0.0
     ratios, total = _partial_sum_ratios(x)
     fractions = np.arange(1, x.size + 1, dtype=float) / x.size
-    idx = None if x[0] >= 0.0 else int(np.argmax(ratios >= 0.0))
+    idx = None if nonnegative else int(np.argmax(ratios >= 0.0))
     return GeneralizedLorenzPoints(fractions, ratios, total, idx)
 
 

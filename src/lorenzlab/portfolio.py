@@ -18,7 +18,11 @@ by kind:
   solve starts from the center and from every vertex; each start is
   restarted from its own result while that improves, and the start with the
   lowest risk wins. These points carry no certificate, and converged means
-  the search simplex collapsed at a feasible point.
+  the search simplex collapsed at a feasible point. Each evaluation fills a
+  preallocated weight vector, and the simplex stays sorted by inserting
+  each accepted vertex; tests/test_search_oracle.py keeps the earlier
+  sort-every-iteration search as the reference, and the two evaluate the
+  same points and return the same bits.
 
 A target at either end of the attainable range has a single feasible
 portfolio (the extreme asset, ties to the lowest index), which is returned
@@ -63,49 +67,66 @@ def nelder_mead(f, x0: np.ndarray):
     simplex diameter (sup norm around the best vertex) falls to
     _DIAMETER_TOL, or after _ITER_PER_DIM iterations per dimension.
 
+    The vertices are kept in the order of a stable sort of their values
+    (NaN last, ties by age): an accepted step moves the new vertex to its
+    place, and only a shrink sorts again.
+
     Returns (x_best, f_best, iterations, final_diameter).
     """
     x0 = np.asarray(x0, dtype=float)
     n = x0.size
     max_iter = _ITER_PER_DIM * n
-    simplex = [x0]
-    for i in range(n):
-        step = np.zeros(n)
-        step[i] = _STEP
-        simplex.append(x0 + step)
-    simplex = np.array(simplex)
-    fvals = np.array([f(x) for x in simplex])
+    simplex = np.empty((n + 1, n))
+    simplex[0] = x0
+    # x0 + step, not a copy of x0 with one entry moved: -0.0 + 0.0 is +0.0.
+    simplex[1:] = x0 + _STEP * np.eye(n)
+    fvals = [float(f(x)) for x in simplex]
 
-    iterations = 0
-    while True:
+    def resort():
+        nonlocal simplex, fvals
         order = np.argsort(fvals, kind="stable")
         simplex = simplex[order]
-        fvals = fvals[order]
-        diameter = float(np.max(np.abs(simplex[1:] - simplex[0]), initial=0.0))
+        fvals = [fvals[i] for i in order]
+
+    def replace_worst(x, fx):
+        # fx beat some vertex's value, so it is not NaN; NaN vertices stay last
+        pos = n
+        while pos and not fvals[pos - 1] <= fx:
+            pos -= 1
+        simplex[pos + 1 :] = simplex[pos:-1]
+        simplex[pos] = x
+        fvals.pop()
+        fvals.insert(pos, float(fx))
+
+    resort()
+    iterations = 0
+    while True:
+        diameter = float(np.abs(simplex[1:] - simplex[0]).max(initial=0.0))
         if diameter <= _DIAMETER_TOL or iterations >= max_iter:
-            return simplex[0], float(fvals[0]), iterations, diameter
+            return simplex[0], fvals[0], iterations, diameter
         iterations += 1
-        centroid = simplex[:-1].mean(axis=0)
-        worst = simplex[-1]
-        reflected = centroid + (centroid - worst)
+        centroid = simplex[:-1].sum(axis=0) / n
+        away = centroid - simplex[-1]
+        reflected = centroid + away
         f_r = f(reflected)
         if f_r < fvals[0]:
-            expanded = centroid + 2.0 * (centroid - worst)
+            expanded = centroid + 2.0 * away
             f_e = f(expanded)
             if f_e < f_r:
-                simplex[-1], fvals[-1] = expanded, f_e
+                replace_worst(expanded, f_e)
             else:
-                simplex[-1], fvals[-1] = reflected, f_r
+                replace_worst(reflected, f_r)
         elif f_r < fvals[-2]:
-            simplex[-1], fvals[-1] = reflected, f_r
+            replace_worst(reflected, f_r)
         else:
-            contracted = centroid + 0.5 * (worst - centroid)
+            contracted = centroid + 0.5 * (simplex[-1] - centroid)
             f_c = f(contracted)
             if f_c < fvals[-1]:
-                simplex[-1], fvals[-1] = contracted, f_c
+                replace_worst(contracted, f_c)
             else:
                 simplex[1:] = simplex[0] + 0.5 * (simplex[1:] - simplex[0])
-                fvals[1:] = [f(x) for x in simplex[1:]]
+                fvals[1:] = [float(f(x)) for x in simplex[1:]]
+                resort()
 
 
 @dataclass(frozen=True)
@@ -154,8 +175,11 @@ def portfolio_returns(scenarios, weights) -> np.ndarray:
 def _simplex_point(theta: np.ndarray) -> np.ndarray:
     """Squared hyperspherical coordinates: k - 1 angles give a point of the
     k-simplex, w_i = cos^2(theta_i) * prod_{j<i} sin^2(theta_j)."""
-    rest = np.concatenate([[1.0], np.cumprod(np.sin(theta) ** 2)])
-    return np.concatenate([rest[:-1] * np.cos(theta) ** 2, rest[-1:]])
+    w = np.empty(theta.size + 1)
+    w[0] = 1.0
+    np.multiply.accumulate(np.sin(theta) ** 2, out=w[1:])
+    w[:-1] *= np.cos(theta) ** 2
+    return w
 
 
 def _simplex_angles(p: np.ndarray) -> np.ndarray:
@@ -181,19 +205,21 @@ def _feasible_map(means: np.ndarray, target: float | None):
     if target is None:
         return _simplex_point, _simplex_angles
     gap = means - target
-    hi = gap >= 0.0
-    lo = ~hi
-    split = int(hi.sum()) - 1
+    hi = np.flatnonzero(gap >= 0.0)
+    lo = np.flatnonzero(gap < 0.0)
+    gap_hi, gap_lo = gap[hi], gap[lo]
+    split = hi.size - 1
 
     def to_weights(theta: np.ndarray) -> np.ndarray:
         p = _simplex_point(theta[:split])
         q = _simplex_point(theta[split:])
-        up = float(gap[hi] @ p)
-        down = -float(gap[lo] @ q)
+        up = float(gap_hi @ p)
+        down = -float(gap_lo @ q)
         w = np.empty(means.size)
         w[hi] = down * p
         w[lo] = up * q
-        return w / (up + down)
+        w /= up + down
+        return w
 
     def to_angles(w: np.ndarray) -> np.ndarray:
         return np.concatenate([_simplex_angles(w[hi]), _simplex_angles(w[lo])])

@@ -27,7 +27,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .curves import GOLDEN, _primal_power, _reflected_power, _sample, _sorted_sample, _uniform_grid
+from .curves import (
+    GOLDEN,
+    _primal_power,
+    _reflected_power,
+    _sample,
+    _sorted_sample,
+    _uniform_grid,
+    _unit_points,
+)
 from .errors import BadParameter, BadSpec, EmptySample
 from .lorenz import LorenzCurve, _partial_sum_ratios
 
@@ -177,9 +185,8 @@ class TargetCurveSpec:
         return float(anchor_down), float(anchor_up)
 
     def evaluate(self, x):
-        x_arr = np.asarray(x, dtype=float)
-        scalar = x_arr.ndim == 0
-        x_arr = np.atleast_1d(x_arr)
+        """The curve at x in [0, 1]; outside it, or NaN, is OutOfDomain."""
+        x_arr, scalar = _unit_points(x, "target curve argument")
         down = _tail(self.down_kuma, self.down_power, x_arr)
         up = _tail(self.up_kuma, self.up_power, x_arr)
         y_d, y_u = self._anchors()
@@ -242,8 +249,8 @@ def _bound(kind: str, t: int, v, tail_fraction, target):
     if kind == "extended_gini":
         factor = v * (v - 1.0) / (t - 1.0)
         def gini_value(x):
-            ratios, _ = _partial_sum_ratios(_sorted_sample(x))
-            return float(factor * np.dot(weights, xi - ratios[:-1]))
+            ratios = _partial_sum_ratios(_sorted_sample(x))[0][:-1]
+            return float(factor * np.dot(weights, np.subtract(xi, ratios, out=ratios)))
         return gini_value
     if not isinstance(target, TargetCurveSpec):
         raise BadSpec(f"{kind} needs a TargetCurveSpec target, got {type(target).__name__}")
@@ -255,10 +262,14 @@ def _bound(kind: str, t: int, v, tail_fraction, target):
     target_values, integral = target.evaluate(xi), target.integral()
 
     def gs_value(x):
+        # One sorted copy, overwritten in place: the mean is taken first, as
+        # np.mean takes it (x.sum() / t), then the partial-sum ratios.
         x = _sorted_sample(np.abs(x) if kind == "gs2" else x)
-        ratios, _ = _partial_sum_ratios(x)
-        deviation = np.dot(weights, np.abs(ratios[:-1] - target_values))
-        return float(np.mean(x) * v * (v - 1.0) / integral * deviation / (t - 1.0))
+        mean = x.sum() / t
+        ratios = _partial_sum_ratios(x)[0][:-1]
+        ratios -= target_values
+        deviation = np.dot(weights, np.abs(ratios, out=ratios))
+        return float(mean * v * (v - 1.0) / integral * deviation / (t - 1.0))
 
     return gs_value
 

@@ -82,6 +82,14 @@ def test_iterate_default_start_approaches_the_limit(tmp_path, capsys):
     assert min(sups[:15]) < 0.01
 
 
+def test_iterate_reflected_on_a_support_below_resolution_is_a_usage_error(tmp_path, capsys):
+    argv = ["iterate", "--mode", "reflected", "--start", "point_mass:1e-17", "--grid", "64",
+            "--max-iter", "2", "--out", str(tmp_path / "trace.csv")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: support reaches only 1e-17")
+    assert main(argv[:3] + ["--normalize"] + argv[3:]) == 0
+
+
 def test_iterate_dump_curves(tmp_path):
     out = tmp_path / "trace.csv"
     dump = tmp_path / "curves"

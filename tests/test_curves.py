@@ -256,6 +256,30 @@ def test_family_parameter_validation():
         AnalyticFamily("gamma").mean
 
 
+@pytest.mark.parametrize(
+    "kind, params",
+    [
+        ("power", ()),
+        ("power", (-1.0,)),
+        ("power", (2.0, 3.0)),
+        ("power", ("x",)),
+        ("uniform01", (1.0,)),
+        ("pareto", (1.0, 1.0)),
+        ("lognormal", (0.5, 0.0)),
+        ("point_mass", (math.nan,)),
+    ],
+)
+def test_family_built_directly_is_checked_like_its_constructor(kind, params):
+    with pytest.raises(BadParameter):
+        AnalyticFamily(kind, params)
+
+
+def test_family_built_directly_equals_its_constructor():
+    assert AnalyticFamily("pareto", (1, 2.5)) == AnalyticFamily.pareto(1.0, 2.5)
+    assert AnalyticFamily("power", [3]).params == (3.0,)
+    assert AnalyticFamily("power", [3]).mean == 0.75
+
+
 # One member of each family, built by each constructor.
 FAMILIES = {
     "uniform01": AnalyticFamily.uniform01(),

@@ -339,25 +339,38 @@ def test_reflected_cross_check_fires(monkeypatch):
 
 
 @pytest.mark.parametrize("top", [1e-17, 2.2e-311])
-def test_reflected_on_a_tiny_maximum_fails_the_route_check_without_warnings(top):
-    # 1 - Q rounds to 1 on the psi route, so the routes disagree; at a
-    # subnormal width the min route's cell slope also overflows to inf,
-    # which must stay silent and leave the same error
+def test_reflected_on_a_tiny_maximum_asks_for_normalize_without_warnings(top):
+    # 1 - Q rounds to 1 at every node, so the psi route cannot check the min
+    # route; the support is rejected before either runs, and rescaled it is
+    # the uniform two-node quantile
+    q = QuantileCurve(np.array([0.0, top]))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(CrossCheckError):
-            reflected_transform(QuantileCurve(np.array([0.0, top])))
+        with pytest.raises(BadParameter, match="normalize=True"):
+            reflected_transform(q)
+        with pytest.raises(BadParameter, match="normalize=True"):
+            reflected_inverse(q, 0.5)
+        L = reflected_transform(unit_support(q, normalize=True))
+    assert np.array_equal(L.values, [0.0, 1.0])
 
 
-def test_reflected_on_a_subnormal_mean_fails_the_route_check():
-    # mu times a grid fraction rounds up to the top of m(t), past every cell
-    # of the min route; that target takes the last cell instead of indexing
-    # past it, and the routes disagree as on any tiny maximum
+def test_reflected_on_a_subnormal_mean_asks_for_normalize():
     q = QuantileCurve(np.array([5e-324, 5e-324, 1.5e-323, 2e-323, 2.5e-323]))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(CrossCheckError):
+        with pytest.raises(BadParameter, match="normalize=True"):
             reflected_transform(q)
+        reflected_transform(unit_support(q, normalize=True))
+
+
+def test_reflected_support_resolution_boundary():
+    # 1 - 2**-54 rounds to 1 (a tie, to even); the next float up is the
+    # smallest maximum the operator takes, and both routes still agree there
+    with pytest.raises(BadParameter, match="normalize=True"):
+        reflected_transform(QuantileCurve(2.0**-54 * UNIFORM.values))
+    top = float(np.nextafter(2.0**-54, 1.0))
+    L = reflected_transform(QuantileCurve(top * UNIFORM.values))
+    assert L.values[-1] == 1.0
 
 
 def test_reflected_handles_positive_minimum():

@@ -28,6 +28,7 @@ from lorenzlab.errors import (
     BadSpec,
     EmptySample,
     NonPositiveMean,
+    OutOfDomain,
 )
 from lorenzlab.rng import Xoshiro256pp
 
@@ -218,6 +219,18 @@ def test_target_spec_validation():
             up_kuma=0.0,
             up_power=1.0,
         )
+
+
+@pytest.mark.parametrize("x", [1.5, -0.5, math.nan, [0.5, 1.5], [0.5, math.nan]])
+def test_target_evaluate_rejects_points_outside_the_unit_interval(x):
+    with pytest.raises(OutOfDomain, match="target curve argument outside"):
+        TargetCurveSpec().evaluate(x)
+
+
+def test_target_evaluate_absorbs_endpoint_dust():
+    spec = TargetCurveSpec()
+    assert spec.evaluate(-1e-13) == spec.evaluate(0.0)
+    assert spec.evaluate(1.0 + 1e-13) == spec.evaluate(1.0) == 1.0
 
 
 def test_target_curve_is_classical():
