@@ -87,19 +87,35 @@ def _nondecreasing(a: np.ndarray) -> bool:
     return bool(np.all(a[1:] >= a[:-1]))
 
 
-def _sorted_searchsorted(nodes: np.ndarray, targets: np.ndarray, side: str) -> np.ndarray:
+def _sorted_searchsorted(
+    nodes: np.ndarray, targets: np.ndarray, side: str, guess: np.ndarray | None = None
+) -> np.ndarray:
     """np.searchsorted(nodes, targets, side) for 1-d nodes, bit for bit.
 
-    When the targets are 1-d and both arrays are nondecreasing, the targets
-    are merged into the nodes by one stable sort of their concatenation,
-    which finds two sorted runs and merges them in linear time instead of
+    `guess` is an optional index per target, such as the cells the same
+    search found the last time. It is trusted only when the nodes are
+    nondecreasing, and then checked exactly for each target: k is the
+    'left' answer iff nodes[k-1] < t <= nodes[k], and the 'right' one iff
+    nodes[k-1] <= t < nodes[k], with the nodes taken as -inf before the
+    first and +inf after the last. Targets that miss are searched again when
+    they are few; when more miss, the guess is dropped.
+
+    Without a usable guess, 1-d nondecreasing targets are merged into
+    nondecreasing nodes by one stable sort of their concatenation, which
+    finds two sorted runs and merges them in linear time instead of
     searching every target. Ties keep the side's order: a 'left' target
     goes before the nodes equal to it, a 'right' one after them, so a
     target's index is its merged position minus its own rank. Anything else
     takes the binary search, including nodes that rounding left a hair out
     of order, where only the search defines the answer.
     """
-    if targets.ndim != 1 or not (_nondecreasing(targets) and _nondecreasing(nodes)):
+    if targets.ndim != 1 or not _nondecreasing(nodes):
+        return np.searchsorted(nodes, targets, side=side)
+    if guess is not None and np.shape(guess) == targets.shape:
+        k = _checked_guess(nodes, targets, side, guess)
+        if k is not None:
+            return k
+    if not _nondecreasing(targets):
         return np.searchsorted(nodes, targets, side=side)
     n = targets.size
     if side == "left":
@@ -109,6 +125,33 @@ def _sorted_searchsorted(nodes: np.ndarray, targets: np.ndarray, side: str) -> n
         order = np.argsort(np.concatenate([nodes, targets]), kind="stable")
         merged = np.flatnonzero(order >= nodes.size)
     return merged - np.arange(n)
+
+
+# A guess is dropped when more than one target in this many misses its cell:
+# past that, searching the misses again costs more than the merge.
+_GUESS_MISS_RATIO = 8
+
+
+def _checked_guess(nodes, targets, side, guess):
+    """`guess` with each target that misses its cell in the nondecreasing
+    `nodes` searched again, or None when too many miss."""
+    k = np.clip(np.asarray(guess, dtype=np.intp), 0, nodes.size)
+    padded = np.concatenate([[-np.inf], nodes, [np.inf]])
+    below = padded[k]
+    above = padded[1:][k]
+    if side == "left":
+        hit = below < targets
+        hit &= targets <= above
+    else:
+        hit = below <= targets
+        hit &= targets < above
+    if hit.all():
+        return k
+    miss = np.flatnonzero(~hit)
+    if miss.size * _GUESS_MISS_RATIO > targets.size:
+        return None
+    k[miss] = np.searchsorted(nodes, targets[miss], side=side)
+    return k
 
 
 def _sample(samples) -> np.ndarray:
@@ -150,7 +193,7 @@ class MonotoneCurve:
             raise BadParameter("a curve needs a 1-d array of at least two node values")
         if not np.isfinite(values).all():
             raise NonFinite("curve values must be finite")
-        if np.any(np.diff(values) < 0.0):
+        if not _nondecreasing(values):
             raise NonMonotone("curve values must be nondecreasing")
 
     @property

@@ -62,8 +62,10 @@ class NonPositiveMean(NumericError):
     pass
 
 
-class SupportExceedsUnit(NumericError):
-    pass
+class UnitSupportRequired(BadParameter):
+    """The reflected operator's support precondition failed: the quantile's
+    maximum exceeds 1, or is so small that 1 minus it rounds to 1. Both are
+    mended by rescaling, unit_support(quantile, normalize=True)."""
 
 
 class DegenerateAfterTruncation(NumericError):

@@ -24,7 +24,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -150,6 +150,14 @@ def run_iteration(
         raise BadParameter(f"tol must be at least 0, got {tol}")
     if normalize and mode != "reflected":
         raise BadParameter("normalize applies to the reflected mode only")
+    # One memo per run: each cell search that repeats every round (the primal
+    # inverse, the reflected operator's two routes) starts from the cells it
+    # found the round before, which barely move once the iteration settles.
+    cells = {}
+    if mode == "primal":
+        inverse = partial(inverse, cells=cells)
+    else:
+        transform = partial(transform, cells=cells)
     grid = start.grid
     limit = limit_curve(mode, start.grid_size).values
     trace = IterationTrace()

@@ -14,10 +14,15 @@ convex curves through (0, 0) and (1, 1), and both are inverted in closed
 form. For a piecewise-linear Q each inversion inverts a continuous G that
 is quadratic on each cell, with a slope linear between known nodes:
 _prefix_inverse finds each target's cell and takes one stable quadratic
-root. The iteration inverts at all grid nodes, whose targets are sorted:
-their cells come from one linear merge with the node values, and only
-unsorted targets take a binary search each. Sampling a curve at the nodes
-and inverting the polyline would instead lose accuracy where it is steep.
+root. The iteration inverts at all grid nodes, whose targets are sorted.
+Their cells barely move from one round to the next, so run_iteration keeps
+each search's cells for the next round, which takes them as a guess: every
+guessed cell is checked exactly against its two node values, and only the
+targets that miss are searched again. A search with no guess, or with too
+many misses, merges the sorted targets with the node values in linear
+time; unsorted targets take a binary search each. Either way the cells are
+np.searchsorted's, bit for bit. Sampling a curve at the nodes and
+inverting the polyline would instead lose accuracy where it is steep.
 
 reflected_transform evaluates L_ref on two routes built from different
 data: a concave-cell inversion of m(t) = E[min(Q, t)], and a convex-cell
@@ -39,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import (
-    _ENDPOINT_TOL, DEFAULT_GRID, MonotoneCurve, QuantileCurve,
+    _ENDPOINT_TOL, DEFAULT_GRID, MonotoneCurve, QuantileCurve, _nondecreasing,
     _sample, _sorted_sample, _sorted_searchsorted, _trapezoid_prefix, _uniform_grid,
 )
 from .errors import (
@@ -50,7 +55,7 @@ from .errors import (
     NonMonotone,
     NonPositiveMean,
     OutOfRange,
-    SupportExceedsUnit,
+    UnitSupportRequired,
 )
 
 _CONVEXITY_TOL = 1e-10
@@ -108,43 +113,65 @@ def _positive_mean(quantile: MonotoneCurve) -> float:
 def lorenz_transform(quantile: MonotoneCurve) -> LorenzCurve:
     """Normalized prefix integral of a nonnegative quantile curve."""
     values = quantile._prefix / _positive_mean(quantile)  # the G primal_inverse inverts
-    return LorenzCurve(np.maximum.accumulate(values), convex=True, classical=True)
+    if not _nondecreasing(values):
+        values = np.maximum.accumulate(values)
+    return LorenzCurve(values, convex=True, classical=True)
 
 
-def _prefix_inverse(x, G, g, target, side: str = "left") -> np.ndarray:
+def _prefix_inverse(x, G, g, target, side: str = "left", cells=None, key=None) -> np.ndarray:
     """Inverse of a continuous piecewise-quadratic G at absolute targets.
 
     G is nondecreasing and takes the values G at the nodes x (which may
     repeat, for a jump); its slope is linear between the node values g. "left"
     gives inf { y : G(y) >= target }, "right" gives sup { y : G(y) <= target };
     a target with no cell below it maps to x[0]. Every target inverts with
-    one stable root once its cell is known. Nondecreasing targets (the grid
-    nodes) find their cells by one linear merge with G; any others by a
-    binary search per point.
+    one stable root once its cell is known. With a dict `cells`, the search
+    takes cells[key] as its guess and stores the cells it finds there; see
+    _sorted_searchsorted.
     """
-    k = _sorted_searchsorted(G, target, side)
+    k = _sorted_searchsorted(G, target, side, None if cells is None else cells.get(key))
+    if cells is not None:
+        cells[key] = k
     # A target with k = 0 is solved in cell 0 too, and its root discarded. One
     # with k = len(G), at or past G's top (a subnormal mean times a grid
     # fraction can round up to it), is solved in the last cell, where a
     # positive slope clamps its root to x[-1].
-    i = np.clip(k - 1, 0, G.size - 2)
+    i = k - 1
+    np.clip(i, 0, G.size - 2, out=i)
+    upper = i + 1
     r = target - G[i]
     a = g[i]
     lo = x[i]
-    width = x[i + 1] - lo
+    width = x[upper]
+    width -= lo
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        slope = (g[i + 1] - a) / width
+        # slope = (g[i + 1] - a) / width, then the root's discriminant
+        # a^2 + 2 slope r and its stable denominator, each in place.
+        disc = g[upper]
+        disc -= a
+        disc /= width
+        disc *= 2.0
+        disc *= r
+        disc += a * a
         # Stable root of (slope/2) d^2 + a d = r, exact in the linear limit; the
         # clamp absorbs rounding on falling slopes. Kept roots have r >= 0, so a
         # denominator that is not positive, or NaN in a zero-width cell, gives +0.
         # A subnormal width can overflow the slope to inf; the clamp to
         # [0, width] still bounds the root.
-        denom = a + np.sqrt(np.maximum(a * a + 2.0 * slope * r, 0.0))
-        delta = 2.0 * r / np.where(denom > 0.0, denom, np.inf)
-    return np.where(k > 0, lo + np.minimum(delta, width), x[0])
+        denom = np.maximum(disc, 0.0, out=disc)
+        np.sqrt(denom, out=denom)
+        denom += a
+        np.copyto(denom, np.inf, where=~(denom > 0.0))
+        delta = r
+        delta *= 2.0
+        delta /= denom
+    np.minimum(delta, width, out=delta)
+    delta += lo
+    np.copyto(delta, x[0], where=k == 0)
+    return delta
 
 
-def _psi_route(q: QuantileCurve) -> np.ndarray:
+def _psi_route(q: QuantileCurve, cells=None) -> np.ndarray:
     """Reflected operator through psi, the cross-check route.
 
     psi(y) is the integral over [0, y] of g, the inverse of the integrand
@@ -155,12 +182,13 @@ def _psi_route(q: QuantileCurve) -> np.ndarray:
     x = np.concatenate([[0.0], 1.0 - q.values[::-1], [1.0]])
     g = np.concatenate([[0.0], q.grid, [1.0]])
     prefix = _trapezoid_prefix(np.diff(x), g)
-    # ascending targets, so the cells are found by a merge; reversed back
-    y = _prefix_inverse(x, prefix, g, (1.0 - q.grid[::-1]) * prefix[-1])[::-1]
+    # ascending targets, so the cells come from a guess or a merge; reversed back
+    target = (1.0 - q.grid[::-1]) * prefix[-1]
+    y = _prefix_inverse(x, prefix, g, target, "left", cells, "psi")[::-1]
     return np.maximum.accumulate(1.0 - y)
 
 
-def _min_route(qc: QuantileCurve, mu: float) -> np.ndarray:
+def _min_route(qc: QuantileCurve, mu: float, cells=None) -> np.ndarray:
     """Reflected operator L_ref(x) = sup { t : E[min(Q, t)] <= mu x } on the grid.
 
     m(t) = E[min(Q, t)] equals t up to Q_0 and prefix_k + Q_k (1 - k/M) at
@@ -174,7 +202,7 @@ def _min_route(qc: QuantileCurve, mu: float) -> np.ndarray:
     m = np.concatenate([[0.0], qc._prefix + q * (1.0 - frac)])
     # m'(t) at each node value; the cell below Q_0 has slope one throughout.
     slope = np.concatenate([[1.0], 1.0 - frac])
-    vals = np.append(_prefix_inverse(t, m, slope, mu * frac[:-1], "right"), 1.0)
+    vals = np.append(_prefix_inverse(t, m, slope, mu * frac[:-1], "right", cells, "min"), 1.0)
     return np.maximum.accumulate(vals)
 
 
@@ -182,7 +210,9 @@ def unit_support(quantile: MonotoneCurve, *, normalize: bool = False) -> Quantil
     """Clip a nonnegative quantile into [0, 1], optionally scaling by its max.
 
     This is the support precondition of the reflected operator; the clip
-    only absorbs float dust once the preconditions hold.
+    only absorbs float dust once the preconditions hold. Without normalize,
+    a maximum above 1, or one so small that 1 minus it rounds to 1, is
+    UnitSupportRequired.
     """
     q = quantile.values
     if q[0] < -_ENDPOINT_TOL:
@@ -194,13 +224,13 @@ def unit_support(quantile: MonotoneCurve, *, normalize: bool = False) -> Quantil
             raise NonPositiveMean("cannot normalize an all-zero quantile")
         q = q / qmax
     elif qmax > 1.0 + 1e-9:
-        raise SupportExceedsUnit(
+        raise UnitSupportRequired(
             f"support reaches {float(qmax)!r}; pass normalize=True to rescale"
         )
     elif qmax > 0.0 and 1.0 - qmax == 1.0:
         # The reflected operator's cross-check works with 1 - Q, which would
         # round to 1 at every node.
-        raise BadParameter(
+        raise UnitSupportRequired(
             f"support reaches only {float(qmax)!r}, below float resolution "
             "next to 1; pass normalize=True to rescale"
         )
@@ -232,16 +262,22 @@ def reflected_inverse(quantile: MonotoneCurve, u) -> np.ndarray:
     return vals
 
 
-def reflected_transform(quantile: MonotoneCurve) -> LorenzCurve:
+def reflected_transform(quantile: MonotoneCurve, *, cells: dict | None = None) -> LorenzCurve:
     """Reflected operator for distributions supported in [0, 1].
 
-    A support that exceeds 1 is SupportExceedsUnit; unit_support(quantile,
-    normalize=True) rescales it first. Every call also runs the psi route and
-    raises CrossCheckError unless the two routes agree within 1e-6.
+    A support that exceeds 1, or that 1 minus it cannot resolve, is
+    UnitSupportRequired; unit_support(quantile, normalize=True) rescales it
+    first. Every call also runs the psi route and raises CrossCheckError
+    unless the two routes agree within 1e-6.
+
+    `cells` is an optional dict, such as the one run_iteration keeps for a
+    run: each route's cell search starts from the cells it stored there on
+    the last call, and stores the ones it finds. The result is the same bits
+    with or without it.
     """
     qc, mu = _reflected_support(quantile)
-    vals = _min_route(qc, mu)
-    gap = float(np.max(np.abs(vals - _psi_route(qc))))
+    vals = _min_route(qc, mu, cells)
+    gap = float(np.max(np.abs(vals - _psi_route(qc, cells))))
     if gap > _ROUTE_AGREEMENT:
         raise CrossCheckError(
             f"reflected operator routes disagree by {gap!r} (> {_ROUTE_AGREEMENT})"
@@ -249,20 +285,24 @@ def reflected_transform(quantile: MonotoneCurve) -> LorenzCurve:
     return LorenzCurve(vals, convex=True, classical=True)
 
 
-def primal_inverse(quantile: MonotoneCurve, u) -> np.ndarray:
+def primal_inverse(quantile: MonotoneCurve, u, *, cells: dict | None = None) -> np.ndarray:
     """Generalized inverse of lorenz_transform(quantile), evaluated exactly.
 
     The transform of a piecewise-linear quantile is piecewise quadratic, so
     each cell inverts in closed form. Inverting the stored polyline instead
     would lose O(h^phi) accuracy in the cells where the curve is singular,
-    which is exactly where the iteration needs it.
+    which is exactly where the iteration needs it. `cells` is an optional
+    dict from which the cell search takes the cells it found on the last
+    call, as in reflected_transform; it never changes the result.
     """
     total = _positive_mean(quantile)
     u_arr = np.atleast_1d(np.asarray(u, dtype=float))
     if np.isnan(u_arr).any():
         raise OutOfRange("inverse argument is NaN")
     target = np.clip(u_arr, 0.0, 1.0) * total
-    return _prefix_inverse(quantile.grid, quantile._prefix, quantile.values, target)
+    return _prefix_inverse(
+        quantile.grid, quantile._prefix, quantile.values, target, "left", cells, "primal"
+    )
 
 
 def simple_reflect(curve: MonotoneCurve) -> LorenzCurve:

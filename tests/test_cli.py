@@ -1,14 +1,19 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lorenzlab import (
     AnalyticFamily,
+    __version__,
     ScenarioMatrix,
     TargetCurveSpec,
     analytic_quantile,
@@ -88,6 +93,46 @@ def test_iterate_reflected_on_a_support_below_resolution_is_a_usage_error(tmp_pa
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error: support reaches only 1e-17")
     assert main(argv[:3] + ["--normalize"] + argv[3:]) == 0
+
+
+def test_iterate_reflected_on_a_support_above_one_is_the_same_usage_error(tmp_path, capsys):
+    argv = ["iterate", "--mode", "reflected", "--start", "pareto:1,2.5", "--grid", "64",
+            "--max-iter", "2", "--out", str(tmp_path / "trace.csv")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: support reaches ") and "normalize=True" in err
+    assert not (tmp_path / "trace.csv").exists()
+    assert main(argv[:3] + ["--normalize"] + argv[3:]) == 0
+
+
+def run_module(module, *args, cwd):
+    """`python -m module args` in a fresh interpreter that finds src/ first."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    return subprocess.run([sys.executable, "-m", module, *args], env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_python_m_lorenzlab_cli_runs_main(tmp_path):
+    out = tmp_path / "trace.csv"
+    argv = ["iterate", "--mode", "reflected", "--start", "pareto:1,2.5", "--grid", "64",
+            "--max-iter", "2", "--out", str(out)]
+    result = run_module("lorenzlab.cli", *argv, cwd=tmp_path)
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: support reaches ")
+    assert not out.exists()
+    result = run_module("lorenzlab.cli", *argv[:3], "--normalize", *argv[3:], cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    start = analytic_quantile(AnalyticFamily.pareto(1.0, 2.5), 64)
+    assert out.read_bytes() == library_trace_bytes(tmp_path, start, "reflected", 2, 1e-4,
+                                                   normalize=True)
+
+
+def test_python_m_lorenzlab_is_the_command_line(tmp_path):
+    result = run_module("lorenzlab", "--version", cwd=tmp_path)
+    assert (result.returncode, result.stdout, result.stderr) == (0, f"{__version__}\n", "")
+    result = run_module("lorenzlab", "no-such-command", cwd=tmp_path)
+    assert result.returncode == 1 and result.stderr.startswith("error: ")
 
 
 def test_iterate_dump_curves(tmp_path):

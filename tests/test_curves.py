@@ -406,6 +406,63 @@ def test_sorted_searchsorted_is_searchsorted(nodes, data):
             assert np.array_equal(got, want)
 
 
+@st.composite
+def guesses(draw, nodes, targets):
+    """A guess of targets' cells in nodes: the answer, the answer with a few
+    cells or all of them off by one, all 0, all len(nodes), random indices
+    (some out of range), or the answer for nodes moved by a small step."""
+    n = nodes.size
+    exact = np.searchsorted(nodes, targets, side=draw(st.sampled_from(["left", "right"])))
+    kind = draw(st.sampled_from(["exact", "few_off", "off", "zero", "top", "random", "stale"]))
+    if kind == "exact":
+        return exact
+    if kind == "few_off":
+        guess = exact.copy()
+        for j in draw(st.lists(st.integers(0, max(targets.size - 1, 0)), min_size=1, max_size=3)):
+            if targets.size:
+                guess[j] += draw(st.sampled_from([-1, 1]))
+        return guess
+    if kind == "off":
+        return exact + draw(st.sampled_from([-1, 1]))
+    if kind == "zero":
+        return np.zeros_like(exact)
+    if kind == "top":
+        return np.full_like(exact, n)
+    if kind == "random":
+        return np.array(draw(st.lists(st.integers(-2, n + 2), min_size=targets.size,
+                                      max_size=targets.size)), dtype=np.intp)
+    step = draw(st.floats(-0.5, 0.5))
+    return np.searchsorted(nodes + step, targets)
+
+
+@given(search_nodes(), st.data())
+@settings(max_examples=400, deadline=None)
+def test_a_guess_never_changes_the_search(nodes, data):
+    # targets as in test_sorted_searchsorted_is_searchsorted; 16 to 60 of them
+    # as often as 0 to 2, so that a few misses are searched again rather than
+    # dropping the guess
+    pool = list(nodes) + [-1.0, -0.0, 0.0, 1e3]
+    element = st.sampled_from(pool) | st.floats(-1.0, 100.0)
+    picks = data.draw(st.lists(element, max_size=2) | st.lists(element, min_size=16, max_size=60))
+    picks = np.array(picks, dtype=float)
+    shuffled = np.array(data.draw(st.permutations(picks)), dtype=float)
+    # the same nodes a hair out of order: one node an ulp above the next,
+    # where only the binary search defines the answer and the guess is ignored
+    unsorted = nodes.copy()
+    if nodes.size >= 2:
+        j = data.draw(st.integers(0, nodes.size - 2))
+        unsorted[j] = np.nextafter(unsorted[j + 1], np.inf)
+    for nodes_, targets in [(nodes, np.sort(picks)), (nodes, shuffled), (unsorted, np.sort(picks))]:
+        guess = data.draw(guesses(nodes, targets))
+        kept = guess.copy()
+        for side in ("left", "right"):
+            want = np.searchsorted(nodes_, targets, side=side)
+            got = _sorted_searchsorted(nodes_, targets, side, guess)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+            assert np.array_equal(guess, kept)
+
+
 def test_analytic_quantile_tail_handling():
     fam = AnalyticFamily.pareto(1.0, 1.0 + PHI)
     q = analytic_quantile(fam, 64)

@@ -11,19 +11,26 @@ from hypothesis import strategies as st
 from lorenzlab import (
     AnalyticFamily,
     LorenzCurve,
+    QuantileCurve,
     alpha_sequence,
     analytic_quantile,
     empirical_quantile,
     envelope_violation,
     fixed_point_residual,
     limit_curve,
+    lorenz_transform,
+    primal_inverse,
+    reflected_inverse,
+    reflected_transform,
     run_iteration,
     self_similarity_residual,
+    unit_support,
     write_trace_csv,
 )
 import lorenzlab.lorenz as lorenz_module
 from lorenzlab.errors import BadParameter
 
+from conftest import five_starts
 from oracles import (
     ENVELOPE_X12_GRID_SUP,
     PHI,
@@ -228,6 +235,45 @@ def test_trace_bits_are_pinned(primal_traces, reflected_traces, fine_primal_trac
     )
     got["primal65536/lognormal"] = trace_digest(fine_primal_trace)
     assert got == TRACE_DIGESTS
+
+
+def cold_rounds(start, mode, rounds):
+    """(curves, sup_to_limit, envelope_violations) of `rounds` rounds driven
+    through the public operators and inverses, each cell search from
+    scratch."""
+    primal = mode == "primal"
+    transform = lorenz_transform if primal else reflected_transform
+    inverse = primal_inverse if primal else reflected_inverse
+    quantile = start if primal else unit_support(start, normalize=True)
+    curves = [transform(quantile)]
+    while len(curves) < rounds:
+        quantile = QuantileCurve(inverse(quantile, quantile.grid))
+        curves.append(transform(quantile))
+    limit = limit_curve(mode, start.grid_size).values
+    sups = [float(np.max(np.abs(c.values - limit))) for c in curves]
+    return curves, sups, [envelope_violation(c, n, mode) for n, c in enumerate(curves)]
+
+
+@pytest.mark.parametrize("mode", ["primal", "reflected"])
+def test_warm_started_rounds_are_the_cold_rounds(mode, primal_traces, reflected_traces):
+    # run_iteration starts each round's cell searches from the cells of the
+    # round before; the five starts include the two-atom one, whose tied
+    # prefix values and zero-width psi cell test the exact check of a guess
+    traces = primal_traces if mode == "primal" else reflected_traces
+    starts = five_starts()
+    for name, trace in traces.items():
+        curves, sups, violations = cold_rounds(starts[name], mode, trace.iterations)
+        assert all(np.array_equal(a.values, b.values) for a, b in zip(trace.curves, curves)), name
+        assert trace.sup_to_limit == sups, name
+        assert trace.envelope_violations == violations, name
+
+
+def test_warm_started_fine_primal_rounds_are_the_cold_rounds(fine_primal_trace):
+    start = analytic_quantile(AnalyticFamily.lognormal(0.5, 0.2), 65536)
+    curves, sups, violations = cold_rounds(start, "primal", fine_primal_trace.iterations)
+    assert all(np.array_equal(a.values, b.values) for a, b in zip(fine_primal_trace.curves, curves))
+    assert fine_primal_trace.sup_to_limit == sups
+    assert fine_primal_trace.envelope_violations == violations
 
 
 def reference_envelope_violations(curves, mode) -> list[float]:

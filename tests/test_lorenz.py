@@ -36,7 +36,7 @@ from lorenzlab.errors import (
     NonFinite,
     NonMonotone,
     NonPositiveMean,
-    SupportExceedsUnit,
+    UnitSupportRequired,
 )
 
 from oracles import PHI, REFLECTED_UNIFORM_HALF
@@ -300,7 +300,7 @@ def test_min_route_is_its_scalar_loop(q):
 def test_unit_support_validation():
     with pytest.raises(BadParameter):
         unit_support(MonotoneCurve(np.array([-0.2, 0.5, 1.0])))
-    with pytest.raises(SupportExceedsUnit):
+    with pytest.raises(UnitSupportRequired):
         unit_support(MonotoneCurve(np.array([0.0, 1.0, 2.0])))
     with pytest.raises(NonPositiveMean):
         unit_support(MonotoneCurve(np.zeros(5)), normalize=True)
@@ -333,7 +333,7 @@ def test_reflected_point_mass_closed_form(c):
 
 def test_reflected_cross_check_fires(monkeypatch):
     route = lorenz_module._psi_route
-    monkeypatch.setattr(lorenz_module, "_psi_route", lambda q: route(q) + 2e-6)
+    monkeypatch.setattr(lorenz_module, "_psi_route", lambda *args: route(*args) + 2e-6)
     with pytest.raises(CrossCheckError):
         reflected_transform(UNIFORM)
 
@@ -346,9 +346,9 @@ def test_reflected_on_a_tiny_maximum_asks_for_normalize_without_warnings(top):
     q = QuantileCurve(np.array([0.0, top]))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(BadParameter, match="normalize=True"):
+        with pytest.raises(UnitSupportRequired, match="normalize=True"):
             reflected_transform(q)
-        with pytest.raises(BadParameter, match="normalize=True"):
+        with pytest.raises(UnitSupportRequired, match="normalize=True"):
             reflected_inverse(q, 0.5)
         L = reflected_transform(unit_support(q, normalize=True))
     assert np.array_equal(L.values, [0.0, 1.0])
@@ -358,7 +358,7 @@ def test_reflected_on_a_subnormal_mean_asks_for_normalize():
     q = QuantileCurve(np.array([5e-324, 5e-324, 1.5e-323, 2e-323, 2.5e-323]))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(BadParameter, match="normalize=True"):
+        with pytest.raises(UnitSupportRequired, match="normalize=True"):
             reflected_transform(q)
         reflected_transform(unit_support(q, normalize=True))
 
@@ -366,7 +366,7 @@ def test_reflected_on_a_subnormal_mean_asks_for_normalize():
 def test_reflected_support_resolution_boundary():
     # 1 - 2**-54 rounds to 1 (a tie, to even); the next float up is the
     # smallest maximum the operator takes, and both routes still agree there
-    with pytest.raises(BadParameter, match="normalize=True"):
+    with pytest.raises(UnitSupportRequired, match="normalize=True"):
         reflected_transform(QuantileCurve(2.0**-54 * UNIFORM.values))
     top = float(np.nextafter(2.0**-54, 1.0))
     L = reflected_transform(QuantileCurve(top * UNIFORM.values))
@@ -399,7 +399,7 @@ def test_reflected_inverse_keeps_the_callers_order():
 
 def test_reflected_rejects_oversized_support():
     q = analytic_quantile(AnalyticFamily.lognormal(0.5, 0.2), 128)
-    with pytest.raises(SupportExceedsUnit):
+    with pytest.raises(UnitSupportRequired):
         reflected_transform(q)
     L = reflected_transform(unit_support(q, normalize=True))
     assert L.classical
