@@ -16,6 +16,7 @@ import csv
 import json
 import math
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -40,7 +41,14 @@ from .data import (
     write_prices_csv,
     write_scenarios_csv,
 )
-from .errors import BadParameter, DataError, LorenzLabError, NumericError, UsageError
+from .errors import (
+    BadParameter,
+    DataError,
+    DegenerateColumnWarning,
+    LorenzLabError,
+    NumericError,
+    UsageError,
+)
 from .iterate import _MODES, limit_curve, run_iteration, write_trace_csv
 from .portfolio import efficient_frontier
 from .risk import RiskMeasureConfig, TargetCurveSpec, measure_report
@@ -378,10 +386,26 @@ _COMMANDS = {
 _PREFIXES = {1: "error", 2: "data error", 3: "numeric failure"}
 
 
+def _format_warning(python_format):
+    """A `warnings.formatwarning` that writes a lorenzlab warning as one
+    `warning: <message>` line and leaves any other to `python_format`."""
+
+    def format_warning(message, category, *rest):
+        if issubclass(category, DegenerateColumnWarning):
+            return f"warning: {message}\n"
+        return python_format(message, category, *rest)
+
+    return format_warning
+
+
 def main(argv=None) -> int:
     """Run one subcommand; the only place a failure becomes an exit code. A
-    LorenzLabError exits with its class's code, an OSError as a DataError."""
+    LorenzLabError exits with its class's code, an OSError as a DataError.
+    Warnings pass the interpreter's filters as usual; only their text is
+    `_format_warning`'s while the subcommand runs."""
     parser = build_parser()
+    saved = warnings.formatwarning
+    warnings.formatwarning = _format_warning(saved)
     try:
         ns = parser.parse_args(argv)
         _COMMANDS[ns.subcommand](ns)
@@ -389,6 +413,8 @@ def main(argv=None) -> int:
         code = getattr(exc, "exit_code", DataError.exit_code)
         print(f"{_PREFIXES[code]}: {exc}", file=sys.stderr)
         return code
+    finally:
+        warnings.formatwarning = saved
     return 0
 
 

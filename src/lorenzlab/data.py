@@ -31,10 +31,13 @@ from .errors import (
     ParseError,
 )
 from .rng import (
+    acklam_array,
     normal_cdf_array,
     normal_inverse_cdf_array,
+    normal_tail_array,
     normals_from_states,
     substream_states,
+    uniforms_from_states,
 )
 
 # Rows simulated per block; bounds the temporaries for a large `n`. Rows are
@@ -271,13 +274,84 @@ def _nearest_correlation_cholesky(corr: np.ndarray) -> np.ndarray:
     raise BadParameter("correlation matrix could not be factorized")
 
 
-def _correlated_normals(chol: np.ndarray, seed: int, start: int, stop: int) -> np.ndarray:
-    """Rows start..stop-1 of the copula's correlated normals: row i is
-    `chol @ eps` with eps the first normals of substream (seed, i)."""
-    eps = normals_from_states(substream_states(seed, range(start, stop)), len(chol))
+def _correlated_normals(
+    chol: np.ndarray, seed: int, start: int, stop: int, keep=slice(None)
+) -> np.ndarray:
+    """Rows start..stop-1 of the copula's correlated normals, or those of them
+    that `keep` selects: row i is `chol @ eps` with eps the first normals of
+    substream (seed, i)."""
+    rows = np.arange(start, stop)[keep]
+    eps = normals_from_states(substream_states(seed, rows), len(chol))
     # one matrix-vector product per row, as `chol @ eps` does; a single
     # `eps @ chol.T` is a matrix product that sums in another order
     return np.matmul(chol, eps[:, :, None])[:, :, 0]
+
+
+def _ranks(scaled: np.ndarray, t: int) -> np.ndarray:
+    """ceil(u * t) clipped to [1, t], from `scaled` = u * t."""
+    return np.clip(np.ceil(scaled), 1, t).astype(np.intp)
+
+
+# Bounds of the rank filter in `_filtered_ranks`. The two published ones are
+# taken ten times over, which covers the rounding of evaluating each
+# approximation in float64 (far below its own error); the others are
+# rounding allowances, each well above the few ulps it covers.
+_ACKLAM_REL = 1.15e-8  # Acklam: |x0 / x - 1| < 1.15e-9
+_ERFCC_REL = 1.2e-6  # Numerical Recipes' erfcc: fractional error < 1.2e-7
+_HALLEY_ABS = 1e-12  # the Halley step's own rounding, below 1e-15
+_CDF_ABS = 1e-14  # a few ulps of 1 in u and in 1 - tail, and underflow
+_RANK_MARGIN = 2.0**-48  # the roundings of u * t, Phi~ * t and its two ends
+_DENSITY_MAX = 1.0 / math.sqrt(2.0 * math.pi)  # phi(0), the largest density
+
+
+def _filtered_ranks(
+    chol: np.ndarray, seed: int, start: int, stop: int, t: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ranks ceil(u * t), clipped to [1, t], of rows start..stop-1 of the
+    copula, from values with a proven error bound, and the mask of the rows
+    whose ranks that bound leaves open; the ranks given for those rows are
+    not to be used.
+
+    For each row, with p its uniforms, x0 = `acklam_array(p)` (no Halley
+    step) and eps the refined normals of the exact path:
+
+    - |eps_j - x0_j| <= _ACKLAM_REL |x0_j| + _HALLEY_ABS. Acklam's relative
+      error is below 1.15e-9. The Halley step removes that error up to the
+      rounding of `normal_cdf(x0) - p` (a few ulps of p) over the density at
+      x0, and the Mills ratio p / phi(x0) <= sqrt(pi / 2) keeps that below
+      1e-15.
+    - z0 = x0 @ chol.T and z = chol @ eps each sum n terms in some order, so
+      each is off its exact sum by at most gamma_n sum_j |chol_ij| |x_j|,
+      gamma_n = n 2**-53 / (1 - n 2**-53) (Higham, Accuracy and Stability
+      of Numerical Algorithms, 2nd ed., section 3.1). With
+      S_i = sum_j |chol_ij| |x0_j|, |z_i - z0_i| is at most
+      (_ACKLAM_REL + 3 n 2**-53) S_i + _HALLEY_ABS sum_j |chol_ij|.
+    - |Phi(z) - Phi(z0)| <= phi(0) |z - z0|, by the mean value theorem.
+    - Phi~ is T~ or 1 - T~ with T~ = `normal_tail_array(z0)`, whose error is
+      below 1.2e-7 T (Numerical Recipes' erfcc, Press et al., Numerical
+      Recipes in C, 2nd ed., section 6.2), so |Phi~ - Phi(z0)| is at most
+      _ERFCC_REL T~ + _CDF_ABS.
+    - u = `normal_cdf(z)` is Phi(z) to a few ulps, inside _CDF_ABS and the
+      relative term.
+
+    So u * t lies within bound * t of Phi~ * t, and _RANK_MARGIN * t more
+    covers the roundings of both products and of the two ends. Every value
+    in between has the same clipped rank exactly when both ends have it. A
+    row with a zero uniform, which `normal()` redraws, is left open too.
+    """
+    p = uniforms_from_states(substream_states(seed, range(start, stop)), len(chol))
+    redraw = (p == 0.0).any(axis=1)
+    p[redraw] = 0.5
+    x0 = acklam_array(p)
+    z0 = x0 @ chol.T
+    tail = normal_tail_array(z0)
+    abs_chol = np.abs(chol)
+    spread = (_ACKLAM_REL + 3 * len(chol) * 2.0**-53) * (np.abs(x0) @ abs_chol.T)
+    spread += _HALLEY_ABS * abs_chol.sum(axis=1)
+    bound = _ERFCC_REL * tail + (_CDF_ABS + _RANK_MARGIN) + _DENSITY_MAX * spread
+    scaled = np.where(z0 < 0.0, tail, 1.0 - tail) * t
+    low, high = _ranks(scaled - bound * t, t), _ranks(scaled + bound * t, t)
+    return high, (low != high).any(axis=1) | redraw
 
 
 def copula_simulate(
@@ -288,13 +362,18 @@ def copula_simulate(
     Marginals are the historical empirical quantiles (x_(ceil(u*T))), so
     every simulated value appears in the history. Each output row uses its
     own counter-derived substream of the seed, so row i is identical across
-    runs and independent of n.
+    runs and independent of n. The seed must lie in [0, 2**64).
 
     Row i equals the scalar reference: draw `n_assets` normals from
     `Xoshiro256pp.substream(seed, i)`, correlate them with `chol @ eps`,
     and take x_(ceil(u*T)) with u = `normal_cdf` of each entry, clipped to
-    [1, T]. All rows of a block are computed at once, with `rng`'s array
-    generator and inverse, which match the scalar ones bit for bit.
+    [1, T]. Only the integer ranks reach the output, so most rows take them
+    from cheap approximations with a certified error bound
+    (`_filtered_ranks`: Acklam's inverse without its Halley step, and
+    Numerical Recipes' erfcc). A row with a rank that bound cannot decide,
+    or with a zero uniform, runs the exact path: `rng`'s array generator
+    and inverse, which match the scalar ones bit for bit, then `chol @ eps`
+    and `normal_cdf`. Either way every rank is the reference's.
     """
     values = np.asarray(scenarios.values, dtype=float)
     if not np.isfinite(values).all():
@@ -304,6 +383,8 @@ def copula_simulate(
         raise InsufficientHistory("need at least two historical rows")
     if n < 1:
         raise BadParameter("n must be positive")
+    if not 0 <= seed < 2**64:
+        raise BadParameter(f"seed must lie in [0, 2**64), got {seed}")
     constant = values.max(axis=0) == values.min(axis=0)
     if constant.any():
         names = [scenarios.tickers[j] for j in np.flatnonzero(constant)]
@@ -319,8 +400,10 @@ def copula_simulate(
     out = np.empty((n, n_assets))
     for start in range(0, n, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, n)
-        u = normal_cdf_array(_correlated_normals(chol, seed, start, stop))
-        idx = np.clip(np.ceil(u * t), 1, t).astype(np.intp)
+        idx, exact = _filtered_ranks(chol, seed, start, stop, t)
+        if exact.any():
+            z = _correlated_normals(chol, seed, start, stop, exact)
+            idx[exact] = _ranks(normal_cdf_array(z) * t, t)
         out[start:stop] = sorted_cols[idx - 1, columns]
     return ScenarioMatrix(values=out, tickers=list(scenarios.tickers))
 

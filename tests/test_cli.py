@@ -105,11 +105,12 @@ def test_iterate_reflected_on_a_support_above_one_is_the_same_usage_error(tmp_pa
     assert main(argv[:3] + ["--normalize"] + argv[3:]) == 0
 
 
-def run_module(module, *args, cwd):
-    """`python -m module args` in a fresh interpreter that finds src/ first."""
+def run_module(module, *args, cwd, flags=()):
+    """`python [flags] -m module args` in a fresh interpreter that finds src/
+    first."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    return subprocess.run([sys.executable, "-m", module, *args], env=env, cwd=cwd,
+    return subprocess.run([sys.executable, *flags, "-m", module, *args], env=env, cwd=cwd,
                           capture_output=True, text=True, timeout=120)
 
 
@@ -365,6 +366,33 @@ def test_simulate_rejects_nonfinite_cells(tmp_path, capsys):
     assert main(argv) == 2
     assert f"{path}:6: non-finite value inf for A2" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616", "18446744073709551617"])
+def test_simulate_rejects_a_seed_outside_64_bits(tmp_path, capsys, seed):
+    path, _ = scenario_file(tmp_path)
+    out = tmp_path / "sim.csv"
+    argv = ["simulate", "--scenarios", str(path), "--window", "0", "--n", "20", "--seed", seed,
+            "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: seed must lie in [0, 2**64), got {seed}\n"
+    assert not out.exists()
+
+
+def test_simulate_prints_a_constant_column_warning_as_one_line(tmp_path):
+    path = tmp_path / "flat.csv"
+    path.write_text("A,FLAT\n0.1,0.2\n0.3,0.2\n0.2,0.2\n")
+    argv = ["simulate", "--scenarios", str(path), "--window", "0", "--n", "20",
+            "--out", str(tmp_path / "sim.csv")]
+    result = run_module("lorenzlab", *argv, cwd=tmp_path)
+    assert result.returncode == 0
+    assert result.stderr == (
+        "warning: constant columns ['FLAT']: rank correlations undefined, using 0\n"
+    )
+    # the interpreter's filters still apply: ignored, or raised as an error
+    assert run_module("lorenzlab", *argv, cwd=tmp_path, flags=["-W", "ignore"]).stderr == ""
+    failed = run_module("lorenzlab", *argv, cwd=tmp_path, flags=["-W", "error::UserWarning"])
+    assert failed.returncode != 0 and "DegenerateColumnWarning" in failed.stderr
 
 
 # -- odd and malformed cells --------------------------------------------------

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 import re
+import warnings
 from datetime import date, timedelta
 
 import numpy as np
@@ -36,7 +37,15 @@ from lorenzlab.errors import (
     NonPositivePrice,
     ParseError,
 )
-from lorenzlab.rng import Xoshiro256pp, normal_cdf
+from lorenzlab.rng import (
+    _P_LOW,
+    Xoshiro256pp,
+    acklam_array,
+    normal_cdf,
+    normal_cdf_array,
+    normal_inverse_cdf_array,
+    normal_tail_array,
+)
 
 
 def write_panel_csv(path, dates, tickers, prices):
@@ -363,6 +372,99 @@ def test_copula_warns_on_constant_columns():
     with pytest.warns(DegenerateColumnWarning, match="FLAT"):
         sim = copula_simulate(hist, n=100, seed=3)
     assert np.all(sim.values[:, 1] == 0.25)
+
+
+# -------------------------------------------------- the copula's rank filter
+
+
+def test_filter_approximations_stay_within_a_tenth_of_their_bounds():
+    # dense grids, the smallest nonzero draw 2**-53, and the neighbours of
+    # every branch edge; the array functions equal the scalar ones bit for bit
+    edges = np.array([2.0**-53, _P_LOW, 0.5, 1.0 - _P_LOW, 1.0 - 2.0**-53])
+    near = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
+    p = np.concatenate([
+        np.linspace(2.0**-53, 1.0 - 2.0**-53, 400_001),
+        np.geomspace(2.0**-53, 0.5, 100_001),
+        near[(near > 0.0) & (near < 1.0)],
+    ])
+    p = np.concatenate([p, 1.0 - p])
+    x0, x = acklam_array(p), normal_inverse_cdf_array(p)
+    assert np.all(np.abs(x0 - x) <= (data._ACKLAM_REL * np.abs(x0) + data._HALLEY_ABS) / 10)
+    # the tail down to where it underflows, and both signs
+    z = np.concatenate([np.linspace(-40.0, 40.0, 800_001), [0.0, -0.0, 5e-324, 1e-300]])
+    tail, exact = normal_tail_array(z), normal_cdf_array(-np.abs(z))
+    assert np.all(np.abs(tail - exact) <= (data._ERFCC_REL * tail + data._CDF_ABS) / 10)
+
+
+def chol_of(hist):
+    return data._nearest_correlation_cholesky(data._normal_scores_correlation(hist.values))
+
+
+def test_filtered_ranks_are_the_exact_ranks():
+    # a long history packs the rank boundaries close: with the erfcc bound
+    # 10**4 times too small, 14 of these cells get a wrong rank
+    hist = one_factor_history(14, t=4000)
+    chol, t = chol_of(hist), 4000
+    ranks, exact = data._filtered_ranks(chol, 5, 0, 20000, t)
+    want = data._ranks(normal_cdf_array(data._correlated_normals(chol, 5, 0, 20000)) * t, t)
+    assert np.array_equal(ranks[~exact], want[~exact])
+
+
+def test_most_rows_skip_the_exact_path():
+    # the bench's shape, 14 assets and 20000 rows
+    hist = one_factor_history(14)
+    _, exact = data._filtered_ranks(chol_of(hist), 1, 0, 20000, hist.values.shape[0])
+    assert exact.mean() < 0.10
+
+
+def test_every_row_on_the_exact_path_gives_the_same_bytes(monkeypatch):
+    hist = history_matrix()
+    want = copula_simulate(hist, n=500, seed=9).values.tobytes()
+    monkeypatch.setattr(data, "_RANK_MARGIN", math.inf)
+    assert data._filtered_ranks(chol_of(hist), 9, 0, 500, 300)[1].all()
+    assert copula_simulate(hist, n=500, seed=9).values.tobytes() == want
+    assert per_row_reference(hist, 500, seed=9).tobytes() == want
+
+
+@st.composite
+def random_histories(draw):
+    """Histories with tied, constant and duplicated columns."""
+    t = draw(st.integers(2, 60))
+    gen = Xoshiro256pp(draw(st.integers(0, 2**64 - 1)))
+    columns = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["normal", "tied", "constant", "duplicate"]))
+        if kind == "duplicate" and columns:
+            columns.append(columns[draw(st.integers(0, len(columns) - 1))])
+        elif kind == "constant":
+            columns.append(np.full(t, draw(st.floats(-1.0, 1.0))))
+        elif kind == "tied":
+            columns.append(np.array([float(int(gen.random() * 3)) for _ in range(t)]))
+        else:
+            columns.append(np.array([gen.normal() for _ in range(t)]))
+    values = np.column_stack(columns)
+    return ScenarioMatrix(values=values, tickers=[f"A{j}" for j in range(values.shape[1])])
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_histories(), st.integers(1, 80), st.integers(0, 2**64 - 1))
+def test_copula_matches_the_per_row_reference_on_random_histories(hist, n, seed):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateColumnWarning)
+        got = copula_simulate(hist, n=n, seed=seed).values
+    assert got.tobytes() == per_row_reference(hist, n, seed).tobytes()
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 1])
+def test_copula_rejects_a_seed_outside_64_bits(seed):
+    with pytest.raises(BadParameter, match="seed"):
+        copula_simulate(history_matrix(50), n=10, seed=seed)
+
+
+def test_copula_takes_the_largest_64_bit_seed():
+    hist = history_matrix(50)
+    top = copula_simulate(hist, n=20, seed=2**64 - 1).values
+    assert top.tobytes() == per_row_reference(hist, 20, seed=2**64 - 1).tobytes()
 
 
 # ---------------------------------------------------------------- round trips

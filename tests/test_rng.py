@@ -8,9 +8,12 @@ from hypothesis import strategies as st
 from lorenzlab.rng import (
     _P_LOW,
     Xoshiro256pp,
+    _acklam,
     _erfc,
     _log,
+    acklam_array,
     exp_array,
+    halley_step_array,
     next_u64_array,
     normal_cdf,
     normal_cdf_array,
@@ -143,6 +146,17 @@ def test_normal_inverse_cdf_array_matches_the_scalar(ps):
     want = [normal_inverse_cdf(p) for p in ps]
     assert same_bits(normal_inverse_cdf_array(ps), want)
     assert same_bits(normal_cdf_array(want), [normal_cdf(x) for x in want])
+
+
+@given(st.lists(st.floats(1e-300, 1.0, exclude_max=True), min_size=1, max_size=64))
+def test_acklam_array_is_the_scalar_rational_value(ps):
+    # the lower half as `_acklam`, the upper half reflected as the scalar
+    # inverse reflects it; the Halley step from there is the full inverse
+    want = [_acklam(p) if p <= 0.5 else -_acklam(1.0 - p) for p in ps]
+    x0 = acklam_array(ps)
+    assert same_bits(x0, want)
+    assert same_bits(halley_step_array(x0, ps), [normal_inverse_cdf(p) for p in ps])
+    assert acklam_array(np.empty((0, 2))).shape == (0, 2)
 
 
 @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.5, math.nan])
