@@ -184,7 +184,7 @@ def compute_returns(
     if kind not in ("simple", "log"):
         raise BadParameter(f"kind must be simple or log, got {kind!r}")
     if np.isnan(panel.prices).any():
-        raise BadParameter("panel has missing values; clean it first")
+        raise DataError("panel has missing values; clean it first")
     dates = panel.dates
     prices = panel.prices
     if frequency == "weekly":
@@ -274,19 +274,6 @@ def _nearest_correlation_cholesky(corr: np.ndarray) -> np.ndarray:
     raise BadParameter("correlation matrix could not be factorized")
 
 
-def _correlated_normals(
-    chol: np.ndarray, seed: int, start: int, stop: int, keep=slice(None)
-) -> np.ndarray:
-    """Rows start..stop-1 of the copula's correlated normals, or those of them
-    that `keep` selects: row i is `chol @ eps` with eps the first normals of
-    substream (seed, i)."""
-    rows = np.arange(start, stop)[keep]
-    eps = normals_from_states(substream_states(seed, rows), len(chol))
-    # one matrix-vector product per row, as `chol @ eps` does; a single
-    # `eps @ chol.T` is a matrix product that sums in another order
-    return np.matmul(chol, eps[:, :, None])[:, :, 0]
-
-
 def _ranks(scaled: np.ndarray, t: int) -> np.ndarray:
     """ceil(u * t) clipped to [1, t], from `scaled` = u * t."""
     return np.clip(np.ceil(scaled), 1, t).astype(np.intp)
@@ -305,15 +292,15 @@ _DENSITY_MAX = 1.0 / math.sqrt(2.0 * math.pi)  # phi(0), the largest density
 
 
 def _filtered_ranks(
-    chol: np.ndarray, seed: int, start: int, stop: int, t: int
+    chol: np.ndarray, p: np.ndarray, t: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Ranks ceil(u * t), clipped to [1, t], of rows start..stop-1 of the
-    copula, from values with a proven error bound, and the mask of the rows
-    whose ranks that bound leaves open; the ranks given for those rows are
-    not to be used.
+    """Ranks ceil(u * t), clipped to [1, t], of the copula rows whose
+    uniforms are the rows of `p`, from values with a proven error bound, and
+    the mask of the rows whose ranks that bound leaves open; the ranks given
+    for those rows are not to be used. `p` is not modified.
 
-    For each row, with p its uniforms, x0 = `acklam_array(p)` (no Halley
-    step) and eps the refined normals of the exact path:
+    For each row, with x0 = `acklam_array(p)` (no Halley step) and eps the
+    refined normals of the exact path:
 
     - |eps_j - x0_j| <= _ACKLAM_REL |x0_j| + _HALLEY_ABS. Acklam's relative
       error is below 1.15e-9. The Halley step removes that error up to the
@@ -339,10 +326,8 @@ def _filtered_ranks(
     in between has the same clipped rank exactly when both ends have it. A
     row with a zero uniform, which `normal()` redraws, is left open too.
     """
-    p = uniforms_from_states(substream_states(seed, range(start, stop)), len(chol))
     redraw = (p == 0.0).any(axis=1)
-    p[redraw] = 0.5
-    x0 = acklam_array(p)
+    x0 = acklam_array(np.where(redraw[:, None], 0.5, p))
     z0 = x0 @ chol.T
     tail = normal_tail_array(z0)
     abs_chol = np.abs(chol)
@@ -367,13 +352,14 @@ def copula_simulate(
     Row i equals the scalar reference: draw `n_assets` normals from
     `Xoshiro256pp.substream(seed, i)`, correlate them with `chol @ eps`,
     and take x_(ceil(u*T)) with u = `normal_cdf` of each entry, clipped to
-    [1, T]. Only the integer ranks reach the output, so most rows take them
-    from cheap approximations with a certified error bound
+    [1, T]. Each block of rows derives its substream states once. Only the
+    integer ranks reach the output, so most rows take them from the block's
+    uniforms through cheap approximations with a certified error bound
     (`_filtered_ranks`: Acklam's inverse without its Halley step, and
     Numerical Recipes' erfcc). A row with a rank that bound cannot decide,
-    or with a zero uniform, runs the exact path: `rng`'s array generator
-    and inverse, which match the scalar ones bit for bit, then `chol @ eps`
-    and `normal_cdf`. Either way every rank is the reference's.
+    or with a zero uniform, runs the exact path on its states:
+    `normals_from_states`, which matches `normal()` bit for bit, then
+    `chol @ eps` and `normal_cdf`. Either way every rank is the reference's.
     """
     values = np.asarray(scenarios.values, dtype=float)
     if not np.isfinite(values).all():
@@ -400,10 +386,14 @@ def copula_simulate(
     out = np.empty((n, n_assets))
     for start in range(0, n, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, n)
-        idx, exact = _filtered_ranks(chol, seed, start, stop, t)
-        if exact.any():
-            z = _correlated_normals(chol, seed, start, stop, exact)
-            idx[exact] = _ranks(normal_cdf_array(z) * t, t)
+        states = substream_states(seed, range(start, stop))
+        idx, undecided = _filtered_ranks(chol, uniforms_from_states(states, n_assets), t)
+        if undecided.any():
+            eps = normals_from_states(states[:, undecided], n_assets)
+            # one matrix-vector product per row, as `chol @ eps` does; a single
+            # `eps @ chol.T` is a matrix product that sums in another order
+            z = np.matmul(chol, eps[:, :, None])[:, :, 0]
+            idx[undecided] = _ranks(normal_cdf_array(z) * t, t)
         out[start:stop] = sorted_cols[idx - 1, columns]
     return ScenarioMatrix(values=out, tickers=list(scenarios.tickers))
 

@@ -45,6 +45,9 @@ from lorenzlab.rng import (
     normal_cdf_array,
     normal_inverse_cdf_array,
     normal_tail_array,
+    normals_from_states,
+    substream_states,
+    uniforms_from_states,
 )
 
 
@@ -195,8 +198,9 @@ def test_weekly_returns_use_last_observation_per_iso_week(tmp_path):
 
 def test_returns_validation(tmp_path):
     panel = load_price_panel(cleaning_fixture(tmp_path))
-    with pytest.raises(BadParameter):
+    with pytest.raises(DataError, match="missing values") as info:
         compute_returns(panel)  # still has gaps
+    assert info.value.exit_code == 2
     cleaned, _ = clean_panel(panel)
     with pytest.raises(BadParameter):
         compute_returns(cleaned, frequency="hourly")
@@ -329,11 +333,21 @@ def per_row_reference(scenarios, n, seed):
 def test_copula_rows_match_the_per_row_reference(n_assets, monkeypatch):
     hist = one_factor_history(n_assets)
     # the correlated normals themselves: an output cell moves only when a
-    # rounding change crosses a rank boundary, these move on any change
-    chol = data._nearest_correlation_cholesky(
-        data._normal_scores_correlation(hist.values)
-    )
-    correlated = data._correlated_normals(chol, 12, 0, 300)
+    # rounding change crosses a rank boundary, these move on any change. With
+    # an infinite margin every row takes the exact path, and its
+    # `normal_cdf_array` sees them all.
+    seen = []
+
+    def record(z):
+        seen.append(z.copy())
+        return normal_cdf_array(z)
+
+    monkeypatch.setattr(data, "_RANK_MARGIN", math.inf)
+    monkeypatch.setattr(data, "normal_cdf_array", record)
+    copula_simulate(hist, n=300, seed=12)
+    monkeypatch.undo()
+    chol, correlated = chol_of(hist), np.concatenate(seen)
+    assert correlated.shape == (300, n_assets)
     for i in range(300):
         rng = Xoshiro256pp.substream(12, i)
         eps = np.array([rng.normal() for _ in range(n_assets)])
@@ -400,28 +414,101 @@ def chol_of(hist):
     return data._nearest_correlation_cholesky(data._normal_scores_correlation(hist.values))
 
 
+def exact_scaled(chol, eps, t):
+    """u * t on the copula's exact path, for rows of independent normals."""
+    return normal_cdf_array(np.matmul(chol, eps[:, :, None])[:, :, 0]) * t
+
+
 def test_filtered_ranks_are_the_exact_ranks():
     # a long history packs the rank boundaries close: with the erfcc bound
     # 10**4 times too small, 14 of these cells get a wrong rank
     hist = one_factor_history(14, t=4000)
     chol, t = chol_of(hist), 4000
-    ranks, exact = data._filtered_ranks(chol, 5, 0, 20000, t)
-    want = data._ranks(normal_cdf_array(data._correlated_normals(chol, 5, 0, 20000)) * t, t)
-    assert np.array_equal(ranks[~exact], want[~exact])
+    states = substream_states(5, range(20000))
+    ranks, undecided = data._filtered_ranks(chol, uniforms_from_states(states, 14), t)
+    want = data._ranks(exact_scaled(chol, normals_from_states(states, 14), t), t)
+    assert np.array_equal(ranks[~undecided], want[~undecided])
+
+
+ULPS = 8
+
+
+def near_ties(p):
+    """Each p, its neighbours up to ULPS ulps either way (the first
+    1 + 2 * ULPS columns), and p moved 2**-e of the way to 0 and to 1 for
+    e = 12, 14, ..., 48, along a new last axis: from the rank boundary at p
+    out to where the filter decides."""
+    columns, low, high = [p], p, p
+    for _ in range(ULPS):
+        low, high = np.nextafter(low, 0.0), np.nextafter(high, 1.0)
+        columns += [low, high]
+    for e in range(12, 50, 2):
+        columns += [p * (1.0 - 2.0**-e), p + (1.0 - p) * 2.0**-e]
+    return np.stack(columns, axis=-1)
+
+
+def one_asset_ties(t):
+    # u = Phi(Phi^-1(p)) is p to a few ulps, so p = k / t puts u * t at k
+    return np.array([[1.0]]), near_ties(np.arange(1, t) / t)[:, :, None]
+
+
+def three_asset_ties(t, rows=400):
+    # two free uniforms per row; the third is solved so that the last
+    # correlated normal is Phi^-1(k / t), which puts its u * t at k
+    chol = chol_of(history_matrix())
+    gen = Xoshiro256pp(t)
+    free = np.array([[gen.random() or 0.5, gen.random() or 0.5] for _ in range(rows)])
+    k = np.array([1 + int(gen.random() * (t - 1)) for _ in range(rows)])
+    z = normal_inverse_cdf_array(k / t)
+    last = normal_cdf_array((z - normal_inverse_cdf_array(free) @ chol[2, :2]) / chol[2, 2])
+    keep = (last > 0.0) & (last < 1.0)
+    last = near_ties(last[keep])
+    free = np.broadcast_to(free[keep, None, :], last.shape + (2,))
+    return chol, np.concatenate([free, last[:, :, None]], axis=2)
+
+
+@pytest.mark.parametrize("t", [7, 300, 4000])
+@pytest.mark.parametrize("ties", [one_asset_ties, three_asset_ties])
+def test_filtered_ranks_hold_at_rank_ties(ties, t):
+    # a row is left open or has the exact path's ranks, on both sides of a tie
+    chol, p = ties(t)  # (ties, near_ties's columns, assets)
+    n_assets = len(chol)
+    scaled = exact_scaled(chol, normal_inverse_cdf_array(p.reshape(-1, n_assets)), t)
+    want = data._ranks(scaled, t)
+    ranks, undecided = data._filtered_ranks(chol, p.reshape(-1, n_assets), t)
+    assert np.array_equal(ranks[~undecided], want[~undecided])
+    # the ties are real: within ULPS ulps of p the last asset's exact rank
+    # changes, and the filter leaves those rows open but decides others
+    tied = want[:, -1].reshape(p.shape[:2])[:, : 1 + 2 * ULPS]
+    assert np.mean(tied.min(axis=1) < tied.max(axis=1)) > 0.9
+    assert undecided.reshape(p.shape[:2])[:, : 1 + 2 * ULPS].all()
+    assert 0.1 < np.mean(~undecided) < 0.5
 
 
 def test_most_rows_skip_the_exact_path():
     # the bench's shape, 14 assets and 20000 rows
     hist = one_factor_history(14)
-    _, exact = data._filtered_ranks(chol_of(hist), 1, 0, 20000, hist.values.shape[0])
-    assert exact.mean() < 0.10
+    p = uniforms_from_states(substream_states(1, range(20000)), 14)
+    _, undecided = data._filtered_ranks(chol_of(hist), p, hist.values.shape[0])
+    assert undecided.mean() < 0.10
+
+
+@pytest.mark.parametrize("seed", [1, 4242])
+def test_a_longer_run_extends_a_shorter_one_across_blocks(seed):
+    # 5000 rows end inside the second block, 9000 inside the third
+    assert data._BLOCK_ROWS < 5000 < 2 * data._BLOCK_ROWS < 9000
+    hist = one_factor_history(14)
+    short = copula_simulate(hist, n=5000, seed=seed).values
+    long = copula_simulate(hist, n=9000, seed=seed).values
+    assert short.tobytes() == long[:5000].tobytes()
 
 
 def test_every_row_on_the_exact_path_gives_the_same_bytes(monkeypatch):
     hist = history_matrix()
     want = copula_simulate(hist, n=500, seed=9).values.tobytes()
     monkeypatch.setattr(data, "_RANK_MARGIN", math.inf)
-    assert data._filtered_ranks(chol_of(hist), 9, 0, 500, 300)[1].all()
+    p = uniforms_from_states(substream_states(9, range(500)), 3)
+    assert data._filtered_ranks(chol_of(hist), p, 300)[1].all()
     assert copula_simulate(hist, n=500, seed=9).values.tobytes() == want
     assert per_row_reference(hist, 500, seed=9).tobytes() == want
 

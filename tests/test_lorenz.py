@@ -124,6 +124,18 @@ def test_transform_rejects_negative_values_by_default():
         lorenz_transform(q)
 
 
+def test_transform_repairs_a_prefix_that_dips_below_zero():
+    # values just below 0 (inside the endpoint tolerance) make the prefix
+    # integral fall before it rises; the curve is its running maximum
+    q = empirical_quantile([-5e-13, 0.3, 0.5, 1.0], 64)
+    ratio = q._prefix / q._prefix[-1]
+    assert np.any(np.diff(ratio) < 0.0)
+    L = lorenz_transform(q)
+    assert np.array_equal(L.values, np.maximum.accumulate(ratio))
+    assert L.values[0] == 0.0 and L.values[-1] == 1.0
+    assert np.all(np.diff(L.values) >= 0.0)
+
+
 def test_transform_rejects_zero_mean():
     q = MonotoneCurve(np.zeros(9))
     with pytest.raises(NonPositiveMean):

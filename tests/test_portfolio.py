@@ -26,6 +26,7 @@ from lorenzlab.errors import (
     NonPositiveMeanRegion,
     TooManyAssets,
 )
+from lorenzlab import portfolio
 from lorenzlab.portfolio import BUDGET_TOL, NONNEG_TOL, TARGET_TOL, nelder_mead
 from lorenzlab.rng import Xoshiro256pp
 
@@ -311,6 +312,45 @@ def test_frontier_clamps_a_target_that_rounding_puts_out_of_range():
     for point in points:
         assert point.converged
         assert np.array_equal(point.weights, [1.0, 0.0])
+
+
+# -------------------------------------------- the Nelder-Mead kinds' edge paths
+
+GS1 = RiskMeasureConfig("gs1")
+
+
+def one_losing_asset():
+    """Three assets, the first with a negative mean (about -0.02)."""
+    return seeded_scenarios(3, 60, 3, [-0.02, 0.05, 0.04], [0.01, 0.02, 0.03])
+
+
+def test_gs1_searches_past_portfolios_with_a_negative_mean():
+    # the cold start at the first asset's vertex has a negative mean, where
+    # gs1 is undefined, so the search starts from the objective's penalty
+    s = one_losing_asset()
+    assert s[:, 0].mean() < 0.0
+    point = min_risk(s, GS1)
+    assert point.converged, point.message
+    assert point.mean > 0.0 and point.risk > 0.0
+    assert point.weights[0] > 0.0
+
+
+def test_gs1_at_a_target_at_or_below_zero_has_no_risk():
+    s = one_losing_asset()
+    point = min_risk(s, GS1, target=-0.005)
+    assert point.mean == pytest.approx(-0.005, abs=TARGET_TOL)
+    assert np.isnan(point.risk)
+    assert not point.converged
+    assert point.message.startswith("risk undefined at the solution: ")
+
+
+def test_a_search_stopped_by_max_iter_is_not_converged(monkeypatch):
+    monkeypatch.setattr(portfolio, "_ITER_PER_DIM", 1)
+    s = one_losing_asset()
+    point = min_risk(s, GS1, target=0.03)
+    assert np.isfinite(point.risk)
+    assert not point.converged
+    assert point.message == "simplex diameter above tolerance at max_iter"
 
 
 def feasible_segment(means, target):
