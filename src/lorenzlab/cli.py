@@ -17,8 +17,10 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .curves import (
@@ -122,49 +124,34 @@ _TARGET_FIELDS = tuple(f.name for f in fields(TargetCurveSpec))
 _GS2_FIXED = tuple(name for name in _TARGET_FIELDS if name != "beta_up")
 
 
-def _moved_target_options(ns, names) -> list[str]:
-    """The options among `names` given values other than their defaults."""
-    defaults = TargetCurveSpec()
-    return [
-        "--" + name.replace("_", "-")
-        for name in names
-        if getattr(ns, name) != getattr(defaults, name)
-    ]
-
-
-def _target_from_args(ns, gs2: bool = False) -> TargetCurveSpec:
-    """The target the options describe. --identity-target is the diagonal,
-    which any other target option would change. For gs2 the target is the
-    gs2 shape at --beta-up unless the options spell out a gs2 shape
-    themselves; an option that would move gs2 off its shape is a usage
-    error."""
+def _target_from_args(ns, base: TargetCurveSpec) -> TargetCurveSpec:
+    """The target the run uses: `replace(base, **given)`, where `base` is the
+    target the kind or --gs2 fixes and `given` the target options on the
+    command line. --identity-target makes the diagonal the base and fixes all
+    of it; a base in gs2's shape fixes all but beta_up. A given option that
+    would change a fixed field is a usage error, one that restates it is not.
+    The target's fields go back into `ns`, so the sidecar records them."""
+    fixed = ()
     if ns.identity_target:
-        moved = _moved_target_options(ns, _TARGET_FIELDS)
-        if moved:
-            raise UsageError(
-                f"--identity-target sets the diagonal target, which {', '.join(moved)} "
-                "would change: give one or the other"
-            )
-        return TargetCurveSpec.diagonal()
-    # the spec's gs2 rule on the raw options, ahead of the spec's own checks
-    if gs2 and not TargetCurveSpec.is_gs2_shape.fget(ns):
-        moved = _moved_target_options(ns, _GS2_FIXED)
-        if moved:
-            raise UsageError(
-                f"gs2 keeps its restricted target shape, which {', '.join(moved)} "
-                "would change: leave them out, or give the whole shape "
-                "(--beta-down 0 --up-kuma 1 --up-power 0)"
-            )
-        return TargetCurveSpec.gs2_shape(ns.beta_up)
-    return TargetCurveSpec(**{name: getattr(ns, name) for name in _TARGET_FIELDS})
+        base, fixed = TargetCurveSpec.diagonal(), _TARGET_FIELDS
+        rule, remedy = "--identity-target sets the diagonal target", "give one or the other"
+    elif base.is_gs2_shape:
+        fixed, rule = _GS2_FIXED, "gs2 keeps its restricted target shape"
+        remedy = "leave them out, or give the whole shape (--beta-down 0 --up-kuma 1 --up-power 0)"
+    given = {name: getattr(ns, name) for name in _TARGET_FIELDS if getattr(ns, name) is not None}
+    moved = ["--" + name.replace("_", "-") for name in fixed
+             if name in given and given[name] != getattr(base, name)]
+    if moved:
+        raise UsageError(f"{rule}, which {', '.join(moved)} would change: {remedy}")
+    target = replace(base, **given)
+    vars(ns).update(asdict(target))
+    return target
 
 
 def _add_target_args(sub):
     sub.add_argument("--identity-target", action="store_true", help="diagonal target")
-    defaults = TargetCurveSpec()
     for name in _TARGET_FIELDS:
-        option = "--" + name.replace("_", "-")
-        sub.add_argument(option, type=float, default=getattr(defaults, name))
+        sub.add_argument("--" + name.replace("_", "-"), type=float, default=None)
 
 
 def _add_tail_args(sub):
@@ -183,9 +170,12 @@ def _tail_fraction(ns) -> float:
 
 
 def _config_from_args(ns) -> RiskMeasureConfig:
-    target = None
-    if ns.kind in ("gs1", "gs2"):
-        target = _target_from_args(ns, gs2=ns.kind == "gs2")
+    target = RiskMeasureConfig(ns.kind).target
+    if target is not None:
+        target = _target_from_args(ns, target)
+    else:  # a kind that reads no target records gs1's defaults for the target options
+        defaults = asdict(TargetCurveSpec())
+        vars(ns).update({name: defaults[name] for name in defaults if getattr(ns, name) is None})
     return RiskMeasureConfig(
         kind=ns.kind, v=ns.v, tail_fraction=_tail_fraction(ns), target=target
     )
@@ -298,7 +288,11 @@ def _load_column(path, column):
 def _cmd_measure(ns) -> None:
     config = _config_from_args(ns)
     samples = _load_column(ns.scenarios, ns.column)
-    report = measure_report(samples, config)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
+        report = measure_report(samples, config)
+    bad = [key for key, x in report.items() if isinstance(x, float) and not math.isfinite(x)]
+    if bad:
+        raise NumericError(f"{ns.kind} report is not finite: {bad[0]} = {report[bad[0]]!r}")
     if ns.out is not None:
         _write_json(ns.out, report)
         _write_sidecar(ns.out, ns)
@@ -308,7 +302,7 @@ def _cmd_measure(ns) -> None:
 def _cmd_target_curve(ns) -> None:
     if ns.gs2 and ns.identity_target:
         raise UsageError("--gs2 and --identity-target name different targets: give one")
-    spec = _target_from_args(ns, gs2=ns.gs2)
+    spec = _target_from_args(ns, TargetCurveSpec.gs2_shape() if ns.gs2 else TargetCurveSpec())
     write_curve_csv(spec.curve(ns.grid), ns.out)
     _write_sidecar(ns.out, ns)
     print(format_float(spec.integral()))

@@ -44,6 +44,7 @@ from .errors import (
     BadParameter,
     DimensionMismatch,
     InfeasibleTarget,
+    InsufficientHistory,
     NonPositiveMean,
     NonPositiveMeanRegion,
     TooManyAssets,
@@ -152,8 +153,10 @@ class FrontierResult:
 
 def _validate_scenarios(scenarios) -> np.ndarray:
     s = np.asarray(scenarios, dtype=float)
-    if s.ndim != 2 or s.shape[0] < 2 or s.shape[1] < 1:
-        raise BadParameter("scenarios must be a T x N matrix with T >= 2")
+    if s.ndim != 2 or s.shape[1] < 1:
+        raise BadParameter("scenarios must be a T x N matrix")
+    if s.shape[0] < 2:
+        raise InsufficientHistory(f"need at least two scenario rows, got {s.shape[0]}")
     if not np.isfinite(s).all():
         raise BadParameter("scenarios must be finite")
     return s

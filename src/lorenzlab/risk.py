@@ -36,7 +36,7 @@ from .curves import (
     _uniform_grid,
     _unit_points,
 )
-from .errors import BadParameter, BadSpec, EmptySample
+from .errors import BadParameter, BadSpec, EmptySample, NonPositiveMean
 from .lorenz import LorenzCurve, _partial_sum_ratios
 
 MEASURE_KINDS = ("variance", "mad", "cvar", "gmd", "extended_gini", "gs1", "gs2")
@@ -263,9 +263,14 @@ def _bound(kind: str, t: int, v, tail_fraction, target):
 
     def gs_value(x):
         # One sorted copy, overwritten in place: the mean is taken first, as
-        # np.mean takes it (x.sum() / t), then the partial-sum ratios.
+        # np.mean takes it (x.sum() / t), then the partial-sum ratios. The
+        # cumulative total they check can round to the other sign, so the
+        # mean is checked too.
         x = _sorted_sample(np.abs(x) if kind == "gs2" else x)
-        mean = x.sum() / t
+        total = x.sum()
+        if not total > 0.0:
+            raise NonPositiveMean(f"sample mean must be positive, got {float(total / t)!r}")
+        mean = total / t
         ratios = _partial_sum_ratios(x)[0][:-1]
         ratios -= target_values
         deviation = np.dot(weights, np.abs(ratios, out=ratios))
@@ -300,8 +305,14 @@ class RiskMeasureConfig:
 
 
 def measure_value(samples, config: RiskMeasureConfig) -> float:
+    """The kind's value of `samples`. gs1 is the mean times a distance, and
+    is refused where the mean np.mean reports is not positive, even if the
+    sums of the sorted sample it takes round to the other sign."""
     x = _sample(samples)
-    return config._bind(x.size)(x)
+    value = config._bind(x.size)(x)
+    if config.kind == "gs1" and not np.mean(x) > 0.0:
+        raise NonPositiveMean(f"sample mean must be positive, got {float(np.mean(x))!r}")
+    return value
 
 
 def measure_report(samples, config: RiskMeasureConfig) -> dict:

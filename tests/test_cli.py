@@ -1,15 +1,19 @@
 import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import asdict, replace
 from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lorenzlab import (
     AnalyticFamily,
@@ -31,7 +35,7 @@ from lorenzlab import (
 )
 from lorenzlab.cli import main
 from lorenzlab.curves import format_float, read_curve_csv
-from lorenzlab.errors import BadParameter
+from lorenzlab.errors import BadParameter, BadSpec
 from lorenzlab.risk import RiskMeasureConfig, measure_value, variance
 from lorenzlab.rng import Xoshiro256pp
 
@@ -527,6 +531,149 @@ def test_gs2_uses_its_shape_at_beta_up(tmp_path, capsys, options, beta_up):
     assert capsys.readouterr().out.strip() == format_float(measure_value(scen.values[:, 0], config))
 
 
+# -- target resolution ---------------------------------------------------------
+
+TARGET_FIELDS = ("beta_down", "beta_up", "down_kuma", "down_power", "up_kuma", "up_power")
+GS2_FIXED = tuple(name for name in TARGET_FIELDS if name != "beta_up")
+# Each command prefix with the target it starts from and the fields that
+# target fixes.
+TARGET_BASES = [
+    (["measure", "--kind", "gs1"], TargetCurveSpec(), ()),
+    (["measure", "--kind", "gs2"], TargetCurveSpec.gs2_shape(), GS2_FIXED),
+    (["measure", "--kind", "gs1", "--identity-target"], TargetCurveSpec.diagonal(), TARGET_FIELDS),
+    (["target-curve", "--identity-target"], TargetCurveSpec.diagonal(), TARGET_FIELDS),
+    (["target-curve", "--gs2"], TargetCurveSpec.gs2_shape(), GS2_FIXED),
+]
+# the values an option is drawn from, besides its base's own
+OTHER_TARGETS = [
+    TargetCurveSpec(),
+    TargetCurveSpec.gs2_shape(0.6),
+    TargetCurveSpec.diagonal(),
+    TargetCurveSpec(0.1, 0.6, 0.5, 0.5, 0.6, 0.4),
+]
+
+
+@pytest.fixture(scope="module")
+def target_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("targets")
+    scenario_file(directory)
+    return directory
+
+
+@st.composite
+def target_runs(draw):
+    prefix, base, fixed = draw(st.sampled_from(TARGET_BASES))
+    given = {}
+    for name in TARGET_FIELDS:
+        if draw(st.booleans()):
+            values = [getattr(base, name)] + [getattr(spec, name) for spec in OTHER_TARGETS]
+            given[name] = draw(st.sampled_from(values))
+    return prefix, base, fixed, given
+
+
+@given(target_runs())
+@settings(max_examples=150, deadline=None)
+def test_a_given_target_option_is_used_or_refused(target_dir, run):
+    prefix, base, fixed, given = run
+    out = target_dir / ("m.json" if prefix[0] == "measure" else "t.csv")
+    out.unlink(missing_ok=True)
+    argv = list(prefix) + ["--out", str(out)]
+    if prefix[0] == "measure":
+        argv += ["--scenarios", str(target_dir / "scen.csv")]
+    else:
+        argv += ["--grid", "64"]
+    for name, value in given.items():
+        argv += ["--" + name.replace("_", "-"), repr(value)]
+    printed, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(printed), redirect_stderr(err):
+        code = main(argv)
+    printed, err = printed.getvalue(), err.getvalue()
+    moved = [name for name in fixed if name in given and given[name] != getattr(base, name)]
+    if moved:
+        assert code == 1 and not out.exists()
+        named = ", ".join("--" + name.replace("_", "-") for name in moved)
+        assert f", which {named} would change: " in err, err
+        return
+    try:
+        target = replace(base, **given)
+    except BadSpec as exc:
+        assert (code, err) == (1, f"error: {exc}\n")
+        return
+    assert code == 0, err
+    options = read_sidecar(out)["options"]
+    assert {name: options[name.replace("_", "-")] for name in TARGET_FIELDS} == asdict(target)
+    if prefix[0] == "measure":
+        scen = read_scenarios_csv(target_dir / "scen.csv")
+        config = RiskMeasureConfig(kind=prefix[2], target=target)
+        assert printed == format_float(measure_value(scen.values[:, 0], config)) + "\n"
+    else:
+        assert printed == format_float(target.integral()) + "\n"
+        assert read_curve_csv(out).values.tolist() == target.curve(64).values.tolist()
+
+
+@pytest.mark.parametrize(
+    "options, target",
+    [
+        (["--kind", "gs2"], TargetCurveSpec.gs2_shape()),
+        (["--kind", "gs2", "--beta-up", "0.6"], TargetCurveSpec.gs2_shape(0.6)),
+        (["--kind", "gs1", "--identity-target"], TargetCurveSpec.diagonal()),
+        (["--kind", "gs1", "--beta-up", "0.6"], TargetCurveSpec(beta_up=0.6)),
+        # a kind that reads no target records gs1's default options
+        (["--kind", "variance"], TargetCurveSpec()),
+        (["--kind", "cvar", "--identity-target"], TargetCurveSpec()),
+    ],
+)
+def test_the_sidecar_records_the_target_the_run_used(tmp_path, options, target):
+    path, _ = scenario_file(tmp_path)
+    out = tmp_path / "m.json"
+    assert main(["measure", "--scenarios", str(path), *options, "--out", str(out)]) == 0
+    recorded = read_sidecar(out)["options"]
+    assert {name: recorded[name.replace("_", "-")] for name in TARGET_FIELDS} == asdict(target)
+
+
+def replay_argv(sidecar):
+    """The command line that the options of a sidecar spell out."""
+    argv = [sidecar["subcommand"]]
+    for name, value in sidecar["options"].items():
+        if value is True:
+            argv.append("--" + name)
+        elif value is not None and value is not False:
+            argv += ["--" + name, str(value)]
+    return argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["measure", "--kind", "gs2"],
+        ["measure", "--kind", "gs2", "--beta-up", "0.6", "--beta-down", "0"],
+        ["measure", "--kind", "gs1", "--identity-target", "--v", "3"],
+        ["measure", "--kind", "gs1", "--beta-down", "0.1", "--column", "A1"],
+        ["measure", "--kind", "cvar", "--tail-fraction", "0.1"],
+        ["frontier", "--kind", "gs2", "--n-points", "2"],
+        ["frontier", "--kind", "gs1", "--identity-target", "--n-points", "2"],
+        ["target-curve", "--gs2", "--beta-up", "0.6", "--grid", "64"],
+        ["target-curve", "--identity-target", "--grid", "64"],
+        ["target-curve", "--beta-down", "0.1", "--up-kuma", "0.6", "--up-power", "0.4",
+         "--grid", "64"],
+    ],
+)
+def test_replaying_a_sidecar_reproduces_the_run(tmp_path, capsys, argv):
+    path, _ = scenario_file(tmp_path, t=30)
+    out = tmp_path / "out"
+    if argv[0] != "target-curve":
+        argv = argv + ["--scenarios", str(path)]
+    assert main(argv + ["--out", str(out)]) == 0
+    written = sorted(p for p in tmp_path.iterdir() if p.name.startswith("out"))
+    first = [p.read_bytes() for p in written], capsys.readouterr().out
+    sidecar = json.loads((tmp_path / "out.run.json").read_text())
+    for p in written:
+        p.unlink()
+    assert main(replay_argv(sidecar)) == 0
+    assert sorted(p for p in tmp_path.iterdir() if p.name.startswith("out")) == written
+    assert ([p.read_bytes() for p in written], capsys.readouterr().out) == first
+
+
 # -- options that would do nothing ---------------------------------------------
 
 
@@ -544,6 +691,14 @@ def test_gs2_uses_its_shape_at_beta_up(tmp_path, capsys, options, beta_up):
         (["measure", "--scenarios", "unused.csv", "--kind", "gs1", "--identity-target",
           "--beta-down", "0.1", "--up-power", "0.3"],
          "--identity-target sets the diagonal target, which --beta-down, --up-power would change"),
+        # an option equal to gs1's default still moves a fixed target
+        (["target-curve", "--identity-target", "--beta-down", "0.25"],
+         "--identity-target sets the diagonal target, which --beta-down would change"),
+        (["measure", "--scenarios", "unused.csv", "--kind", "gs2", "--beta-down", "0.25"],
+         "gs2 keeps its restricted target shape, which --beta-down would change"),
+        (["frontier", "--scenarios", "unused.csv", "--kind", "gs2", "--up-kuma", "0.8",
+          "--up-power", "0.2"],
+         "gs2 keeps its restricted target shape, which --up-kuma, --up-power would change"),
         # --confidence c is --tail-fraction 1 - c: giving both, even the
         # default tail fraction, names the tail twice
         (["measure", "--scenarios", "unused.csv", "--kind", "cvar",
@@ -691,11 +846,15 @@ def test_bad_start_parameters_are_usage_errors(tmp_path, capsys, start, message)
 
 def test_identity_target_is_the_diagonal(tmp_path, capsys):
     diagonal, spelled = tmp_path / "diagonal.csv", tmp_path / "spelled.csv"
+    restated = tmp_path / "restated.csv"
     assert main(["target-curve", "--identity-target", "--grid", "64", "--out", str(diagonal)]) == 0
     assert main(["target-curve", "--beta-down", "0", "--beta-up", "1", "--grid", "64",
                  "--out", str(spelled)]) == 0
-    assert capsys.readouterr().out == "0.5\n0.5\n"
-    assert diagonal.read_bytes() == spelled.read_bytes()
+    # options that restate the diagonal change nothing
+    assert main(["target-curve", "--identity-target", "--beta-down", "0", "--beta-up", "1",
+                 "--grid", "64", "--out", str(restated)]) == 0
+    assert capsys.readouterr().out == "0.5\n0.5\n0.5\n"
+    assert diagonal.read_bytes() == spelled.read_bytes() == restated.read_bytes()
 
 
 def test_simulate_window_keeps_the_last_rows(tmp_path):

@@ -344,6 +344,17 @@ def test_gs1_at_a_target_at_or_below_zero_has_no_risk():
     assert point.message.startswith("risk undefined at the solution: ")
 
 
+def test_gs1_at_a_zero_mean_target_reports_a_risk_that_agrees_with_its_mean():
+    # At target 0 the sums gs1 takes of a portfolio's returns round to either
+    # sign; a negative sorted sum under a positive cumulative total gave a
+    # negative risk, which drew the search to it.
+    s = seeded_scenarios(3, 60, 3, [-0.02, 0.01, 0.02], [0.02, 0.03, 0.04])
+    point = min_risk(s, GS1, target=0.0)
+    assert point.converged, point.message
+    assert point.mean > 0.0 and point.risk >= 0.0
+    assert point.risk == measure_value(s @ point.weights, GS1)
+
+
 def test_a_search_stopped_by_max_iter_is_not_converged(monkeypatch):
     monkeypatch.setattr(portfolio, "_ITER_PER_DIM", 1)
     s = one_losing_asset()

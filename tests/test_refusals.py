@@ -25,7 +25,7 @@ from lorenzlab import (
     self_similarity_residual,
     truncate_generalized,
 )
-from lorenzlab.cli import _parse_start, main
+from lorenzlab.cli import _cmd_measure, _parse_start, build_parser, main
 from lorenzlab.curves import read_curve_csv
 from lorenzlab.errors import (
     BadParameter,
@@ -34,6 +34,7 @@ from lorenzlab.errors import (
     EmptySample,
     InsufficientHistory,
     NonPositiveMeanRegion,
+    NumericError,
     ParseError,
 )
 from lorenzlab.lorenz import GeneralizedLorenzPoints
@@ -52,6 +53,7 @@ FILES = {
     "two_rows.csv": "A,B\n0.01,0.02\n0.03,-0.01\n",
     "losing.csv": "A,B\n-0.01,-0.02\n-0.03,0.01\n-0.01,-0.02\n",
     "one_value.csv": "A\n0.01\n",
+    "overflow.csv": "A\n1e200\n-1e200\n3e200\n",
     "bad_curve.csv": "u,value\n0,abc\n",
 }
 VAR = RiskMeasureConfig("variance")
@@ -111,8 +113,8 @@ REFUSALS = [
     # portfolios
     refusal("portfolio-one-row",
             lambda d: min_risk(read_scenarios_csv(d / "one_row.csv").values, VAR),
-            BadParameter, "scenarios must be a T x N matrix with T >= 2",
-            ["frontier", "--scenarios", "{d}/one_row.csv", "--kind", "variance"], 1, "error"),
+            InsufficientHistory, "need at least two scenario rows, got 1",
+            ["frontier", "--scenarios", "{d}/one_row.csv", "--kind", "variance"], 2, "data error"),
     refusal("portfolio-nonfinite",
             lambda d: portfolio_returns([[np.nan, 0.01], [0.02, 0.03]], [0.5, 0.5]),
             BadParameter, "scenarios must be finite"),
@@ -129,6 +131,13 @@ REFUSALS = [
     refusal("gmd-pairwise-one-sample", lambda d: gmd_pairwise([0.01]),
             EmptySample, "need at least 2 samples, got 1",
             ["measure", "--scenarios", "{d}/one_value.csv", "--kind", "gmd"], 2, "data error"),
+    # a value that overflows is refused before the report is written
+    refusal("measure-overflow",
+            lambda d: _cmd_measure(build_parser().parse_args(
+                ["measure", "--scenarios", str(d / "overflow.csv"), "--kind", "variance"])),
+            NumericError, "variance report is not finite: value = inf",
+            ["measure", "--scenarios", "{d}/overflow.csv", "--kind", "variance"],
+            3, "numeric failure"),
     # the iteration and its curves
     refusal("iterate-max-iter",
             lambda d: run_iteration(analytic_quantile(AnalyticFamily.uniform01(), 64),

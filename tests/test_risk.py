@@ -317,6 +317,27 @@ def test_gs_accepts_negative_entries_with_positive_total():
         gs_measure([-0.05, 0.01], spec, v=2.5)
 
 
+def test_gs1_is_defined_only_where_every_mean_it_reads_is_positive():
+    # Samples with a mean of zero up to rounding: the sorted sum, the
+    # cumulative total and np.mean of the sample as given can each round to
+    # either sign. A value gs1 returns is never negative, and its sample's
+    # reported mean is positive.
+    rng = Xoshiro256pp(21)
+    gs1 = RiskMeasureConfig("gs1")
+    refused = 0
+    for _ in range(2000):
+        x = np.round([rng.normal() for _ in range(12)], 3)
+        x -= x.mean()
+        try:
+            value = measure_value(x, gs1)
+        except NonPositiveMean:
+            refused += 1
+            continue
+        assert value >= 0.0 and np.mean(x) > 0.0
+        assert measure_report(x, gs1)["mu"] > 0.0
+    assert 0 < refused < 2000
+
+
 def test_gs_rejects_a_target_that_is_not_a_spec():
     with pytest.raises(BadSpec):
         gs_measure([0.01, 0.02, 0.03], None)
