@@ -691,14 +691,6 @@ def test_replaying_a_sidecar_reproduces_the_run(tmp_path, capsys, argv):
         (["measure", "--scenarios", "unused.csv", "--kind", "gs1", "--identity-target",
           "--beta-down", "0.1", "--up-power", "0.3"],
          "--identity-target sets the diagonal target, which --beta-down, --up-power would change"),
-        # an option equal to gs1's default still moves a fixed target
-        (["target-curve", "--identity-target", "--beta-down", "0.25"],
-         "--identity-target sets the diagonal target, which --beta-down would change"),
-        (["measure", "--scenarios", "unused.csv", "--kind", "gs2", "--beta-down", "0.25"],
-         "gs2 keeps its restricted target shape, which --beta-down would change"),
-        (["frontier", "--scenarios", "unused.csv", "--kind", "gs2", "--up-kuma", "0.8",
-          "--up-power", "0.2"],
-         "gs2 keeps its restricted target shape, which --up-kuma, --up-power would change"),
         # --confidence c is --tail-fraction 1 - c: giving both, even the
         # default tail fraction, names the tail twice
         (["measure", "--scenarios", "unused.csv", "--kind", "cvar",
@@ -710,6 +702,14 @@ def test_replaying_a_sidecar_reproduces_the_run(tmp_path, capsys, argv):
         # a tolerance no gap can fall below would make --tol do nothing
         (["iterate", "--tol", "nan"], "tol must be at least 0, got nan"),
         (["iterate", "--tol", "-1"], "tol must be at least 0, got -1.0"),
+        # an option equal to gs1's default still moves a fixed target
+        (["target-curve", "--identity-target", "--beta-down", "0.25"],
+         "--identity-target sets the diagonal target, which --beta-down would change"),
+        (["measure", "--scenarios", "unused.csv", "--kind", "gs2", "--beta-down", "0.25"],
+         "gs2 keeps its restricted target shape, which --beta-down would change"),
+        (["frontier", "--scenarios", "unused.csv", "--kind", "gs2", "--up-kuma", "0.8",
+          "--up-power", "0.2"],
+         "gs2 keeps its restricted target shape, which --up-kuma, --up-power would change"),
     ],
 )
 def test_options_that_would_do_nothing_are_usage_errors(tmp_path, capsys, argv, message):
