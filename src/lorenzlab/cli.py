@@ -76,18 +76,12 @@ def _write_sidecar(out_path, ns) -> None:
     _write_json(str(out_path) + ".run.json", {**sidecar, "options": options})
 
 
-# The analytic start names: each is the AnalyticFamily constructor of that
-# name, with '-' read as '_'.
-_STARTS = ("uniform01", "power", "kumaraswamy_limit", "pareto", "lognormal", "point_mass")
-
-
-def _parse_start(text: str, log_scale: bool, grid: int):
+def _parse_start(text: str, grid: int):
     """Start grammar: name[:p1[,p2]] or sample:<path> (whitespace-separated
-    finite values)."""
+    finite values). Each name is the AnalyticFamily constructor of that name,
+    with '-' read as '_'."""
     name, _, arg = text.partition(":")
     name = name.strip().lower()
-    if log_scale and name != "lognormal":
-        raise UsageError(f"--lognormal-log-scale needs a lognormal start, got {text!r}")
     try:
         if name == "sample":
             if not arg:
@@ -107,10 +101,8 @@ def _parse_start(text: str, log_scale: bool, grid: int):
             return empirical_quantile(samples, grid)
         params = [float(tok) for tok in arg.split(",")] if arg else []
         constructor = name.replace("-", "_")
-        if constructor not in _STARTS:
+        if not isinstance(vars(AnalyticFamily).get(constructor), classmethod):
             raise BadParameter(f"unknown start {name!r}")
-        if log_scale:
-            constructor = "lognormal_logscale"
         family = getattr(AnalyticFamily, constructor)(*params)
     except TypeError:
         raise BadParameter(f"wrong number of parameters in start {text!r}") from None
@@ -126,47 +118,27 @@ _GS2_FIXED = tuple(name for name in _TARGET_FIELDS if name != "beta_up")
 
 def _target_from_args(ns, base: TargetCurveSpec) -> TargetCurveSpec:
     """The target the run uses: `replace(base, **given)`, where `base` is the
-    target the kind or --gs2 fixes and `given` the target options on the
-    command line. --identity-target makes the diagonal the base and fixes all
-    of it; a base in gs2's shape fixes all but beta_up. A given option that
-    would change a fixed field is a usage error, one that restates it is not.
-    The target's fields go back into `ns`, so the sidecar records them."""
-    fixed = ()
-    if ns.identity_target:
-        base, fixed = TargetCurveSpec.diagonal(), _TARGET_FIELDS
-        rule, remedy = "--identity-target sets the diagonal target", "give one or the other"
-    elif base.is_gs2_shape:
-        fixed, rule = _GS2_FIXED, "gs2 keeps its restricted target shape"
-        remedy = "leave them out, or give the whole shape (--beta-down 0 --up-kuma 1 --up-power 0)"
+    target the kind fixes and `given` the target options on the command line.
+    A base in gs2's shape fixes all but beta_up: a given option that would
+    change a fixed field is a usage error, one that restates it is not. The
+    target's fields go back into `ns`, so the sidecar records them."""
     given = {name: getattr(ns, name) for name in _TARGET_FIELDS if getattr(ns, name) is not None}
+    fixed = _GS2_FIXED if base.is_gs2_shape else ()
     moved = ["--" + name.replace("_", "-") for name in fixed
              if name in given and given[name] != getattr(base, name)]
     if moved:
-        raise UsageError(f"{rule}, which {', '.join(moved)} would change: {remedy}")
+        raise UsageError(
+            f"gs2 keeps its restricted target shape, which {', '.join(moved)} would change: "
+            "leave them out, or give the whole shape (--beta-down 0 --up-kuma 1 --up-power 0)"
+        )
     target = replace(base, **given)
     vars(ns).update(asdict(target))
     return target
 
 
 def _add_target_args(sub):
-    sub.add_argument("--identity-target", action="store_true", help="diagonal target")
     for name in _TARGET_FIELDS:
         sub.add_argument("--" + name.replace("_", "-"), type=float, default=None)
-
-
-def _add_tail_args(sub):
-    """--tail-fraction p or --confidence c (p = 1 - c), not both."""
-    tail = sub.add_mutually_exclusive_group()
-    tail.add_argument("--tail-fraction", type=float, default=0.05)
-    tail.add_argument("--confidence", type=float, default=None)
-
-
-def _tail_fraction(ns) -> float:
-    if ns.confidence is not None:
-        if not 0.0 < ns.confidence < 1.0:
-            raise UsageError("confidence must lie in (0, 1)")
-        return 1.0 - ns.confidence
-    return ns.tail_fraction
 
 
 def _config_from_args(ns) -> RiskMeasureConfig:
@@ -176,9 +148,7 @@ def _config_from_args(ns) -> RiskMeasureConfig:
     else:  # a kind that reads no target records gs1's defaults for the target options
         defaults = asdict(TargetCurveSpec())
         vars(ns).update({name: defaults[name] for name in defaults if getattr(ns, name) is None})
-    return RiskMeasureConfig(
-        kind=ns.kind, v=ns.v, tail_fraction=_tail_fraction(ns), target=target
-    )
+    return RiskMeasureConfig(kind=ns.kind, v=ns.v, tail_fraction=ns.tail_fraction, target=target)
 
 
 def build_parser() -> _Parser:
@@ -189,7 +159,6 @@ def build_parser() -> _Parser:
     it = sub.add_parser("iterate", help="iterate a Lorenz operator from a start")
     it.add_argument("--mode", choices=_MODES, default="primal")
     it.add_argument("--start", default="lognormal:0.5,0.2")
-    it.add_argument("--lognormal-log-scale", action="store_true")
     it.add_argument("--grid", type=int, default=DEFAULT_GRID)
     it.add_argument("--max-iter", type=int, default=40)
     it.add_argument("--tol", type=float, default=1e-4)
@@ -207,21 +176,20 @@ def build_parser() -> _Parser:
     ms.add_argument("--column", default=None, help="ticker name (default: first)")
     ms.add_argument("--kind", required=True)
     ms.add_argument("--v", type=float, default=2.5)
-    _add_tail_args(ms)
+    ms.add_argument("--tail-fraction", type=float, default=0.05)
     _add_target_args(ms)
     ms.add_argument("--out", default=None)
 
     tc = sub.add_parser("target-curve", help="write a target curve")
     tc.add_argument("--grid", type=int, default=DEFAULT_GRID)
     _add_target_args(tc)
-    tc.add_argument("--gs2", action="store_true", help="restricted absolute-value shape")
     tc.add_argument("--out", required=True)
 
     fr = sub.add_parser("frontier", help="efficient frontier over scenarios")
     fr.add_argument("--scenarios", required=True)
     fr.add_argument("--kind", required=True)
     fr.add_argument("--v", type=float, default=2.5)
-    _add_tail_args(fr)
+    fr.add_argument("--tail-fraction", type=float, default=0.05)
     _add_target_args(fr)
     fr.add_argument("--n-points", type=int, default=10)
     fr.add_argument("--diagnostics", default=None)
@@ -251,7 +219,7 @@ def build_parser() -> _Parser:
 
 
 def _cmd_iterate(ns) -> None:
-    start = _parse_start(ns.start, ns.lognormal_log_scale, ns.grid)
+    start = _parse_start(ns.start, ns.grid)
     trace = run_iteration(
         start,
         ns.mode,
@@ -300,9 +268,7 @@ def _cmd_measure(ns) -> None:
 
 
 def _cmd_target_curve(ns) -> None:
-    if ns.gs2 and ns.identity_target:
-        raise UsageError("--gs2 and --identity-target name different targets: give one")
-    spec = _target_from_args(ns, TargetCurveSpec.gs2_shape() if ns.gs2 else TargetCurveSpec())
+    spec = _target_from_args(ns, TargetCurveSpec())
     write_curve_csv(spec.curve(ns.grid), ns.out)
     _write_sidecar(ns.out, ns)
     print(format_float(spec.integral()))
@@ -314,6 +280,18 @@ def _cmd_frontier(ns) -> None:
     result = efficient_frontier(
         scen.values, config, n_points=ns.n_points, tickers=scen.tickers
     )
+    # An overflowed point is refused before anything is written, as JSON has
+    # no Infinity. A NaN risk is the one non-finite number allowed: it marks a
+    # point whose risk is undefined at the solution, and its message says so.
+    for i, point in enumerate(result.points, start=1):
+        numbers = {f.name: getattr(point, f.name) for f in fields(point)}
+        numbers |= {f"w_{t}": w for t, w in zip(result.tickers, point.weights.tolist())}
+        bad = [key for key, x in numbers.items() if isinstance(x, float) and not math.isfinite(x)
+               and not (key == "risk" and math.isnan(x))]
+        if bad:
+            raise NumericError(
+                f"{ns.kind} frontier point {i} is not finite: {bad[0]} = {numbers[bad[0]]!r}"
+            )
     with open(ns.out, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(

@@ -218,9 +218,12 @@ def gs_measure(samples, target: TargetCurveSpec, v: float = 2.5, absolute: bool 
 
     absolute=True replaces the samples by their absolute values first (and
     mu by the absolute mean), and so is gs2: the target must have its shape.
+    This is `measure_value` with that kind's config, and refuses what it does.
     """
-    x = _sample(samples)
-    return _bound("gs2" if absolute else "gs1", x.size, v, None, target)(x)
+    kind = "gs2" if absolute else "gs1"
+    if target is None:  # RiskMeasureConfig would put the kind's default in its place
+        raise BadSpec(f"{kind} needs a TargetCurveSpec target, got NoneType")
+    return measure_value(samples, RiskMeasureConfig(kind, v=v, target=target))
 
 
 # -- binding -------------------------------------------------------------------

@@ -33,8 +33,8 @@ from lorenzlab import (
     write_scenarios_csv,
     write_trace_csv,
 )
-from lorenzlab.cli import main
-from lorenzlab.curves import format_float, read_curve_csv
+from lorenzlab.cli import _parse_start, main
+from lorenzlab.curves import format_float, read_curve_csv, write_curve_csv
 from lorenzlab.errors import BadParameter, BadSpec
 from lorenzlab.risk import RiskMeasureConfig, measure_value, variance
 from lorenzlab.rng import Xoshiro256pp
@@ -196,24 +196,29 @@ def test_measure_prints_the_value(tmp_path, capsys):
 
 
 def test_measure_confidence_is_one_minus_tail(tmp_path, capsys):
-    path, _ = scenario_file(tmp_path)
+    # a confidence c is spelled --tail-fraction 1 - c; --confidence is gone
+    path, scen = scenario_file(tmp_path)
     base = ["measure", "--scenarios", str(path), "--kind", "cvar"]
-    # 1 - 0.5 is exact in floats, so the two spellings must match bit for bit
-    assert main(base + ["--tail-fraction", "0.5"]) == 0
-    via_tail = capsys.readouterr().out
-    assert main(base + ["--confidence", "0.5"]) == 0
-    via_conf = capsys.readouterr().out
-    assert via_tail == via_conf
-    assert main(base + ["--confidence", "1.5"]) == 1
+    assert main(base + ["--tail-fraction", "0.4"]) == 0
+    config = RiskMeasureConfig(kind="cvar", tail_fraction=0.4)
+    assert capsys.readouterr().out == format_float(measure_value(scen.values[:, 0], config)) + "\n"
+    assert main(base + ["--confidence", "0.6"]) == 1
+    assert capsys.readouterr().err == "error: unrecognized arguments: --confidence 0.6\n"
 
 
 def test_target_curve_gs2_shape(tmp_path, capsys):
-    out = tmp_path / "target.csv"
-    assert main(["target-curve", "--gs2", "--grid", "512", "--out", str(out)]) == 0
-    spec = TargetCurveSpec(beta_down=0.0, beta_up=0.75, up_kuma=1.0, up_power=0.0)
-    assert capsys.readouterr().out.strip() == format_float(spec.integral())
-    curve = read_curve_csv(out)
-    assert np.allclose(curve.values, spec.curve(512).values)
+    # gs2's shape is spelled out by its three fixed options; --gs2 is gone
+    out, library = tmp_path / "target.csv", tmp_path / "library.csv"
+    argv = ["target-curve", "--grid", "512", "--out", str(out)]
+    assert main(argv + ["--beta-down", "0", "--up-kuma", "1", "--up-power", "0"]) == 0
+    spec = TargetCurveSpec.gs2_shape()
+    assert capsys.readouterr().out == format_float(spec.integral()) + "\n"
+    write_curve_csv(spec.curve(512), library)
+    assert out.read_bytes() == library.read_bytes()
+    out.unlink()
+    assert main(argv + ["--gs2"]) == 1
+    assert capsys.readouterr().err == "error: unrecognized arguments: --gs2\n"
+    assert not out.exists()
 
 
 def test_frontier_csv_and_diagnostics(tmp_path):
@@ -504,9 +509,10 @@ def test_gs2_rejects_target_options_that_leave_its_shape(tmp_path, capsys):
     assert main(argv) == 1
     assert "which --down-kuma, --down-power would change:" in capsys.readouterr().err
     assert not out.exists()
+    # target-curve fixes no field: --gs2 is gone, so gs2's shape is spelled out
     argv = ["target-curve", "--gs2", "--up-power", "0.3", "--out", str(tmp_path / "t.csv")]
     assert main(argv) == 1
-    assert "which --up-power would change:" in capsys.readouterr().err
+    assert "error: unrecognized arguments: --gs2" in capsys.readouterr().err
     # gs1 reads every target option, as before
     assert main(["measure", "--scenarios", str(path), "--kind", "gs1", "--up-power", "0.3"]) == 1
     assert "up-tail weights" in capsys.readouterr().err
@@ -540,9 +546,7 @@ GS2_FIXED = tuple(name for name in TARGET_FIELDS if name != "beta_up")
 TARGET_BASES = [
     (["measure", "--kind", "gs1"], TargetCurveSpec(), ()),
     (["measure", "--kind", "gs2"], TargetCurveSpec.gs2_shape(), GS2_FIXED),
-    (["measure", "--kind", "gs1", "--identity-target"], TargetCurveSpec.diagonal(), TARGET_FIELDS),
-    (["target-curve", "--identity-target"], TargetCurveSpec.diagonal(), TARGET_FIELDS),
-    (["target-curve", "--gs2"], TargetCurveSpec.gs2_shape(), GS2_FIXED),
+    (["target-curve"], TargetCurveSpec(), ()),
 ]
 # the values an option is drawn from, besides its base's own
 OTHER_TARGETS = [
@@ -616,11 +620,12 @@ def test_a_given_target_option_is_used_or_refused(target_dir, run):
     [
         (["--kind", "gs2"], TargetCurveSpec.gs2_shape()),
         (["--kind", "gs2", "--beta-up", "0.6"], TargetCurveSpec.gs2_shape(0.6)),
-        (["--kind", "gs1", "--identity-target"], TargetCurveSpec.diagonal()),
+        (["--kind", "gs1", "--beta-down", "0", "--beta-up", "1"], TargetCurveSpec.diagonal()),
         (["--kind", "gs1", "--beta-up", "0.6"], TargetCurveSpec(beta_up=0.6)),
-        # a kind that reads no target records gs1's default options
+        # a kind that reads no target records the options given and gs1's
+        # defaults for the others
         (["--kind", "variance"], TargetCurveSpec()),
-        (["--kind", "cvar", "--identity-target"], TargetCurveSpec()),
+        (["--kind", "cvar", "--beta-up", "0.6"], TargetCurveSpec(beta_up=0.6)),
     ],
 )
 def test_the_sidecar_records_the_target_the_run_used(tmp_path, options, target):
@@ -635,9 +640,7 @@ def replay_argv(sidecar):
     """The command line that the options of a sidecar spell out."""
     argv = [sidecar["subcommand"]]
     for name, value in sidecar["options"].items():
-        if value is True:
-            argv.append("--" + name)
-        elif value is not None and value is not False:
+        if value is not None:
             argv += ["--" + name, str(value)]
     return argv
 
@@ -647,13 +650,14 @@ def replay_argv(sidecar):
     [
         ["measure", "--kind", "gs2"],
         ["measure", "--kind", "gs2", "--beta-up", "0.6", "--beta-down", "0"],
-        ["measure", "--kind", "gs1", "--identity-target", "--v", "3"],
+        ["measure", "--kind", "gs1", "--beta-down", "0", "--beta-up", "1", "--v", "3"],
         ["measure", "--kind", "gs1", "--beta-down", "0.1", "--column", "A1"],
         ["measure", "--kind", "cvar", "--tail-fraction", "0.1"],
         ["frontier", "--kind", "gs2", "--n-points", "2"],
-        ["frontier", "--kind", "gs1", "--identity-target", "--n-points", "2"],
-        ["target-curve", "--gs2", "--beta-up", "0.6", "--grid", "64"],
-        ["target-curve", "--identity-target", "--grid", "64"],
+        ["frontier", "--kind", "gs1", "--beta-down", "0", "--beta-up", "1", "--n-points", "2"],
+        ["target-curve", "--beta-down", "0", "--beta-up", "0.6", "--up-kuma", "1", "--up-power", "0",
+         "--grid", "64"],
+        ["target-curve", "--beta-down", "0", "--beta-up", "1", "--grid", "64"],
         ["target-curve", "--beta-down", "0.1", "--up-kuma", "0.6", "--up-power", "0.4",
          "--grid", "64"],
     ],
@@ -681,30 +685,30 @@ def test_replaying_a_sidecar_reproduces_the_run(tmp_path, capsys, argv):
     "argv, message",
     [
         (["iterate", "--mode", "primal", "--normalize"], "normalize applies to the reflected mode only"),
+        # the removed second spellings: the start lognormal-logscale, the
+        # target options (diagonal: --beta-down 0 --beta-up 1; gs2's shape:
+        # --beta-down 0 --up-kuma 1 --up-power 0) and --tail-fraction 1 - c
         (["iterate", "--start", "uniform01", "--lognormal-log-scale"],
-         "--lognormal-log-scale needs a lognormal start, got 'uniform01'"),
-        (["target-curve", "--gs2", "--identity-target"], "--gs2 and --identity-target name different targets"),
+         "unrecognized arguments: --lognormal-log-scale"),
+        (["target-curve", "--gs2", "--identity-target"], "unrecognized arguments: --gs2 --identity-target"),
         (["limits", "--mode", "simple_reflected"], "invalid choice: 'simple_reflected'"),
-        # the diagonal has no shape for the other target options to change
         (["target-curve", "--identity-target", "--beta-up", "0.6"],
-         "--identity-target sets the diagonal target, which --beta-up would change"),
+         "unrecognized arguments: --identity-target"),
         (["measure", "--scenarios", "unused.csv", "--kind", "gs1", "--identity-target",
           "--beta-down", "0.1", "--up-power", "0.3"],
-         "--identity-target sets the diagonal target, which --beta-down, --up-power would change"),
-        # --confidence c is --tail-fraction 1 - c: giving both, even the
-        # default tail fraction, names the tail twice
+         "unrecognized arguments: --identity-target"),
         (["measure", "--scenarios", "unused.csv", "--kind", "cvar",
           "--tail-fraction", "0.2", "--confidence", "0.6"],
-         "argument --confidence: not allowed with argument --tail-fraction"),
+         "unrecognized arguments: --confidence 0.6"),
         (["frontier", "--scenarios", "unused.csv", "--kind", "cvar",
           "--confidence", "0.6", "--tail-fraction", "0.05"],
-         "argument --tail-fraction: not allowed with argument --confidence"),
+         "unrecognized arguments: --confidence 0.6"),
         # a tolerance no gap can fall below would make --tol do nothing
         (["iterate", "--tol", "nan"], "tol must be at least 0, got nan"),
         (["iterate", "--tol", "-1"], "tol must be at least 0, got -1.0"),
         # an option equal to gs1's default still moves a fixed target
         (["target-curve", "--identity-target", "--beta-down", "0.25"],
-         "--identity-target sets the diagonal target, which --beta-down would change"),
+         "unrecognized arguments: --identity-target"),
         (["measure", "--scenarios", "unused.csv", "--kind", "gs2", "--beta-down", "0.25"],
          "gs2 keeps its restricted target shape, which --beta-down would change"),
         (["frontier", "--scenarios", "unused.csv", "--kind", "gs2", "--up-kuma", "0.8",
@@ -811,20 +815,38 @@ def test_sample_start_stalls_at_grid_resolution(tmp_path, capsys):
         ("pareto:1,2.5", False, AnalyticFamily.pareto(1.0, 2.5)),
         ("point-mass:0.7", False, AnalyticFamily.point_mass(0.7)),
         ("kumaraswamy-limit", False, AnalyticFamily.kumaraswamy_limit()),
+        # the removed --lognormal-log-scale is refused: that family is the
+        # start lognormal-logscale, the last case
         ("lognormal:-0.5,0.3", True, AnalyticFamily.lognormal_logscale(-0.5, 0.3)),
         ("uniform01", False, AnalyticFamily.uniform01()),
         ("lognormal:0.5,0.2", False, AnalyticFamily.lognormal(0.5, 0.2)),
         ("kumaraswamy_limit", False, AnalyticFamily.kumaraswamy_limit()),
         ("point_mass:0.7", False, AnalyticFamily.point_mass(0.7)),
+        ("lognormal-logscale:-0.5,0.3", False, AnalyticFamily.lognormal_logscale(-0.5, 0.3)),
     ],
 )
 def test_named_starts_are_their_families(tmp_path, capsys, start, log_scale, family):
     out = tmp_path / "trace.csv"
     argv = ["iterate", "--start", start, "--grid", "128", "--max-iter", "8", "--out", str(out)]
-    assert main(argv + ["--lognormal-log-scale"] * log_scale) == 0
+    if log_scale:
+        assert main(argv + ["--lognormal-log-scale"]) == 1
+        assert capsys.readouterr().err == "error: unrecognized arguments: --lognormal-log-scale\n"
+        assert not out.exists()
+        return
+    assert main(argv) == 0
     start_curve = analytic_quantile(family, 128)
     assert out.read_bytes() == library_trace_bytes(tmp_path, start_curve, "primal", 8, 1e-4)
-    assert read_sidecar(out)["options"]["lognormal-log-scale"] is log_scale
+    assert read_sidecar(out)["options"]["start"] == start
+
+
+def test_every_family_constructor_is_a_start_name():
+    constructors = [name for name, member in vars(AnalyticFamily).items()
+                    if isinstance(member, classmethod)]
+    assert "lognormal_logscale" in constructors
+    for name in constructors:
+        # no constructor takes three parameters, and an unknown name fails first
+        with pytest.raises(BadParameter, match="^wrong number of parameters"):
+            _parse_start(name.replace("_", "-") + ":1,2,3", 64)
 
 
 @pytest.mark.parametrize(
@@ -845,16 +867,20 @@ def test_bad_start_parameters_are_usage_errors(tmp_path, capsys, start, message)
 
 
 def test_identity_target_is_the_diagonal(tmp_path, capsys):
-    diagonal, spelled = tmp_path / "diagonal.csv", tmp_path / "spelled.csv"
-    restated = tmp_path / "restated.csv"
-    assert main(["target-curve", "--identity-target", "--grid", "64", "--out", str(diagonal)]) == 0
+    # the diagonal is spelled --beta-down 0 --beta-up 1; --identity-target is gone
+    spelled, library = tmp_path / "spelled.csv", tmp_path / "library.csv"
     assert main(["target-curve", "--beta-down", "0", "--beta-up", "1", "--grid", "64",
                  "--out", str(spelled)]) == 0
-    # options that restate the diagonal change nothing
-    assert main(["target-curve", "--identity-target", "--beta-down", "0", "--beta-up", "1",
-                 "--grid", "64", "--out", str(restated)]) == 0
-    assert capsys.readouterr().out == "0.5\n0.5\n0.5\n"
-    assert diagonal.read_bytes() == spelled.read_bytes() == restated.read_bytes()
+    assert capsys.readouterr().out == "0.5\n"
+    write_curve_csv(TargetCurveSpec.diagonal().curve(64), library)
+    assert spelled.read_bytes() == library.read_bytes()
+    path, scen = scenario_file(tmp_path)
+    argv = ["measure", "--scenarios", str(path), "--kind", "gs1", "--beta-down", "0", "--beta-up", "1"]
+    assert main(argv) == 0
+    config = RiskMeasureConfig(kind="gs1", target=TargetCurveSpec.diagonal())
+    assert capsys.readouterr().out == format_float(measure_value(scen.values[:, 0], config)) + "\n"
+    assert main(["target-curve", "--identity-target", "--out", str(tmp_path / "t.csv")]) == 1
+    assert capsys.readouterr().err == "error: unrecognized arguments: --identity-target\n"
 
 
 def test_simulate_window_keeps_the_last_rows(tmp_path):

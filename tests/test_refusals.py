@@ -25,7 +25,7 @@ from lorenzlab import (
     self_similarity_residual,
     truncate_generalized,
 )
-from lorenzlab.cli import _cmd_measure, _parse_start, build_parser, main
+from lorenzlab.cli import _cmd_frontier, _cmd_measure, _parse_start, build_parser, main
 from lorenzlab.curves import read_curve_csv
 from lorenzlab.errors import (
     BadParameter,
@@ -54,27 +54,28 @@ FILES = {
     "losing.csv": "A,B\n-0.01,-0.02\n-0.03,0.01\n-0.01,-0.02\n",
     "one_value.csv": "A\n0.01\n",
     "overflow.csv": "A\n1e200\n-1e200\n3e200\n",
+    "overflow_pair.csv": "A,B\n1e200,2e200\n-1e200,1e200\n3e200,-1e200\n",
     "bad_curve.csv": "u,value\n0,abc\n",
 }
 VAR = RiskMeasureConfig("variance")
 
 
-def refusal(name, call, error, fragment, argv=None, code=None, prefix=None):
+def refusal(name, call, error, fragment, argv=None, code=None, prefix=None, marks=()):
     cli = None if argv is None else (argv, code, prefix)
-    return pytest.param(call, error, fragment, cli, id=name)
+    return pytest.param(call, error, fragment, cli, id=name, marks=marks)
 
 
 REFUSALS = [
     # the iterate command's sample: start
-    refusal("sample-without-path", lambda d: _parse_start("sample:", False, 64),
+    refusal("sample-without-path", lambda d: _parse_start("sample:", 64),
             BadParameter, "sample start needs a path",
             ["iterate", "--start", "sample:"], 1, "error"),
     refusal("sample-file-missing",
-            lambda d: _parse_start(f"sample:{d}/missing.txt", False, 64),
+            lambda d: _parse_start(f"sample:{d}/missing.txt", 64),
             DataError, "cannot read sample file",
             ["iterate", "--start", "sample:{d}/missing.txt"], 2, "data error"),
     refusal("sample-not-a-number",
-            lambda d: _parse_start(f"sample:{d}/bad_sample.txt", False, 64),
+            lambda d: _parse_start(f"sample:{d}/bad_sample.txt", 64),
             DataError, "bad sample value",
             ["iterate", "--start", "sample:{d}/bad_sample.txt"], 2, "data error"),
     # price panels and returns
@@ -138,6 +139,17 @@ REFUSALS = [
             NumericError, "variance report is not finite: value = inf",
             ["measure", "--scenarios", "{d}/overflow.csv", "--kind", "variance"],
             3, "numeric failure"),
+    # so is a frontier point that overflows; numpy warns of the overflow on
+    # the way, and this row checks the refusal that follows
+    refusal("frontier-overflow",
+            lambda d: _cmd_frontier(build_parser().parse_args(
+                ["frontier", "--scenarios", str(d / "overflow_pair.csv"), "--kind", "variance",
+                 "--n-points", "2", "--out", str(d / "out.csv")])),
+            NumericError, "variance frontier point 1 is not finite: risk = inf",
+            ["frontier", "--scenarios", "{d}/overflow_pair.csv", "--kind", "variance",
+             "--n-points", "2"], 3, "numeric failure",
+            marks=[pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning"),
+                   pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")]),
     # the iteration and its curves
     refusal("iterate-max-iter",
             lambda d: run_iteration(analytic_quantile(AnalyticFamily.uniform01(), 64),
@@ -157,7 +169,7 @@ REFUSALS = [
             ["iterate", "--start", "pareto:0,2.5"], 1, "error"),
     refusal("lognormal-sigma", lambda d: AnalyticFamily.lognormal_logscale(0.0, 0.0),
             BadParameter, "lognormal needs positive sigma",
-            ["iterate", "--start", "lognormal:0,0", "--lognormal-log-scale"], 1, "error"),
+            ["iterate", "--start", "lognormal-logscale:0,0"], 1, "error"),
     refusal("curve-malformed-row", lambda d: read_curve_csv(d / "bad_curve.csv"),
             ParseError, ":2: malformed row"),
 ]

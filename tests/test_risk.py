@@ -317,6 +317,15 @@ def test_gs_accepts_negative_entries_with_positive_total():
         gs_measure([-0.05, 0.01], spec, v=2.5)
 
 
+def test_gs_measure_refuses_what_measure_value_refuses():
+    # the mean is 0 up to rounding: the sorted sum is positive, np.mean is not
+    sample = [0.3, 0.4, -0.7]
+    with pytest.raises(NonPositiveMean):
+        measure_value(sample, RiskMeasureConfig("gs1"))
+    with pytest.raises(NonPositiveMean):
+        gs_measure(sample, TargetCurveSpec())
+
+
 def test_gs1_is_defined_only_where_every_mean_it_reads_is_positive():
     # Samples with a mean of zero up to rounding: the sorted sum, the
     # cumulative total and np.mean of the sample as given can each round to
