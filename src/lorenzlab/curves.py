@@ -469,12 +469,25 @@ def _open_text(path):
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def write_curve_csv(curve: MonotoneCurve, path) -> None:
+def _write_table(path, header, values, dates=None) -> None:
+    """The one writer of a table of floats: `header` as csv quotes it, then
+    a row per row of `values`, led by its ISO date when `dates` is given; rows
+    end in `\\r\\n`. Each distinct bit pattern is formatted once, as a
+    simulated matrix repeats each historical value many times; bit patterns
+    keep -0.0 apart from 0.0, and every NaN prints `nan`."""
+    values = np.ascontiguousarray(values, dtype=float)
+    bits, inverse = np.unique(values.view(np.int64).ravel(), return_inverse=True)
+    text = np.array(list(map(format_float, bits.view(float).tolist())), dtype=object)
+    rows = text[inverse.reshape(values.shape)].tolist()
+    if dates is not None:
+        rows = [[day.isoformat()] + row for day, row in zip(dates, rows)]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["u", "value"])
-        for u, v in zip(curve.grid, curve.values):
-            writer.writerow([format_float(u), format_float(v)])
+        csv.writer(fh).writerow(header)
+        fh.writelines(",".join(row) + "\r\n" for row in rows)
+
+
+def write_curve_csv(curve: MonotoneCurve, path) -> None:
+    _write_table(path, ["u", "value"], np.column_stack([curve.grid, curve.values]))
 
 
 def read_curve_csv(path) -> MonotoneCurve:

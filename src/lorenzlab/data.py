@@ -1,7 +1,8 @@
 """Price panels, return scenarios, and seeded copula resampling.
 
 The pipeline is file-oriented: a price CSV (date column plus one column per
-ticker, blank cells for missing quotes) is cleaned by coverage, turned into
+ticker, a blank or `nan` cell for a missing quote, which `write_prices_csv`
+writes as `nan`) is cleaned by coverage, turned into
 simple or log returns at daily or weekly frequency, optionally cut to a
 trailing window, and either used directly as historical scenarios or
 expanded by a Gaussian-copula resampler that draws new rows whose marginals
@@ -19,7 +20,7 @@ from datetime import date
 
 import numpy as np
 
-from .curves import _open_text, format_float
+from .curves import _open_text, _write_table
 from .errors import (
     BadParameter,
     DataError,
@@ -28,6 +29,7 @@ from .errors import (
     EmptyAfterCleaning,
     InsufficientHistory,
     NonPositivePrice,
+    NumericError,
     ParseError,
 )
 from .rng import (
@@ -178,7 +180,8 @@ def compute_returns(
     """Per-period returns of a complete (cleaned) panel.
 
     Weekly frequency keeps the last observation of each ISO week before
-    differencing."""
+    differencing. A return that overflows is a NumericError naming its date
+    and ticker."""
     if frequency not in ("daily", "weekly"):
         raise BadParameter(f"frequency must be daily or weekly, got {frequency!r}")
     if kind not in ("simple", "log"):
@@ -197,8 +200,16 @@ def compute_returns(
         prices = prices[keep]
     if len(dates) < 2:
         raise InsufficientHistory("need at least two observations for returns")
-    ratio = prices[1:] / prices[:-1]
-    values = np.log(ratio) if kind == "log" else ratio - 1.0
+    with np.errstate(over="ignore", divide="ignore"):  # refused below instead
+        ratio = prices[1:] / prices[:-1]
+        values = np.log(ratio) if kind == "log" else ratio - 1.0
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        i, j = bad[0]
+        raise NumericError(
+            f"{kind} return on {dates[i + 1]} for {panel.tickers[j]} is not finite: "
+            f"{float(values[i, j])!r}"
+        )
     return ScenarioMatrix(values=values, tickers=list(panel.tickers), dates=dates[1:])
 
 
@@ -402,37 +413,17 @@ def copula_simulate(
 
 
 def write_prices_csv(panel: PricePanel, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date"] + list(panel.tickers))
-        for day, row in zip(panel.dates, panel.prices):
-            cells = ["" if math.isnan(v) else format_float(v) for v in row]
-            writer.writerow([day.isoformat()] + cells)
+    """A missing quote is written `nan`, which `load_price_panel` reads back
+    as missing."""
+    _write_table(path, ["date"] + list(panel.tickers), panel.prices, panel.dates)
 
 
 def write_scenarios_csv(scenarios: ScenarioMatrix, path) -> None:
-    """Historical matrices keep their date column; simulated ones have none.
-
-    Values are written as `format_float` does (`.17g`), with one `%.17g`
-    per distinct bit pattern: a simulated matrix only resamples its
-    history, so it repeats each value many times. Bit patterns keep -0.0
-    apart from 0.0, and every NaN prints `nan`. Each row then joins the
-    formatted strings; rows end in `csv.writer`'s `\\r\\n`."""
-    values = np.ascontiguousarray(scenarios.values, dtype=float)
-    bits, inverse = np.unique(values.view(np.int64).ravel(), return_inverse=True)
-    text = np.array(["%.17g" % v for v in bits.view(float).tolist()], dtype=object)
-    rows = text[inverse.reshape(values.shape)].tolist()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        if scenarios.dates is not None:
-            writer.writerow(["date"] + list(scenarios.tickers))
-            fh.writelines(
-                day.isoformat() + "," + ",".join(row) + "\r\n"
-                for day, row in zip(scenarios.dates, rows)
-            )
-        else:
-            writer.writerow(list(scenarios.tickers))
-            fh.writelines(",".join(row) + "\r\n" for row in rows)
+    """Historical matrices keep their date column; simulated ones have none."""
+    header = list(scenarios.tickers)
+    if scenarios.dates is not None:
+        header = ["date"] + header
+    _write_table(path, header, scenarios.values, scenarios.dates)
 
 
 # The checked reading path of `read_scenarios_csv` scans a file's body once,

@@ -100,7 +100,7 @@ def certificate(s, kind, means, target, tail_fraction, w, dual=None) -> float:
         budget += abs(float(means @ w) - target) / float(np.max(np.abs(means)))
     d = s - means
     if kind == "variance":
-        cov = d.T @ d / t
+        cov = _covariance(d)
         g = cov @ w
         value = float(w @ g)
         gap = value - _linear_min(g, means, target)
@@ -136,10 +136,18 @@ def _relative(gap: float, value: float, scale: float) -> float:
 # -- variance: primal active set ---------------------------------------------------
 
 
+def _covariance(d: np.ndarray) -> np.ndarray:
+    """d'd / T of the centered scenarios d; an overflow is refused."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov = d.T @ d / d.shape[0]
+    if not np.isfinite(cov).all():
+        raise NumericError("scenario covariance is not finite: the scenarios overflow")
+    return cov
+
+
 def _variance(s, means, target):
-    t, n = s.shape
-    d = s - means
-    cov = d.T @ d / t
+    n = s.shape[1]
+    cov = _covariance(s - means)
     rows = np.ones((1, n)) if target is None else np.vstack([np.ones(n), means])
     w = _feasible_center(means, target)
     free = w > 0.0

@@ -75,17 +75,15 @@ class Xoshiro256pp:
     """xoshiro256++ with splitmix64 state expansion."""
 
     def __init__(self, seed: int):
+        # Four distinct splitmix64 states (its increment is odd) through a
+        # bijection: at most one output is 0, never the invalid all-zero state.
         self._s = splitmix64_stream(seed, 4)
-        # The all-zero state is invalid; splitmix64 cannot produce it from a
-        # single seed, but guard anyway for hand-built states.
-        if not any(self._s):
-            self._s = [1, 2, 3, 4]
 
     @classmethod
     def from_state(cls, state: list[int]) -> "Xoshiro256pp":
         rng = cls.__new__(cls)
         rng._s = [w & _MASK64 for w in state]
-        if not any(rng._s):
+        if not any(rng._s):  # the all-zero state is invalid
             rng._s = [1, 2, 3, 4]
         return rng
 

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import asdict, replace
 from datetime import date, timedelta
@@ -33,9 +34,9 @@ from lorenzlab import (
     write_scenarios_csv,
     write_trace_csv,
 )
-from lorenzlab.cli import _parse_start, main
+from lorenzlab.cli import _format_warning, _parse_start, main
 from lorenzlab.curves import format_float, read_curve_csv, write_curve_csv
-from lorenzlab.errors import BadParameter, BadSpec
+from lorenzlab.errors import BadParameter, BadSpec, DegenerateColumnWarning
 from lorenzlab.risk import RiskMeasureConfig, measure_value, variance
 from lorenzlab.rng import Xoshiro256pp
 
@@ -402,6 +403,16 @@ def test_simulate_prints_a_constant_column_warning_as_one_line(tmp_path):
     assert run_module("lorenzlab", *argv, cwd=tmp_path, flags=["-W", "ignore"]).stderr == ""
     failed = run_module("lorenzlab", *argv, cwd=tmp_path, flags=["-W", "error::UserWarning"])
     assert failed.returncode != 0 and "DegenerateColumnWarning" in failed.stderr
+
+
+def test_only_lorenzlabs_warnings_are_reworded():
+    python_format = warnings.formatwarning
+    format_warning = _format_warning(python_format)
+    args = ("constant columns ['FLAT']", DegenerateColumnWarning, "data.py", 7, "")
+    assert format_warning(*args) == "warning: constant columns ['FLAT']\n"
+    foreign = ("overflow encountered", RuntimeWarning, "mod.py", 7, "")
+    assert format_warning(*foreign) == python_format(*foreign)
+    assert python_format(*foreign) == "mod.py:7: RuntimeWarning: overflow encountered\n"
 
 
 # -- odd and malformed cells --------------------------------------------------

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import math
 
@@ -511,6 +512,40 @@ def test_read_curve_csv_rejects_bad_input(tmp_path):
     path.write_bytes(b"u,value\n0.0,0.0\n1.0,1.0\xff\n")
     with pytest.raises(ParseError, match=r"bad\.csv: not UTF-8 text \(byte 0xff\)"):
         read_curve_csv(path)
+
+
+def test_read_curve_csv_skips_empty_lines(tmp_path):
+    path = tmp_path / "curve.csv"
+    path.write_text("u,value\n0,0\n\n0.5,0.25\n\n1,1\n")
+    assert read_curve_csv(path).values.tolist() == [0.0, 0.25, 1.0]
+
+
+def per_cell_curve_csv(curve, path):
+    """The curve writer before the one table writer: a `format_float` per
+    cell, each row through `csv.writer`."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["u", "value"])
+        for u, v in zip(curve.grid, curve.values):
+            writer.writerow([format_float(u), format_float(v)])
+
+
+# signed zeros, subnormals, the smallest normal and magnitudes of 1e+-300
+NODE_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e-300,
+              1e300, -1e300]
+node_values = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(NODE_EDGES)
+)
+
+
+@given(st.lists(node_values, min_size=2, max_size=40))
+@settings(max_examples=150, deadline=None)
+def test_curve_writer_bytes_are_the_per_cell_writers(tmp_path_factory, nodes):
+    curve = MonotoneCurve(np.sort(nodes))
+    folder = tmp_path_factory.mktemp("curve")
+    write_curve_csv(curve, folder / "new.csv")
+    per_cell_curve_csv(curve, folder / "old.csv")
+    assert (folder / "new.csv").read_bytes() == (folder / "old.csv").read_bytes()
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False))

@@ -26,6 +26,7 @@ from lorenzlab import (
 )
 from lorenzlab import data
 from lorenzlab.cli import main
+from lorenzlab.curves import format_float
 from lorenzlab.data import average_ranks, spearman_matrix
 from lorenzlab.errors import (
     BadParameter,
@@ -101,6 +102,14 @@ def test_load_price_panel_sorts_and_parses(tmp_path):
     ]
     assert panel.prices[0, 0] == 1.0
     assert math.isnan(panel.prices[1, 1])
+
+
+def test_load_price_panel_skips_empty_lines(tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_text("date,A\n2024-01-01,1.0\n\n2024-01-02,2.0\n,\n")
+    panel = load_price_panel(path)
+    assert [d.isoformat() for d in panel.dates] == ["2024-01-01", "2024-01-02"]
+    assert panel.prices.tolist() == [[1.0], [2.0]]
 
 
 def test_load_price_panel_error_cases(tmp_path):
@@ -700,6 +709,48 @@ def nan_payload(bits):
 )
 def test_writer_bytes_on_repeats_and_edge_shapes(tmp_path, scen):
     assert_writes_like_the_per_row_writer(scen, tmp_path)
+
+
+def per_cell_prices_csv(panel, path):
+    """The price writer before the one table writer: a `format_float` per
+    quote, a blank cell per missing one, each row through `csv.writer`."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["date"] + list(panel.tickers))
+        for day, row in zip(panel.dates, panel.prices):
+            cells = ["" if math.isnan(v) else format_float(v) for v in row]
+            writer.writerow([day.isoformat()] + cells)
+
+
+@st.composite
+def price_panels(draw):
+    """NaN-free panels; the tickers hold a comma, so csv quotes the header."""
+    t, n = draw(st.integers(0, 8)), draw(st.integers(1, 4))
+    cells = draw(st.lists(cell_values, min_size=t * n, max_size=t * n))
+    return PricePanel(
+        dates=[date(2024, 1, 1) + timedelta(days=i) for i in range(t)],
+        tickers=[f"T,{j}" for j in range(n)],
+        prices=np.array(cells).reshape(t, n),
+    )
+
+
+@given(price_panels())
+@settings(max_examples=150, deadline=None)
+def test_price_writer_bytes_are_the_per_cell_writers(tmp_path_factory, panel):
+    folder = tmp_path_factory.mktemp("prices")
+    write_prices_csv(panel, folder / "new.csv")
+    per_cell_prices_csv(panel, folder / "old.csv")
+    assert (folder / "new.csv").read_bytes() == (folder / "old.csv").read_bytes()
+
+
+def test_a_missing_quote_is_written_nan_and_read_back_missing(tmp_path):
+    panel = load_price_panel(cleaning_fixture(tmp_path))
+    out = tmp_path / "out.csv"
+    write_prices_csv(panel, out)
+    assert out.read_bytes().splitlines()[4] == b"2024-01-04,103,nan,83,23,13"
+    back = load_price_panel(out)
+    assert np.array_equal(np.isnan(back.prices), np.isnan(panel.prices))
+    assert np.isnan(back.prices[3, 1])
 
 
 # The cells the checked path takes, as a specification: a cell's shape is the

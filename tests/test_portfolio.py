@@ -237,6 +237,13 @@ def test_grid_oracle_enumerates_the_simplex():
     assert float(variance(s @ w_star)) == pytest.approx(best, abs=1e-15)
 
 
+def test_grid_oracle_skips_points_whose_mean_is_not_positive():
+    # [0, 1] and [0.5, 0.5] have negative means, where gs1 is undefined
+    w, risk = grid_oracle([[0.1, -0.2], [0.1, -0.1]], RiskMeasureConfig(kind="gs1"), step=0.5)
+    assert w.tolist() == [1.0, 0.0]
+    assert risk == measure_value(np.array([0.1, 0.1]), RiskMeasureConfig(kind="gs1"))
+
+
 def test_grid_oracle_guards():
     s = seeded_scenarios(10, 20, 5, [0.01] * 5, [0.02] * 5)
     with pytest.raises(TooManyAssets):

@@ -56,6 +56,8 @@ FILES = {
     "overflow.csv": "A\n1e200\n-1e200\n3e200\n",
     "overflow_pair.csv": "A,B\n1e200,2e200\n-1e200,1e200\n3e200,-1e200\n",
     "bad_curve.csv": "u,value\n0,abc\n",
+    "price_jump.csv": "date,A\n2024-01-01,1e-300\n2024-01-02,1e300\n",
+    "price_drop.csv": "date,A\n2024-01-01,1e300\n2024-01-02,1e-300\n",
 }
 VAR = RiskMeasureConfig("variance")
 
@@ -92,6 +94,21 @@ REFUSALS = [
             lambda d: compute_returns(load_price_panel(d / "gap.csv")),
             DataError, "panel has missing values; clean it first",
             ["returns", "--prices", "{d}/gap.csv"], 2, "data error"),
+    # a return that overflows is refused before the scenarios are written
+    refusal("returns-overflow-simple",
+            lambda d: compute_returns(load_price_panel(d / "price_jump.csv")),
+            NumericError, "simple return on 2024-01-02 for A is not finite: inf",
+            ["returns", "--prices", "{d}/price_jump.csv"], 3, "numeric failure"),
+    refusal("returns-overflow-log",
+            lambda d: compute_returns(load_price_panel(d / "price_jump.csv"), kind="log"),
+            NumericError, "log return on 2024-01-02 for A is not finite: inf",
+            ["returns", "--prices", "{d}/price_jump.csv", "--kind", "log"],
+            3, "numeric failure"),
+    refusal("returns-underflow-log",
+            lambda d: compute_returns(load_price_panel(d / "price_drop.csv"), kind="log"),
+            NumericError, "log return on 2024-01-02 for A is not finite: -inf",
+            ["returns", "--prices", "{d}/price_drop.csv", "--kind", "log"],
+            3, "numeric failure"),
     refusal("returns-kind",
             lambda d: compute_returns(load_price_panel(d / "prices.csv"), kind="percent"),
             BadParameter, "kind must be simple or log"),
@@ -116,6 +133,8 @@ REFUSALS = [
             lambda d: min_risk(read_scenarios_csv(d / "one_row.csv").values, VAR),
             InsufficientHistory, "need at least two scenario rows, got 1",
             ["frontier", "--scenarios", "{d}/one_row.csv", "--kind", "variance"], 2, "data error"),
+    refusal("portfolio-one-dimensional", lambda d: min_risk([0.01, 0.02], VAR),
+            BadParameter, "scenarios must be a T x N matrix"),
     refusal("portfolio-nonfinite",
             lambda d: portfolio_returns([[np.nan, 0.01], [0.02, 0.03]], [0.5, 0.5]),
             BadParameter, "scenarios must be finite"),
@@ -139,17 +158,15 @@ REFUSALS = [
             NumericError, "variance report is not finite: value = inf",
             ["measure", "--scenarios", "{d}/overflow.csv", "--kind", "variance"],
             3, "numeric failure"),
-    # so is a frontier point that overflows; numpy warns of the overflow on
-    # the way, and this row checks the refusal that follows
+    # so is a covariance that overflows, before any numpy warning escapes
     refusal("frontier-overflow",
             lambda d: _cmd_frontier(build_parser().parse_args(
                 ["frontier", "--scenarios", str(d / "overflow_pair.csv"), "--kind", "variance",
                  "--n-points", "2", "--out", str(d / "out.csv")])),
-            NumericError, "variance frontier point 1 is not finite: risk = inf",
+            NumericError, "scenario covariance is not finite: the scenarios overflow",
             ["frontier", "--scenarios", "{d}/overflow_pair.csv", "--kind", "variance",
              "--n-points", "2"], 3, "numeric failure",
-            marks=[pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning"),
-                   pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")]),
+            marks=[pytest.mark.filterwarnings("error::RuntimeWarning")]),
     # the iteration and its curves
     refusal("iterate-max-iter",
             lambda d: run_iteration(analytic_quantile(AnalyticFamily.uniform01(), 64),

@@ -37,6 +37,11 @@ def test_xoshiro_known_answers():
     assert rng.next_u64() == XOSHIRO_STATE1234[1]
 
 
+def test_the_all_zero_state_is_replaced():
+    zero, fallback = Xoshiro256pp.from_state([0, 0, 0, 0]), Xoshiro256pp.from_state([1, 2, 3, 4])
+    assert [zero.next_u64() for _ in range(4)] == [fallback.next_u64() for _ in range(4)]
+
+
 def test_seeding_is_deterministic():
     a = Xoshiro256pp(12345)
     b = Xoshiro256pp(12345)
