@@ -17,7 +17,9 @@ certificate recomputed from scratch from its result:
   (|y_t| <= 1/T) for mad; the weights w are the prices of the dual's N
   asset rows. Certificate: the relative gap between the risk at w and the
   lower bound that q or y proves, plus the primal and dual feasibility
-  residuals.
+  residuals. The target enters these LPs only through the objective, so
+  the simplex hands back its final state, and a frontier re-enters phase
+  two from the previous point's optimal basis at the next target.
 
 Every lower bound is min over X of a linear function, which _linear_min
 evaluates exactly on the vertices of X.
@@ -69,22 +71,26 @@ def _feasible_center(means: np.ndarray, target: float | None) -> np.ndarray:
     return (down * p + up * q) / (up + down)
 
 
-def solve(s: np.ndarray, kind: str, target: float | None, tail_fraction: float):
-    """Minimum-risk weights for an exact kind: (w, certificate, steps), where
-    steps counts active-set steps or simplex pivots."""
+def solve(s: np.ndarray, kind: str, target: float | None, tail_fraction: float, lp=None):
+    """Minimum-risk weights for an exact kind: (w, certificate, steps, lp),
+    where steps counts active-set steps or simplex pivots.
+
+    For cvar and mad, lp is the simplex's final state (None for variance).
+    Passed back with another target on the same scenarios, kind and tail
+    fraction, the solve runs phase two only, from that state's basis."""
     means = s.mean(axis=0)
     if kind == "variance":
         w, steps = _variance(s, means, target)
-        return w, certificate(s, kind, means, target, tail_fraction, w), steps
+        return w, certificate(s, kind, means, target, tail_fraction, w), steps, None
     # The LP is solved on S scaled to max |entry| = 1, which leaves the
     # minimizer unchanged and puts the tolerances on a fixed scale.
     scale = float(np.max(np.abs(s)))
-    args = (s / scale, means / scale, None if target is None else target / scale)
+    args = (s / scale, means / scale, None if target is None else target / scale, lp)
     if kind == "cvar":
-        w, dual, steps = _cvar_dual(*args, tail_fraction)
+        w, dual, steps, lp = _cvar_dual(*args, tail_fraction)
     else:
-        w, dual, steps = _mad_dual(*args)
-    return w, certificate(s, kind, means, target, tail_fraction, w, dual), steps
+        w, dual, steps, lp = _mad_dual(*args)
+    return w, certificate(s, kind, means, target, tail_fraction, w, dual), steps, lp
 
 
 def certificate(s, kind, means, target, tail_fraction, w, dual=None) -> float:
@@ -201,54 +207,74 @@ def _face_step(hess, grad, rows, curvature):
 # -- cvar and mad: the LP duals --------------------------------------------------------
 
 
-def _dual_lp(asset_rows, means, target, lo, hi, start, sum_row=False):
+def _dual_lp(asset_rows, means, target, lo, hi, start, lp, sum_row=False):
     """The shared LP form: maximize lam + nu * target over the scenario
     columns x (lo <= x <= hi), with asset rows asset_rows @ x + lam
     + nu * mean_i + slack_i = 0, and with sum_row, sum x = 1.
 
-    Returns (weights, x, pivots); the weights are the asset rows' prices.
+    Without a state lp the LP is solved from start in two phases; with one,
+    phase two re-enters from lp's basis. Without a target the LP has no nu
+    column, and the state it returns gains one as a nonbasic free column at
+    0, where the basis stays feasible for any target.
+
+    Returns (weights, x, pivots, lp); the weights are the asset rows' prices.
     """
     n, t = asset_rows.shape
     k = 1 if target is None else 2
-    m = n + sum_row
-    a = np.zeros((m, t + k + n))
-    a[:n, :t] = asset_rows
-    a[:n, t] = 1.0
-    if target is not None:
-        a[:n, t + 1] = means
-    a[:n, t + k :] = np.eye(n)
-    b = np.zeros(m)
-    if sum_row:
-        a[n, :t] = 1.0
-        b[n] = 1.0
     c = np.zeros(t + k + n)
     c[t] = 1.0
     if target is not None:
         c[t + 1] = target
-    free = np.full(k, np.inf)
-    lower = np.concatenate([lo, -free, np.zeros(n)])
-    upper = np.concatenate([hi, free, np.full(n, np.inf)])
-    x0 = np.concatenate([start, np.zeros(k + n)])
-    x, prices, pivots = _bounded_simplex(c, a, b, lower, upper, x0)
+    if lp is None:
+        m = n + sum_row
+        a = np.zeros((m, t + k + n))
+        a[:n, :t] = asset_rows
+        a[:n, t] = 1.0
+        if target is not None:
+            a[:n, t + 1] = means
+        a[:n, t + k :] = np.eye(n)
+        b = np.zeros(m)
+        if sum_row:
+            a[n, :t] = 1.0
+            b[n] = 1.0
+        free = np.full(k, np.inf)
+        lower = np.concatenate([lo, -free, np.zeros(n)])
+        upper = np.concatenate([hi, free, np.full(n, np.inf)])
+        x0 = np.concatenate([start, np.zeros(k + n)])
+        x, prices, pivots, lp = _bounded_simplex(c, a, b, lower, upper, x0)
+    else:
+        x, prices, pivots, lp = _phase_two(lp, c)
+    if target is None:
+        a, b, lower, upper, xs, basis = lp
+        nu = np.zeros(a.shape[0])
+        nu[:n] = means
+        lp = (
+            np.insert(a, t + 1, nu, axis=1),
+            b,
+            np.insert(lower, t + 1, -np.inf),
+            np.insert(upper, t + 1, np.inf),
+            np.insert(xs, t + 1, 0.0),
+            basis + (basis > t),
+        )
     w = np.maximum(prices[:n], 0.0)
-    return w / w.sum(), x[:t], pivots
+    return w / w.sum(), x[:t], pivots, lp
 
 
-def _cvar_dual(s, means, target, tail_fraction):
+def _cvar_dual(s, means, target, lp, tail_fraction):
     t = s.shape[0]
     cap = 1.0 / (tail_fraction * t)
     # Start with full mass on the worst scenarios of the center portfolio.
     start = np.zeros(t)
     start[np.argsort(s @ _feasible_center(means, target))[: min(int(1.0 / cap), t)]] = cap
-    return _dual_lp(s.T, means, target, np.zeros(t), np.full(t, cap), start, sum_row=True)
+    return _dual_lp(s.T, means, target, np.zeros(t), np.full(t, cap), start, lp, sum_row=True)
 
 
-def _mad_dual(s, means, target):
+def _mad_dual(s, means, target, lp):
     t = s.shape[0]
     d = s - means
     bound = np.full(t, 1.0 / t)
     start = np.where(d @ _feasible_center(means, target) >= 0.0, bound, -bound)
-    return _dual_lp(-d.T, means, target, -bound, bound, start)
+    return _dual_lp(-d.T, means, target, -bound, bound, start, lp)
 
 
 # -- the simplex routine -----------------------------------------------------------
@@ -263,8 +289,8 @@ def _bounded_simplex(c, a, b, lo, hi, x):
     and drives it out. Dantzig pricing switches to Bland's rule while the
     objective stalls, so degenerate pivots cannot cycle.
 
-    Returns (x, prices, pivots): prices are the row duals of the optimal
-    basis; pivots counts basis changes and bound flips.
+    Returns (x, prices, pivots, lp) as _phase_two does, pivots counting
+    both phases.
     """
     m, n = a.shape
     residual = b - a @ x
@@ -275,10 +301,24 @@ def _bounded_simplex(c, a, b, lo, hi, x):
     basis = np.arange(n, n + m)
     pivots = _pivot(a, b, np.concatenate([np.zeros(n), -np.ones(m)]), lo, hi, x, basis)
     hi[n:] = 0.0  # artificial columns stay at zero from here on
-    cost = np.concatenate([c, np.zeros(m)])
-    pivots += _pivot(a, b, cost, lo, hi, x, basis)
+    x, prices, more, lp = _phase_two((a, b, lo, hi, x, basis), c)
+    return x, prices, pivots + more, lp
+
+
+def _phase_two(lp, c):
+    """Phase two: maximize c . x from the feasible state lp = (a, b, lo, hi,
+    x, basis), whose matrix ends in the artificial columns held at zero.
+
+    Returns (x, prices, pivots, lp): x without the artificial columns, the
+    row duals of the optimal basis, the basis changes and bound flips, and
+    the final state. The state passed in is left as it was.
+    """
+    a, b, lo, hi, x, basis = lp
+    x, basis = x.copy(), basis.copy()
+    cost = np.concatenate([c, np.zeros(a.shape[0])])
+    pivots = _pivot(a, b, cost, lo, hi, x, basis)
     prices = np.linalg.solve(a[:, basis].T, cost[basis])
-    return x[:n], prices, pivots
+    return x[: c.size], prices, pivots, (a, b, lo, hi, x, basis)
 
 
 def _pivot(a, b, cost, lo, hi, x, basis) -> int:

@@ -47,6 +47,7 @@ from .errors import (
     InsufficientHistory,
     NonPositiveMean,
     NonPositiveMeanRegion,
+    NumericError,
     TooManyAssets,
 )
 from .risk import RiskMeasureConfig, measure_value
@@ -282,10 +283,27 @@ def min_risk(
     w0 warm-starts the Nelder-Mead kinds; the exact kinds ignore it.
     """
     s = _validate_scenarios(scenarios)
-    n = s.shape[1]
-    means = s.mean(axis=0)
+    return _min_risk(s, _scenario_means(s), config, target, w0)[0]
+
+
+def _scenario_means(s: np.ndarray) -> np.ndarray:
+    """The column means, refused when they overflow or none is positive."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = s.mean(axis=0)
+    if not np.isfinite(means).all():
+        raise NumericError("scenario means are not finite: the scenarios overflow")
     if means.max() <= 0.0:
         raise NonPositiveMeanRegion("no long-only portfolio has a positive mean")
+    return means
+
+
+def _min_risk(s, means, config, target, w0=None, lp=None):
+    """min_risk on validated scenarios and their means: (point, lp).
+
+    lp is a converged cvar or mad point's final simplex state (else None);
+    passed back in, it starts the solve at another target from its basis.
+    """
+    n = s.shape[1]
     if target is not None:
         if target > means.max() + 1e-12 or target < means.min() - 1e-12:
             raise InfeasibleTarget(
@@ -306,10 +324,11 @@ def min_risk(
                 cert = exact.certificate(
                     s, config.kind, means, float(means @ w), config.tail_fraction, w
                 )
-            return _make_point(s, config, w, target, True, 0, cert)
+            return _make_point(s, config, w, target, True, 0, cert), None
     if config.kind in exact.EXACT_KINDS:
-        w, cert, steps = exact.solve(s, config.kind, target, config.tail_fraction)
-        return _make_point(s, config, w, target, True, steps, cert)
+        w, cert, steps, lp = exact.solve(s, config.kind, target, config.tail_fraction, lp)
+        point = _make_point(s, config, w, target, True, steps, cert)
+        return point, lp if point.converged else None
     if w0 is not None:
         starts = [np.asarray(w0, dtype=float)]
     else:
@@ -345,7 +364,7 @@ def min_risk(
     return min(
         (solve(w) for w in starts),
         key=lambda p: math.inf if math.isnan(p.risk) else p.risk,
-    )
+    ), None
 
 
 def efficient_frontier(
@@ -359,26 +378,30 @@ def efficient_frontier(
 
     The targets are clipped to the attainable range [min, max] of the asset
     means: when the global minimum sits on one asset, its mean (summed in
-    another order than the asset means) can round just past that range."""
+    another order than the asset means) can round just past that range.
+
+    Each point after the anchor starts from the last point that converged:
+    the Nelder-Mead kinds from its weights, and cvar and mad from its
+    optimal simplex basis, which stays feasible when only the target moves,
+    so their solves run phase two only and their iterations count the
+    pivots from that basis. Variance solves each point from the center."""
     s = _validate_scenarios(scenarios)
     if n_points < 2:
         raise BadParameter("a frontier needs at least two points")
-    means = s.mean(axis=0)
-    if means.max() <= 0.0:
-        raise NonPositiveMeanRegion("no long-only portfolio has a positive mean")
+    means = _scenario_means(s)
     if tickers is None:
         tickers = [f"a{i + 1}" for i in range(s.shape[1])]
 
-    anchor = min_risk(s, config)
+    anchor, lp = _min_risk(s, means, config, None)
     result = FrontierResult(points=[anchor], tickers=list(tickers))
     targets = np.clip(
         np.linspace(anchor.mean, float(means.max()), n_points), means.min(), means.max()
     )
     w_prev = anchor.weights
     for t in targets[1:]:
-        point = min_risk(s, config, target=float(t), w0=w_prev)
+        point, next_lp = _min_risk(s, means, config, float(t), w_prev, lp)
         if point.converged:
-            w_prev = point.weights
+            w_prev, lp = point.weights, next_lp
         result.points.append(point)
     return result
 

@@ -321,6 +321,44 @@ def test_frontier_clamps_a_target_that_rounding_puts_out_of_range():
         assert np.array_equal(point.weights, [1.0, 0.0])
 
 
+def warm_start_instances():
+    """(scenarios, tail fraction): seeded ones and degenerate LPs."""
+    mu, sig = [0.01, 0.02, 0.03, 0.015], [0.02, 0.03, 0.04, 0.025]
+    s = seeded_scenarios(23, 60, 3, mu[:3], sig[:3])
+    return {
+        "seed21": (seeded_scenarios(21, 120, 4, mu, sig), 0.1),
+        "seed22": (seeded_scenarios(22, 200, 4, mu, sig), 0.05),
+        "duplicate": (np.column_stack([s, s[:, 1]]), 0.1),
+        "T<N": (seeded_scenarios(24, 6, 8, np.tile(mu, 2), np.tile(sig, 2)), 0.5),
+        # p * T = 10: the tail's boundary falls between two scenarios
+        "integer-pT": (seeded_scenarios(25, 40, 3, mu[:3], sig[:3]), 0.25),
+    }
+
+
+@pytest.mark.parametrize("kind", ["cvar", "mad"])
+@pytest.mark.parametrize("case", ["seed21", "seed22", "duplicate", "T<N", "integer-pT"])
+def test_warm_started_exact_points_match_cold_solves(kind, case):
+    # Each interior point re-enters the simplex from the previous point's
+    # optimal basis; a cold solve at its target starts over from phase one.
+    s, tail_fraction = warm_start_instances()[case]
+    config = RiskMeasureConfig(kind=kind, tail_fraction=tail_fraction)
+    points = efficient_frontier(s, config, n_points=6).points
+    for point in points[1:-1]:
+        assert certified(point)
+        cold = min_risk(s, config, target=point.target)
+        assert abs(point.risk - cold.risk) <= 1e-12 * abs(cold.risk)
+
+
+@pytest.mark.parametrize("kind", ["cvar", "mad"])
+def test_warm_started_exact_points_take_fewer_pivots(kind):
+    s = seeded_scenarios(26, 500, 8, np.linspace(0.005, 0.03, 8), np.linspace(0.02, 0.05, 8))
+    config = RiskMeasureConfig(kind=kind, tail_fraction=0.1)
+    interior = efficient_frontier(s, config, n_points=5).points[1:-1]
+    cold = [min_risk(s, config, target=p.target) for p in interior]
+    assert all(certified(p) for p in interior + cold)
+    assert sum(p.iterations for p in interior) < sum(p.iterations for p in cold)
+
+
 # -------------------------------------------- the Nelder-Mead kinds' edge paths
 
 GS1 = RiskMeasureConfig("gs1")

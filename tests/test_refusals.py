@@ -55,6 +55,7 @@ FILES = {
     "one_value.csv": "A\n0.01\n",
     "overflow.csv": "A\n1e200\n-1e200\n3e200\n",
     "overflow_pair.csv": "A,B\n1e200,2e200\n-1e200,1e200\n3e200,-1e200\n",
+    "overflow_mean.csv": "A,B\n1.5e308,0.01\n1.5e308,0.02\n-1e308,0.03\n",
     "bad_curve.csv": "u,value\n0,abc\n",
     "price_jump.csv": "date,A\n2024-01-01,1e-300\n2024-01-02,1e300\n",
     "price_drop.csv": "date,A\n2024-01-01,1e300\n2024-01-02,1e-300\n",
@@ -166,6 +167,20 @@ REFUSALS = [
             NumericError, "scenario covariance is not finite: the scenarios overflow",
             ["frontier", "--scenarios", "{d}/overflow_pair.csv", "--kind", "variance",
              "--n-points", "2"], 3, "numeric failure",
+            marks=[pytest.mark.filterwarnings("error::RuntimeWarning")]),
+    # and column means that overflow, before any kind's solve
+    *(refusal(f"frontier-mean-overflow-{kind}",
+              lambda d, kind=kind: efficient_frontier(
+                  read_scenarios_csv(d / "overflow_mean.csv").values, RiskMeasureConfig(kind)),
+              NumericError, "scenario means are not finite: the scenarios overflow",
+              ["frontier", "--scenarios", "{d}/overflow_mean.csv", "--kind", kind],
+              3, "numeric failure",
+              marks=[pytest.mark.filterwarnings("error::RuntimeWarning")])
+      for kind in ("variance", "cvar", "mad", "gs1")),
+    refusal("portfolio-mean-overflow",
+            lambda d: min_risk(read_scenarios_csv(d / "overflow_mean.csv").values,
+                               RiskMeasureConfig("mad")),
+            NumericError, "scenario means are not finite: the scenarios overflow",
             marks=[pytest.mark.filterwarnings("error::RuntimeWarning")]),
     # the iteration and its curves
     refusal("iterate-max-iter",
