@@ -20,6 +20,7 @@ import csv
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from datetime import date
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -469,21 +470,80 @@ def _open_text(path):
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def _write_table(path, header, values, dates=None) -> None:
-    """The one writer of a table of floats: `header` as csv quotes it, then
-    a row per row of `values`, led by its ISO date when `dates` is given; rows
-    end in `\\r\\n`. Each distinct bit pattern is formatted once, as a
-    simulated matrix repeats each historical value many times; bit patterns
-    keep -0.0 apart from 0.0, and every NaN prints `nan`."""
+def _write_table(path, names, values, dates=None) -> None:
+    """The one writer of a table of floats: a header of `names` as csv
+    quotes them, then a row per row of `values`; with `dates`, the header is
+    led by `date` and each row by its ISO date. Rows end in `\\r\\n`. Each
+    distinct bit pattern is formatted once, as a simulated matrix repeats
+    each historical value many times; bit patterns keep -0.0 apart from 0.0,
+    and every NaN prints `nan`."""
     values = np.ascontiguousarray(values, dtype=float)
     bits, inverse = np.unique(values.view(np.int64).ravel(), return_inverse=True)
     text = np.array(list(map(format_float, bits.view(float).tolist())), dtype=object)
     rows = text[inverse.reshape(values.shape)].tolist()
     if dates is not None:
+        names = ["date"] + list(names)
         rows = [[day.isoformat()] + row for day, row in zip(dates, rows)]
     with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(header)
+        csv.writer(fh).writerow(names)
         fh.writelines(",".join(row) + "\r\n" for row in rows)
+
+
+def _read_table(path, problem=None, missing=False):
+    """The one reader of the tables `_write_table` writes: (names, linenos,
+    dates, values), the stripped header cells of the value columns, each
+    data row's line number, the ISO dates of column 0 when the header starts
+    with `date` (any case) or else None, and the values. A row with no cells,
+    or only blank ones, is skipped. `problem(header)` names a fault of the
+    stripped header, or is None; a header with no value column is refused
+    too. Each fault is one ParseError naming the file and line: `expected N
+    cells, got M`, `bad date '<cell>'`, `bad value '<cell>' for <column>`,
+    and, once every row has parsed, `non-finite value <value> for <column>`.
+    With `missing`, a blank cell reads as NaN and no value is refused; the
+    caller checks them."""
+    with _open_text(path) as fh:
+        reader = csv.reader(fh)
+        header = [cell.strip() for cell in next(reader, [])]
+        has_dates = bool(header) and header[0].lower() == "date"
+        names, linenos, dates, rows = header[has_dates:], [], [], []
+        message = problem(header) if problem else None
+        if message or not names:
+            raise ParseError(f"{path}:1: {message or 'no value columns'}")
+        for lineno, row in enumerate(reader, start=2):
+            if not any(map(str.strip, row)):
+                continue
+            if len(row) != len(header):
+                raise ParseError(f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}")
+            if has_dates:
+                day = row.pop(0)
+                try:
+                    dates.append(date.fromisoformat(day.strip()))
+                except ValueError:
+                    raise ParseError(f"{path}:{lineno}: bad date {day!r}") from None
+            try:
+                rows.append(list(map(float, row)))
+            except ValueError:
+                rows.append([_cell(path, lineno, *pair, missing) for pair in zip(names, row)])
+            linenos.append(lineno)
+    if not rows:
+        raise ParseError(f"{path}: no data rows")
+    values = np.array(rows)
+    if not missing and not np.isfinite(values).all():
+        i, j = np.argwhere(~np.isfinite(values))[0]
+        raise ParseError(
+            f"{path}:{linenos[i]}: non-finite value {float(values[i, j])!r} for {names[j]}"
+        )
+    return names, linenos, dates if has_dates else None, values
+
+
+def _cell(path, lineno, name, cell, missing):
+    """One cell of a row that `float` did not take whole."""
+    try:
+        return float(cell)
+    except ValueError:
+        if missing and not cell.strip():
+            return math.nan
+        raise ParseError(f"{path}:{lineno}: bad value {cell!r} for {name}") from None
 
 
 def write_curve_csv(curve: MonotoneCurve, path) -> None:
@@ -492,35 +552,16 @@ def write_curve_csv(curve: MonotoneCurve, path) -> None:
 
 def read_curve_csv(path) -> MonotoneCurve:
     """Read a 'u,value' curve file; every rejection is a ParseError."""
-    us, vs, linenos = [], [], []
-    with _open_text(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["u", "value"]:
-            raise ParseError(f"{path}:1: expected a 'u,value' header")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ParseError(f"{path}:{lineno}: wrong number of cells")
-            try:
-                u, v = float(row[0]), float(row[1])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: malformed row ({exc})") from exc
-            if not (math.isfinite(u) and math.isfinite(v)):
-                raise ParseError(f"{path}:{lineno}: non-finite value in {row!r}")
-            us.append(u)
-            vs.append(v)
-            linenos.append(lineno)
-    if len(us) < 2:
+    _, linenos, _, table = _read_table(
+        path, lambda header: None if header == ["u", "value"] else "expected a 'u,value' header"
+    )
+    if len(linenos) < 2:
         raise ParseError(f"{path}: a curve file needs at least two rows")
-    grid = _uniform_grid(len(us) - 1)
-    off_grid = np.flatnonzero(np.abs(np.array(us) - grid) > 1e-9)
+    us, vs = table.T
+    off_grid = np.flatnonzero(np.abs(us - _uniform_grid(len(us) - 1)) > 1e-9)
     if off_grid.size:
-        raise ParseError(
-            f"{path}:{linenos[off_grid[0]]}: u is not the uniform grid on [0, 1]"
-        )
+        raise ParseError(f"{path}:{linenos[off_grid[0]]}: u is not the uniform grid on [0, 1]")
     drops = np.flatnonzero(np.diff(vs) < 0.0)
     if drops.size:
         raise ParseError(f"{path}:{linenos[drops[0] + 1]}: value decreases")
-    return MonotoneCurve(np.array(vs))
+    return MonotoneCurve(vs.copy())

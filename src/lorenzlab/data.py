@@ -20,7 +20,7 @@ from datetime import date
 
 import numpy as np
 
-from .curves import _open_text, _write_table
+from .curves import _read_table, _write_table
 from .errors import (
     BadParameter,
     DataError,
@@ -30,7 +30,6 @@ from .errors import (
     InsufficientHistory,
     NonPositivePrice,
     NumericError,
-    ParseError,
 )
 from .rng import (
     acklam_array,
@@ -79,54 +78,28 @@ class ScenarioMatrix:
 
 
 def load_price_panel(path) -> PricePanel:
-    """Read a `date,<ticker>,...` CSV. Blank cells are missing; prices must
-    be positive; dates must be unique. Rows are sorted by date."""
-    with _open_text(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or len(header) < 2 or header[0].strip().lower() != "date":
-            raise ParseError(f"{path}: expected a 'date,<tickers>' header")
-        tickers = [h.strip() for h in header[1:]]
-        rows = []
-        seen: set[date] = set()
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(header):
-                raise ParseError(
-                    f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}"
-                )
-            try:
-                day = date.fromisoformat(row[0].strip())
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: bad date {row[0]!r}") from exc
-            if day in seen:
-                raise DuplicateDate(f"{path}:{lineno}: duplicate date {day}")
-            seen.add(day)
-            prices = np.empty(len(tickers))
-            for j, cell in enumerate(row[1:]):
-                cell = cell.strip()
-                if not cell or cell.lower() == "nan":
-                    prices[j] = math.nan
-                    continue
-                try:
-                    value = float(cell)
-                except ValueError as exc:
-                    raise ParseError(
-                        f"{path}:{lineno}: bad price {cell!r} for {tickers[j]}"
-                    ) from exc
-                if not value > 0.0 or not math.isfinite(value):
-                    raise NonPositivePrice(
-                        f"{path}:{lineno}: price {value!r} for {tickers[j]}"
-                    )
-                prices[j] = value
-            rows.append((day, prices))
-    if not rows:
-        raise ParseError(f"{path}: no data rows")
-    rows.sort(key=lambda item: item[0])
-    dates = [day for day, _ in rows]
-    matrix = np.vstack([p for _, p in rows])
-    return PricePanel(dates, tickers, matrix)
+    """Read a `date,<ticker>,...` CSV. A blank cell or an unsigned NaN is a
+    missing quote; prices must be positive and finite, and dates unique.
+    Rows are sorted by date."""
+    tickers, linenos, dates, prices = _read_table(path, _price_header, missing=True)
+    first = {}
+    for i, day in enumerate(dates):
+        if first.setdefault(day, i) != i:
+            raise DuplicateDate(f"{path}:{linenos[i]}: duplicate date {day}")
+    # a NaN whose sign bit is set, as `float('-nan')` gives, is no missing quote
+    bad = np.argwhere(np.signbit(prices) | (prices == 0.0) | (prices == math.inf))
+    if bad.size:
+        i, j = bad[0]
+        raise NonPositivePrice(
+            f"{path}:{linenos[i]}: price {float(prices[i, j])!r} for {tickers[j]}"
+        )
+    order = sorted(range(len(dates)), key=dates.__getitem__)
+    return PricePanel([dates[i] for i in order], tickers, prices[order])
+
+
+def _price_header(header):
+    dated = len(header) > 1 and header[0].lower() == "date"
+    return None if dated else "expected a 'date,<tickers>' header"
 
 
 def clean_panel(panel: PricePanel, coverage: float = 0.95):
@@ -415,15 +388,12 @@ def copula_simulate(
 def write_prices_csv(panel: PricePanel, path) -> None:
     """A missing quote is written `nan`, which `load_price_panel` reads back
     as missing."""
-    _write_table(path, ["date"] + list(panel.tickers), panel.prices, panel.dates)
+    _write_table(path, panel.tickers, panel.prices, panel.dates)
 
 
 def write_scenarios_csv(scenarios: ScenarioMatrix, path) -> None:
     """Historical matrices keep their date column; simulated ones have none."""
-    header = list(scenarios.tickers)
-    if scenarios.dates is not None:
-        header = ["date"] + header
-    _write_table(path, header, scenarios.values, scenarios.dates)
+    _write_table(path, scenarios.tickers, scenarios.values, scenarios.dates)
 
 
 # The checked reading path of `read_scenarios_csv` scans a file's body once,
@@ -486,10 +456,7 @@ def read_scenarios_csv(path, column: str | int | None = None) -> ScenarioMatrix:
     that column only: every cell of the file is still checked, so a
     malformed file fails as it does without `column`, but only the kept
     column is converted. An unknown column is BadParameter."""
-    scenarios = _read_plain(path, column)
-    if scenarios is None:
-        scenarios = _select(_read_with_csv(path), column)
-    return scenarios
+    return _read_plain(path, column) or _select(_read_with_csv(path), column)
 
 
 def _column_index(tickers, column):
@@ -519,12 +486,14 @@ def _read_plain(path, column) -> ScenarioMatrix | None:
     are ISO dates, every other cell passes `_token_rules`, and no cell
     exceeds csv's field size limit. csv splits such a file at its commas and
     line ends, and `float` parses each value cell to a finite number, so the
-    result is the csv reader's. Any other file (a blank line, an empty cell,
-    a bad value or date, an unknown `column`) goes to the csv reader, which
-    gives its values or its error."""
+    result is `_read_with_csv`'s. Any other file (a blank line, an empty
+    cell, a bad value or date, an unknown `column`) goes to that reader,
+    which gives its values or its error."""
     with open(path, "rb") as fh:
-        head, _, body = fh.read().partition(b"\n")
-    head = head.removesuffix(b"\r")
+        blob = fh.read()
+    offset = blob.find(b"\n") + 1  # where the body starts: 0 without a LF, leaving no head
+    head = blob[:offset].removesuffix(b"\n").removesuffix(b"\r")
+    body = memoryview(blob)[offset:]
     limit = csv.field_size_limit()
     if not head.isascii() or len(head) > limit or any(c in head for c in b'"\r\0'):
         return None
@@ -539,24 +508,23 @@ def _read_plain(path, column) -> ScenarioMatrix | None:
     if bounds is None:
         return None
     starts, ends = bounds
-    text = body.decode()  # ASCII: cells are the str tokens csv would give
 
-    # column j is cells j, j + width, j + 2 * width, ...; a CRLF line's last
-    # cell keeps its CR, which `float` strips
+    # column j is cells j, j + width, j + 2 * width, ..., as ASCII bytes; a
+    # CRLF line's last cell keeps its CR, which `float` strips
     def cells(j):
-        bounds = zip(starts[j::width].tolist(), ends[j::width].tolist())
-        return [text[start:end] for start, end in bounds]
+        bounds = zip((starts[j::width] + offset).tolist(), (ends[j::width] + offset).tolist())
+        return [blob[start:end] for start, end in bounds]
 
     dates = None
     if has_dates:
         try:
-            dates = [date.fromisoformat(cell) for cell in cells(0)]
+            dates = [date.fromisoformat(cell.decode()) for cell in cells(0)]
         except ValueError:
             return None
     if column is not None:
         values = np.array(list(map(float, cells(has_dates + index))))
         return ScenarioMatrix(values=values[:, None], tickers=[tickers[index]], dates=dates)
-    flat = text.replace("\n", ",").split(",")
+    flat = blob[offset:].decode().replace("\n", ",").split(",")
     del flat[ends.size :]  # the empty piece after a final LF
     if has_dates:
         del flat[::width]
@@ -566,14 +534,14 @@ def _read_plain(path, column) -> ScenarioMatrix | None:
 
 def _cell_bounds(body: bytes, width: int, has_dates: bool, limit: int):
     """Cell k of a plain body is `body[starts[k]:ends[k]]` (a CRLF line's
-    last cell with its CR); None for a body that is not plain. One scan over the tokens checks every cell against
-    `_RULES` (date cells only for their bytes), every `width`-th delimiter
-    for a line end and every other one for a comma, and each cell's length
-    against `limit`."""
+    last cell with its CR); None for a body that is not plain. One scan over
+    the tokens checks every cell against `_RULES` (date cells only for their
+    bytes), every `width`-th delimiter for a line end and every other one
+    for a comma, and each cell's length against `limit`."""
     codes = np.frombuffer(body, dtype=np.uint8)
     at = np.flatnonzero(codes - np.uint8(ord("0")) > np.uint8(9))  # every byte but a digit
     cls = _CLASS.take(codes.take(at))
-    if not body.endswith(b"\n"):
+    if body[-1:] != b"\n":
         at = np.append(at, len(body))
         cls = np.append(cls, np.int8(_END))
     digits = _BUCKET.take(np.minimum(np.diff(at, prepend=-1) - 1, 201))
@@ -609,48 +577,7 @@ def _cell_bounds(body: bytes, width: int, has_dates: bool, limit: int):
 
 
 def _read_with_csv(path) -> ScenarioMatrix:
-    """The per-cell reader: `csv` rows and one `float` per cell. It is the
-    only source of `read_scenarios_csv`'s errors."""
-    with _open_text(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or not header:
-            raise ParseError(f"{path}: empty scenario file")
-        has_dates = header[0].strip().lower() == "date"
-        tickers = [h.strip() for h in (header[1:] if has_dates else header)]
-        if not tickers:
-            raise ParseError(f"{path}: no ticker columns")
-        dates = [] if has_dates else None
-        rows = []
-        linenos = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            cells = row[1:] if has_dates else row
-            if len(cells) != len(tickers):
-                raise ParseError(f"{path}:{lineno}: wrong number of cells")
-            if has_dates:
-                try:
-                    dates.append(date.fromisoformat(row[0].strip()))
-                except ValueError as exc:
-                    raise ParseError(f"{path}:{lineno}: bad date {row[0]!r}") from exc
-            try:
-                rows.append([float(c) for c in cells])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: bad value ({exc})") from exc
-            linenos.append(lineno)
-    if not rows:
-        raise ParseError(f"{path}: no data rows")
-    values = np.array(rows, dtype=float)
-    finite = np.isfinite(values)
-    if not finite.all():
-        i, j = np.argwhere(~finite)[0]
-        raise ParseError(
-            f"{path}:{linenos[i]}: non-finite value {float(values[i, j])!r} "
-            f"for {tickers[j]}"
-        )
-    return ScenarioMatrix(
-        values=values,
-        tickers=tickers,
-        dates=dates,
-    )
+    """The per-cell reader: the only source of `read_scenarios_csv`'s errors."""
+    tickers, _, dates, values = _read_table(path)
+    return ScenarioMatrix(values=values, tickers=tickers, dates=dates)
+

@@ -419,17 +419,18 @@ def test_only_lorenzlabs_warnings_are_reworded():
 #
 # The odd cell sits in column A2 of line 6, which `measure` (first column by
 # default) does not convert; every command still checks it. The messages are
-# the per-cell csv reader's, pinned as it gave them before `measure` read one
-# column, so all three commands must fail with the same text.
+# the one table reader's (`curves._read_table`), so all three commands must
+# fail with the same text. A "cells" line has a cell more than the header: 3
+# tickers, and a date if the file has dates.
 
 MALFORMED = {
-    "": "bad value (could not convert string to float: '')",
-    "1e": "bad value (could not convert string to float: '1e')",
-    "--1": "bad value (could not convert string to float: '--1')",
-    "1.2.3": "bad value (could not convert string to float: '1.2.3')",
+    "": "bad value '' for A2",
+    "1e": "bad value '1e' for A2",
+    "--1": "bad value '--1' for A2",
+    "1.2.3": "bad value '1.2.3' for A2",
     "1e400": "non-finite value inf for A2",
     "nan": "non-finite value nan for A2",
-    "cells": "wrong number of cells",
+    "cells": "expected {width} cells, got {got}",
     "date": "bad date '2024-13-01'",
 }
 # odd spellings csv and float accept, with the plain spelling of their
@@ -482,7 +483,8 @@ def test_malformed_cells_fail_the_same_way_everywhere(tmp_path, capsys, command,
     path = odd_scenario_file(tmp_path, dated, cell)
     out = tmp_path / "out.csv"
     assert main(command_argv(command, path, out)) == 2
-    assert capsys.readouterr().err == f"data error: {path}:6: {MALFORMED[cell]}\n"
+    message = MALFORMED[cell].format(width=3 + dated, got=4 + dated)
+    assert capsys.readouterr().err == f"data error: {path}:6: {message}\n"
     assert not out.exists()
 
 

@@ -505,9 +505,13 @@ def test_read_curve_csv_rejects_bad_input(tmp_path):
         path.write_text(f"u,value\n{rows}\n")
         with pytest.raises(ParseError, match=f":{line}:"):
             read_curve_csv(path)
-    for rows, line in [("0.0,0.0\n0.5\n1.0,1.0", 3), ("0,0,abc\n1,1", 2), ("0,0\n1,1,2,3", 3)]:
+    for rows, line, got in [
+        ("0.0,0.0\n0.5\n1.0,1.0", 3, 1),
+        ("0,0,abc\n1,1", 2, 3),
+        ("0,0\n1,1,2,3", 3, 4),
+    ]:
         path.write_text(f"u,value\n{rows}\n")
-        with pytest.raises(ParseError, match=f"bad\\.csv:{line}: wrong number of cells"):
+        with pytest.raises(ParseError, match=f"bad\\.csv:{line}: expected 2 cells, got {got}$"):
             read_curve_csv(path)
     path.write_bytes(b"u,value\n0.0,0.0\n1.0,1.0\xff\n")
     with pytest.raises(ParseError, match=r"bad\.csv: not UTF-8 text \(byte 0xff\)"):
@@ -517,6 +521,9 @@ def test_read_curve_csv_rejects_bad_input(tmp_path):
 def test_read_curve_csv_skips_empty_lines(tmp_path):
     path = tmp_path / "curve.csv"
     path.write_text("u,value\n0,0\n\n0.5,0.25\n\n1,1\n")
+    assert read_curve_csv(path).values.tolist() == [0.0, 0.25, 1.0]
+    # a row of blank cells is skipped too, as price and scenario files skip it
+    path.write_text("u,value\n0,0\n,\n0.5,0.25\n , \n1,1\n")
     assert read_curve_csv(path).values.tolist() == [0.0, 0.25, 1.0]
 
 

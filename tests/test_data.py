@@ -12,15 +12,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lorenzlab import (
+    AnalyticFamily,
     PricePanel,
     ScenarioMatrix,
     clean_panel,
+    analytic_quantile,
     compute_returns,
     copula_simulate,
     historical_scenarios,
     load_price_panel,
+    read_curve_csv,
     read_scenarios_csv,
     take_every,
+    write_curve_csv,
     write_prices_csv,
     write_scenarios_csv,
 )
@@ -124,8 +128,23 @@ def test_load_price_panel_error_cases(tmp_path):
     with pytest.raises(NonPositivePrice):
         load_price_panel(path)
     path.write_text("date,A\n2024-01-01,abc\n")
-    with pytest.raises(ParseError, match=":2:"):
+    with pytest.raises(ParseError, match=":2: bad value 'abc' for A$"):
         load_price_panel(path)
+    # `-nan` carries a sign: a price, and not a positive one
+    for cell, shown in [("-nan", "nan"), ("-NaN", "nan"), ("0", "0.0"), ("-0.0", "-0.0"),
+                        ("inf", "inf"), ("-inf", "-inf")]:
+        path.write_text(f"date,A,B\n2024-01-01,1.0,{cell}\n")
+        with pytest.raises(NonPositivePrice, match=f":2: price {shown} for B$"):
+            load_price_panel(path)
+
+
+def test_a_blank_cell_and_every_unsigned_nan_are_missing_quotes(tmp_path):
+    # `+nan` reads to the same float as `nan`, so it is a missing quote too
+    path = tmp_path / "p.csv"
+    path.write_text("date,A,B,C,D,E\n2024-01-01, ,nan,NaN,+nan,\n2024-01-02,1,2,3,4,5\n")
+    prices = load_price_panel(path).prices
+    assert np.isnan(prices[0]).all() and not np.signbit(prices[0]).any()
+    assert prices[1].tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
 
 
 # ---------------------------------------------------------------- cleaning
@@ -599,6 +618,37 @@ def test_scenarios_csv_round_trip_without_dates(tmp_path):
     path.write_text("A,B\n")
     with pytest.raises(ParseError):
         read_scenarios_csv(path)
+
+
+def table_fields(table):
+    """A table's fields, each array as its shape and its bytes."""
+    return {
+        name: (value.shape, value.tobytes()) if isinstance(value, np.ndarray) else value
+        for name, value in vars(table).items()
+        if not name.startswith("_")
+    }
+
+
+@pytest.mark.parametrize("case", ["prices", "scenarios-dated", "scenarios-undated", "curve"])
+def test_every_table_writer_reads_back_bit_for_bit(tmp_path, case):
+    panel = load_price_panel(cleaning_fixture(tmp_path))
+    panel.prices /= 3.0  # all 17 digits; the gaps stay NaN and are written `nan`
+    history = compute_returns(clean_panel(panel)[0])
+    scenario_readers = [read_scenarios_csv, data._read_with_csv]
+    table, write, readers = {
+        "prices": (panel, write_prices_csv, [load_price_panel]),
+        "scenarios-dated": (history, write_scenarios_csv, scenario_readers),
+        "scenarios-undated": (copula_simulate(history, n=50, seed=6), write_scenarios_csv,
+                              scenario_readers),
+        "curve": (analytic_quantile(AnalyticFamily.lognormal(0.5, 0.2), 4096), write_curve_csv,
+                  [read_curve_csv]),
+    }[case]
+    path = tmp_path / "table.csv"
+    write(table, path)
+    if case == "prices":
+        assert b",nan," in path.read_bytes()
+    for read in readers:
+        assert table_fields(read(path)) == table_fields(table)
 
 
 # ---------------------------------------------------------------- one-column reads

@@ -31,9 +31,11 @@ from lorenzlab.errors import (
     BadParameter,
     DataError,
     DegenerateAfterTruncation,
+    DuplicateDate,
     EmptySample,
     InsufficientHistory,
     NonPositiveMeanRegion,
+    NonPositivePrice,
     NumericError,
     ParseError,
 )
@@ -57,6 +59,13 @@ FILES = {
     "overflow_pair.csv": "A,B\n1e200,2e200\n-1e200,1e200\n3e200,-1e200\n",
     "overflow_mean.csv": "A,B\n1.5e308,0.01\n1.5e308,0.02\n-1e308,0.03\n",
     "bad_curve.csv": "u,value\n0,abc\n",
+    # a parse error anywhere in a price file comes before any value check
+    "dup_then_bad.csv": "date,A\n2024-01-01,1.0\n2024-01-01,2.0\n2024-01-03,x\n",
+    "negative_then_bad.csv": "date,A\n2024-01-01,-1.0\n2024-01-02,x\n",
+    "bad_scenario_cell.csv": "A,B\n0.01,0.02\n0.03,x\n",
+    # dates are checked before prices, wherever the faults are
+    "negative_then_dup.csv": "date,A\n2024-01-01,-1.0\n2024-01-01,2.0\n",
+    "negative.csv": "date,A\n2024-01-01,1.0\n2024-01-02,-1.0\n",
     "price_jump.csv": "date,A\n2024-01-01,1e-300\n2024-01-02,1e300\n",
     "price_drop.csv": "date,A\n2024-01-01,1e300\n2024-01-02,1e-300\n",
 }
@@ -91,6 +100,19 @@ REFUSALS = [
     refusal("price-no-rows", lambda d: load_price_panel(d / "no_rows.csv"),
             ParseError, "no data rows",
             ["clean", "--prices", "{d}/no_rows.csv"], 2, "data error"),
+    refusal("price-duplicate-date", lambda d: load_price_panel(d / "negative_then_dup.csv"),
+            DuplicateDate, "negative_then_dup.csv:3: duplicate date 2024-01-01",
+            ["clean", "--prices", "{d}/negative_then_dup.csv"], 2, "data error"),
+    refusal("price-not-positive", lambda d: load_price_panel(d / "negative.csv"),
+            NonPositivePrice, "negative.csv:3: price -1.0 for A",
+            ["clean", "--prices", "{d}/negative.csv"], 2, "data error"),
+    refusal("price-parse-before-duplicate", lambda d: load_price_panel(d / "dup_then_bad.csv"),
+            ParseError, "dup_then_bad.csv:4: bad value 'x' for A",
+            ["clean", "--prices", "{d}/dup_then_bad.csv"], 2, "data error"),
+    refusal("price-parse-before-nonpositive",
+            lambda d: load_price_panel(d / "negative_then_bad.csv"),
+            ParseError, "negative_then_bad.csv:3: bad value 'x' for A",
+            ["returns", "--prices", "{d}/negative_then_bad.csv"], 2, "data error"),
     refusal("returns-missing-quotes",
             lambda d: compute_returns(load_price_panel(d / "gap.csv")),
             DataError, "panel has missing values; clean it first",
@@ -115,10 +137,14 @@ REFUSALS = [
             BadParameter, "kind must be simple or log"),
     # scenario files and the copula
     refusal("scenarios-empty", lambda d: read_scenarios_csv(d / "empty.csv"),
-            ParseError, "empty scenario file",
+            ParseError, "empty.csv:1: no value columns",
             ["measure", "--scenarios", "{d}/empty.csv", "--kind", "mad"], 2, "data error"),
+    refusal("scenarios-bad-cell", lambda d: read_scenarios_csv(d / "bad_scenario_cell.csv"),
+            ParseError, "bad_scenario_cell.csv:3: bad value 'x' for B",
+            ["simulate", "--scenarios", "{d}/bad_scenario_cell.csv", "--window", "0"],
+            2, "data error"),
     refusal("scenarios-date-only", lambda d: read_scenarios_csv(d / "date_only.csv"),
-            ParseError, "no ticker columns",
+            ParseError, "date_only.csv:1: no value columns",
             ["measure", "--scenarios", "{d}/date_only.csv", "--kind", "mad"], 2, "data error"),
     refusal("copula-one-row",
             lambda d: copula_simulate(read_scenarios_csv(d / "one_row.csv")),
@@ -203,7 +229,7 @@ REFUSALS = [
             BadParameter, "lognormal needs positive sigma",
             ["iterate", "--start", "lognormal-logscale:0,0"], 1, "error"),
     refusal("curve-malformed-row", lambda d: read_curve_csv(d / "bad_curve.csv"),
-            ParseError, ":2: malformed row"),
+            ParseError, "bad_curve.csv:2: bad value 'abc' for value"),
 ]
 
 
