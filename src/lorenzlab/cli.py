@@ -49,6 +49,7 @@ from .errors import (
     DegenerateColumnWarning,
     LorenzLabError,
     NumericError,
+    ParseError,
     UsageError,
 )
 from .iterate import _MODES, limit_curve, run_iteration, write_trace_csv
@@ -76,6 +77,28 @@ def _write_sidecar(out_path, ns) -> None:
     _write_json(str(out_path) + ".run.json", {**sidecar, "options": options})
 
 
+def _read_sample(path) -> list[float]:
+    """The whitespace-separated values of a sample file, worded as the table
+    readers word their faults: a token that is not a number is the
+    ParseError `<path>:<line>: bad value '<token>'`, and once every token has
+    parsed, a non-finite value is `<path>:<line>: non-finite value <value>`."""
+    try:
+        with _open_text(path) as fh:
+            tokens = [(n, tok) for n, line in enumerate(fh, start=1) for tok in line.split()]
+    except OSError as exc:
+        raise DataError(f"cannot read sample file {path!r}: {exc}") from exc
+    samples = []
+    for lineno, tok in tokens:
+        try:
+            samples.append(float(tok))
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: bad value {tok!r}") from None
+    for (lineno, _), x in zip(tokens, samples):
+        if not math.isfinite(x):
+            raise ParseError(f"{path}:{lineno}: non-finite value {x!r}")
+    return samples
+
+
 def _parse_start(text: str, grid: int):
     """Start grammar: name[:p1[,p2]] or sample:<path> (whitespace-separated
     finite values). Each name is the AnalyticFamily constructor of that name,
@@ -86,19 +109,7 @@ def _parse_start(text: str, grid: int):
         if name == "sample":
             if not arg:
                 raise BadParameter("sample start needs a path: sample:<path>")
-            try:
-                with _open_text(arg) as fh:
-                    tokens = fh.read().split()
-            except OSError as exc:
-                raise DataError(f"cannot read sample file {arg!r}: {exc}") from exc
-            try:
-                samples = [float(tok) for tok in tokens]
-            except ValueError as exc:
-                raise DataError(f"{arg}: bad sample value ({exc})") from exc
-            bad = [tok for tok, x in zip(tokens, samples) if not math.isfinite(x)]
-            if bad:
-                raise DataError(f"{arg}: non-finite sample value {bad[0]!r}")
-            return empirical_quantile(samples, grid)
+            return empirical_quantile(_read_sample(arg), grid)
         params = [float(tok) for tok in arg.split(",")] if arg else []
         constructor = name.replace("-", "_")
         if not isinstance(vars(AnalyticFamily).get(constructor), classmethod):

@@ -85,7 +85,7 @@ def _trapezoid_prefix(width, v: np.ndarray) -> np.ndarray:
 
 def _nondecreasing(a: np.ndarray) -> bool:
     # False for NaN, which compares false both ways
-    return bool(np.all(a[1:] >= a[:-1]))
+    return bool((a[1:] >= a[:-1]).all())
 
 
 def _sorted_searchsorted(
@@ -172,7 +172,8 @@ def _sorted_sample(x: np.ndarray) -> np.ndarray:
 def _unit_points(x, what: str) -> tuple[np.ndarray, bool]:
     """x clipped to [0, 1] as a 1-d array, and whether x is a scalar; NaN is OutOfDomain."""
     x_arr = np.asarray(x, dtype=float)
-    if not np.all((x_arr >= -_ENDPOINT_TOL) & (x_arr <= 1.0 + _ENDPOINT_TOL)):
+    # min and max carry a NaN through, and compare false with it
+    if x_arr.size and not (x_arr.min() >= -_ENDPOINT_TOL and x_arr.max() <= 1.0 + _ENDPOINT_TOL):
         raise OutOfDomain(f"{what} outside [0, 1]")
     return np.clip(np.atleast_1d(x_arr), 0.0, 1.0), x_arr.ndim == 0
 
@@ -221,21 +222,29 @@ class MonotoneCurve:
     def __call__(self, x):
         return self.evaluate(x)
 
-    def generalized_inverse(self, u, clamp: bool = False):
+    def generalized_inverse(self, u, clamp: bool = False, *, cells: dict | None = None):
         """inf { y : f(y) >= u }; flat segments map to their left endpoint.
 
         With clamp=True, u below f(0) maps to 0 and u above f(1) maps to 1;
-        otherwise such u raise OutOfRange.
+        otherwise such u raise OutOfRange. With a dict `cells`, the cell
+        search takes the cells it stored there on the last call as its guess
+        and stores the ones it finds; see _sorted_searchsorted. It never
+        changes the result.
         """
         v = self.values
         u_arr = np.asarray(u, dtype=float)
         scalar = u_arr.ndim == 0
         u_arr = np.atleast_1d(u_arr)
-        if np.isnan(u_arr).any() or not clamp and (np.any(u_arr < v[0]) or np.any(u_arr > v[-1])):
+        # min and max carry a NaN through, and compare false with it
+        lo, hi = (u_arr.min(), u_arr.max()) if u_arr.size else (v[0], v[-1])
+        inside = v[0] <= lo and hi <= v[-1]
+        if not inside and (not clamp or np.isnan(lo)):
             raise OutOfRange("inverse argument outside the curve's range")
-        u_clip = np.clip(u_arr, v[0], v[-1])
+        u_clip = u_arr if inside else np.clip(u_arr, v[0], v[-1])
         # First node index k with v[k] >= u; 'left' guarantees v[k-1] < u.
-        k = _sorted_searchsorted(v, u_clip, "left")
+        k = _sorted_searchsorted(v, u_clip, "left", None if cells is None else cells.get("inverse"))
+        if cells is not None:
+            cells["inverse"] = k
         h = 1.0 / self.grid_size
         out = np.zeros_like(u_clip)
         interior = k > 0

@@ -151,12 +151,12 @@ def run_iteration(
     if normalize and mode != "reflected":
         raise BadParameter("normalize applies to the reflected mode only")
     # One memo per run: each cell search that repeats every round (the primal
-    # inverse, the reflected operator's two routes) starts from the cells it
-    # found the round before, which barely move once the iteration settles.
+    # inverse, the reflected operator's two routes, and the reflected
+    # inverse's search of Q's node values) starts from the cells it found the
+    # round before, which barely move once the iteration settles.
     cells = {}
-    if mode == "primal":
-        inverse = partial(inverse, cells=cells)
-    else:
+    inverse = partial(inverse, cells=cells)
+    if mode == "reflected":
         transform = partial(transform, cells=cells)
     grid = start.grid
     limit = limit_curve(mode, start.grid_size).values

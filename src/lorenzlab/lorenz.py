@@ -14,9 +14,12 @@ convex curves through (0, 0) and (1, 1), and both are inverted in closed
 form. For a piecewise-linear Q each inversion inverts a continuous G that
 is quadratic on each cell, with a slope linear between known nodes:
 _prefix_inverse finds each target's cell and takes one stable quadratic
-root. The iteration inverts at all grid nodes, whose targets are sorted.
-Their cells barely move from one round to the next, so run_iteration keeps
-each search's cells for the next round, which takes them as a guess: every
+root. The reflected inverse E[min(Q, u)] / mu needs only Q's generalized
+inverse at u and the prefix integral there. The iteration inverts at all
+grid nodes, whose targets are sorted. Their cells barely move from one
+round to the next, so run_iteration keeps each search's cells (the primal
+inverse's, the two reflected routes', and the reflected inverse's search
+of Q's node values) for the next round, which takes them as a guess: every
 guessed cell is checked exactly against its two node values, and only the
 targets that miss are searched again. A search with no guess, or with too
 many misses, merges the sorted targets with the node values in linear
@@ -40,11 +43,12 @@ truncate_generalized.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .curves import (
-    _ENDPOINT_TOL, DEFAULT_GRID, MonotoneCurve, QuantileCurve, _nondecreasing,
+    _ENDPOINT_TOL, _GRID_CACHE_SIZE, DEFAULT_GRID, MonotoneCurve, QuantileCurve, _nondecreasing,
     _sample, _sorted_sample, _sorted_searchsorted, _trapezoid_prefix, _uniform_grid,
 )
 from .errors import (
@@ -110,12 +114,17 @@ def _positive_mean(quantile: MonotoneCurve) -> float:
     return total
 
 
+def _running_max(a: np.ndarray) -> np.ndarray:
+    """np.maximum.accumulate(a) bit for bit, with no pass over an `a` that is
+    already nondecreasing: np.maximum returns its second argument on a tie,
+    +0.0 against -0.0 included, so accumulating such an `a` gives its own bits."""
+    return a if _nondecreasing(a) else np.maximum.accumulate(a)
+
+
 def lorenz_transform(quantile: MonotoneCurve) -> LorenzCurve:
     """Normalized prefix integral of a nonnegative quantile curve."""
     values = quantile._prefix / _positive_mean(quantile)  # the G primal_inverse inverts
-    if not _nondecreasing(values):
-        values = np.maximum.accumulate(values)
-    return LorenzCurve(values, convex=True, classical=True)
+    return LorenzCurve(_running_max(values), convex=True, classical=True)
 
 
 def _prefix_inverse(x, G, g, target, side: str = "left", cells=None, key=None) -> np.ndarray:
@@ -138,16 +147,15 @@ def _prefix_inverse(x, G, g, target, side: str = "left", cells=None, key=None) -
     # positive slope clamps its root to x[-1].
     i = k - 1
     np.clip(i, 0, G.size - 2, out=i)
-    upper = i + 1
     r = target - G[i]
     a = g[i]
     lo = x[i]
-    width = x[upper]
+    width = x[1:][i]
     width -= lo
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # slope = (g[i + 1] - a) / width, then the root's discriminant
         # a^2 + 2 slope r and its stable denominator, each in place.
-        disc = g[upper]
+        disc = g[1:][i]
         disc -= a
         disc /= width
         disc *= 2.0
@@ -171,6 +179,19 @@ def _prefix_inverse(x, G, g, target, side: str = "left", cells=None, key=None) -
     return delta
 
 
+@lru_cache(maxsize=_GRID_CACHE_SIZE)
+def _route_constants(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The read-only arrays both reflected routes take at every size-M call:
+    m'(t) at the min route's nodes, [1, 1 - k/M] (the cell below Q_0 has slope
+    one throughout); its tail 1 - k/M; and psi's integrand nodes [0, k/M, 1]."""
+    grid = _uniform_grid(m)
+    slope = np.concatenate([[1.0], 1.0 - grid])
+    g = np.concatenate([[0.0], grid, [1.0]])
+    slope.flags.writeable = False
+    g.flags.writeable = False
+    return slope, slope[1:], g
+
+
 def _psi_route(q: QuantileCurve, cells=None) -> np.ndarray:
     """Reflected operator through psi, the cross-check route.
 
@@ -179,13 +200,13 @@ def _psi_route(q: QuantileCurve, cells=None) -> np.ndarray:
     nondecreasing with nodes (0, 0), (1 - Q_{M-j}, j/M) for j = 0..M, and
     (1, 1); L_ref(x) = 1 - psi^{-1}(1 - x).
     """
+    _, survival, g = _route_constants(q.grid_size)
     x = np.concatenate([[0.0], 1.0 - q.values[::-1], [1.0]])
-    g = np.concatenate([[0.0], q.grid, [1.0]])
     prefix = _trapezoid_prefix(np.diff(x), g)
     # ascending targets, so the cells come from a guess or a merge; reversed back
-    target = (1.0 - q.grid[::-1]) * prefix[-1]
+    target = survival[::-1] * prefix[-1]
     y = _prefix_inverse(x, prefix, g, target, "left", cells, "psi")[::-1]
-    return np.maximum.accumulate(1.0 - y)
+    return _running_max(1.0 - y)
 
 
 def _min_route(qc: QuantileCurve, mu: float, cells=None) -> np.ndarray:
@@ -197,13 +218,13 @@ def _min_route(qc: QuantileCurve, mu: float, cells=None) -> np.ndarray:
     so L_ref(1) = 1.
     """
     q = qc.values
-    frac = qc.grid
+    slope, survival, _ = _route_constants(qc.grid_size)
     t = np.concatenate([[0.0], q])
-    m = np.concatenate([[0.0], qc._prefix + q * (1.0 - frac)])
-    # m'(t) at each node value; the cell below Q_0 has slope one throughout.
-    slope = np.concatenate([[1.0], 1.0 - frac])
-    vals = np.append(_prefix_inverse(t, m, slope, mu * frac[:-1], "right", cells, "min"), 1.0)
-    return np.maximum.accumulate(vals)
+    m = np.concatenate([[0.0], qc._prefix + q * survival])
+    vals = np.append(
+        _prefix_inverse(t, m, slope, mu * qc.grid[:-1], "right", cells, "min"), 1.0
+    )
+    return _running_max(vals)
 
 
 def unit_support(quantile: MonotoneCurve, *, normalize: bool = False) -> QuantileCurve:
@@ -213,28 +234,35 @@ def unit_support(quantile: MonotoneCurve, *, normalize: bool = False) -> Quantil
     only absorbs float dust once the preconditions hold. Without normalize,
     a maximum above 1, or one so small that 1 minus it rounds to 1, is
     UnitSupportRequired.
+
+    Once those checks pass, a QuantileCurve that the clip would leave
+    unchanged in every bit comes back as itself, with the prefix it already
+    holds: without normalize, its top is at most 1 and no node has its sign
+    bit set. A -0.0 node makes a new curve, since np.maximum(-0.0, 0.0) is
+    +0.0.
     """
     q = quantile.values
     if q[0] < -_ENDPOINT_TOL:
         raise BadParameter("reflected operator needs a nonnegative support")
-    q = np.maximum(q, 0.0)
-    qmax = q[-1]
+    qmax = max(q[-1], 0.0)
     if normalize:
         if qmax <= 0.0:
             raise NonPositiveMean("cannot normalize an all-zero quantile")
-        q = q / qmax
-    elif qmax > 1.0 + 1e-9:
+        return QuantileCurve(np.minimum(np.maximum(q, 0.0) / qmax, 1.0))
+    if qmax > 1.0 + 1e-9:
         raise UnitSupportRequired(
             f"support reaches {float(qmax)!r}; pass normalize=True to rescale"
         )
-    elif qmax > 0.0 and 1.0 - qmax == 1.0:
+    if qmax > 0.0 and 1.0 - qmax == 1.0:
         # The reflected operator's cross-check works with 1 - Q, which would
         # round to 1 at every node.
         raise UnitSupportRequired(
             f"support reaches only {float(qmax)!r}, below float resolution "
             "next to 1; pass normalize=True to rescale"
         )
-    return QuantileCurve(np.minimum(q, 1.0))
+    if isinstance(quantile, QuantileCurve) and qmax <= 1.0 and not np.signbit(q).any():
+        return quantile
+    return QuantileCurve(np.minimum(np.maximum(q, 0.0), 1.0))
 
 
 def _reflected_support(quantile: MonotoneCurve) -> tuple[QuantileCurve, float]:
@@ -243,20 +271,24 @@ def _reflected_support(quantile: MonotoneCurve) -> tuple[QuantileCurve, float]:
     return qc, _positive_mean(qc)
 
 
-def reflected_inverse(quantile: MonotoneCurve, u) -> np.ndarray:
+def reflected_inverse(quantile: MonotoneCurve, u, *, cells: dict | None = None) -> np.ndarray:
     """Generalized inverse of reflected_transform(quantile), evaluated exactly.
 
     L_ref^{-1}(u) = E[min(Q, u)] / mu, computed from Q's generalized inverse
     and exact prefix integral. The quantile must already satisfy the
-    operator's support precondition.
+    operator's support precondition. `cells` is an optional dict from which
+    the generalized inverse's cell search takes the cells it found on the
+    last call, as in reflected_transform; it never changes the result.
     """
     qc, mu = _reflected_support(quantile)
     u_arr = np.clip(np.atleast_1d(np.asarray(u, dtype=float)), 0.0, 1.0)
-    p = qc.generalized_inverse(u_arr, clamp=True)
+    p = qc.generalized_inverse(u_arr, clamp=True, cells=cells)
     expected_min = qc.prefix_integral(p) + u_arr * (1.0 - p)
     # E[min(Q, u)] <= mu exactly; clip what rounding leaks past it, and keep
     # the values nondecreasing in u, in sorted order.
     vals = np.clip(expected_min / mu, 0.0, 1.0)
+    if _nondecreasing(u_arr):
+        return _running_max(vals)
     order = np.argsort(u_arr, kind="stable")
     vals[order] = np.maximum.accumulate(vals[order])
     return vals

@@ -794,7 +794,18 @@ def test_nonfinite_sample_start_is_a_data_error(tmp_path, capsys, token):
     path.write_text(f"0.3 0.9\n{token} 0.5\n")
     out = tmp_path / "trace.csv"
     assert main(["iterate", "--start", f"sample:{path}", "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"data error: {path}: non-finite sample value {token!r}\n"
+    assert capsys.readouterr().err == f"data error: {path}:2: non-finite value {float(token)!r}\n"
+    assert not out.exists()
+
+
+def test_bad_sample_token_names_its_line_before_any_nonfinite_value(tmp_path, capsys):
+    # lines end in CRLF and one is blank; the non-finite value on line 1 is
+    # reported only once every token has parsed, as the table readers do
+    path = tmp_path / "sample.txt"
+    path.write_bytes(b"0.3 inf\r\n0.5\r\n\r\n0.9 abc\r\n")
+    out = tmp_path / "trace.csv"
+    assert main(["iterate", "--start", f"sample:{path}", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"data error: {path}:4: bad value 'abc'\n"
     assert not out.exists()
 
 

@@ -27,7 +27,9 @@ from lorenzlab import (
     unit_support,
     write_trace_csv,
 )
+import lorenzlab.iterate as iterate_module
 import lorenzlab.lorenz as lorenz_module
+from lorenzlab.curves import MonotoneCurve
 from lorenzlab.errors import BadParameter
 
 from conftest import five_starts
@@ -266,6 +268,51 @@ def test_warm_started_rounds_are_the_cold_rounds(mode, primal_traces, reflected_
         assert all(np.array_equal(a.values, b.values) for a, b in zip(trace.curves, curves)), name
         assert trace.sup_to_limit == sups, name
         assert trace.envelope_violations == violations, name
+
+
+def test_reflected_inverse_with_the_runs_memo_is_the_inverse_without():
+    # 40 chained rounds of the reflected inverse from each of the five starts,
+    # the memo carrying each round's cells into the next
+    for name, start in five_starts().items():
+        quantile = unit_support(start, normalize=True)
+        memo = {}
+        for _ in range(40):
+            warm = reflected_inverse(quantile, quantile.grid, cells=memo)
+            assert warm.tobytes() == reflected_inverse(quantile, quantile.grid).tobytes(), name
+            quantile = QuantileCurve(warm)
+        assert set(memo) == {"inverse"}
+
+
+def test_reflected_run_calls_each_layer_once_per_round(monkeypatch):
+    # the benchmark's per-layer counts read one operator call per round and
+    # one inverse, generalized inverse and prefix integral between rounds
+    calls = {}
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+        calls[name] = 0
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(iterate_module, "reflected_transform")
+    counted(iterate_module, "reflected_inverse")
+    counted(MonotoneCurve, "generalized_inverse")
+    counted(MonotoneCurve, "prefix_integral")
+    start = five_starts(256)["lognormal"]
+    for rounds in (1, 2, 40):
+        calls.update(dict.fromkeys(calls, 0))
+        trace = run_iteration(start, "reflected", max_iter=rounds, tol=0.0, normalize=True)
+        assert trace.iterations == rounds
+        assert calls == {
+            "reflected_transform": rounds,
+            "reflected_inverse": rounds - 1,
+            "generalized_inverse": rounds - 1,
+            "prefix_integral": rounds - 1,
+        }
 
 
 def test_warm_started_fine_primal_rounds_are_the_cold_rounds(fine_primal_trace):

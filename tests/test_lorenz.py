@@ -320,6 +320,29 @@ def test_unit_support_validation():
     assert scaled.values[-1] == 1.0
 
 
+def test_unit_support_returns_an_in_range_quantile_itself():
+    assert unit_support(UNIFORM) is UNIFORM
+    # the same values as a plain curve, or with a -0.0 node, make a new curve
+    plain = MonotoneCurve(UNIFORM.values)
+    clipped = unit_support(plain)
+    assert type(clipped) is QuantileCurve and clipped is not plain
+    assert clipped.values.tobytes() == UNIFORM.values.tobytes()
+    signed = QuantileCurve(np.array([-0.0, -0.0, 0.5, 1.0]))
+    cleared = unit_support(signed)
+    assert cleared is not signed
+    assert cleared.values.tobytes() == np.array([0.0, 0.0, 0.5, 1.0]).tobytes()
+    # a top just above 1 is clipped onto it
+    nudged = QuantileCurve(np.array([0.0, 0.5, 1.0 + 1e-10]))
+    assert unit_support(nudged).values.tolist() == [0.0, 0.5, 1.0]
+
+
+@pytest.mark.parametrize("top", [1.0 + 2e-9, 2.0**-54, 1e-17])
+def test_unit_support_refuses_a_quantile_before_returning_it(top):
+    # above 1 + 1e-9, or so small that 1 - top == 1
+    with pytest.raises(UnitSupportRequired, match="normalize=True"):
+        unit_support(QuantileCurve(np.array([0.0, 0.5 * top, top])))
+
+
 # ---------------------------------------------------------------- reflected
 
 
@@ -407,6 +430,31 @@ def test_reflected_inverse_keeps_the_callers_order():
     ascending = reflected_inverse(q, [0.1, 0.9])
     assert ascending[0] < ascending[1]
     assert np.array_equal(reflected_inverse(q, [0.9, 0.1]), ascending[::-1])
+
+
+def test_reflected_inverse_on_sorted_points_is_the_inverse_on_shuffled_ones():
+    q = unit_support(analytic_quantile(AnalyticFamily.lognormal(0.5, 0.2), 4096), normalize=True)
+    u = q.grid
+    perm = np.random.default_rng(7).permutation(u.size)
+    shuffled = np.empty_like(u)
+    shuffled[perm] = reflected_inverse(q, u[perm])
+    assert shuffled.tobytes() == reflected_inverse(q, u).tobytes()
+
+
+@given(unit_quantiles(), st.lists(st.floats(0.0, 1.0), max_size=20))
+@example(empirical_quantile([0.35, 0.9], M), [])
+@example(analytic_quantile(AnalyticFamily.point_mass(0.7), M), [0.7, 0.0])
+@settings(max_examples=200, deadline=None)
+def test_reflected_inverse_with_a_memo_is_the_inverse_without(q, extra):
+    # a memo left by another quantile of the same size, then by q itself;
+    # the grid points with and without extra unsorted ones
+    q = unit_support(q, normalize=True)
+    for u in (q.grid, np.concatenate([extra, q.grid])):
+        memo = {}
+        reflected_inverse(QuantileCurve(q.grid), u, cells=memo)
+        expected = reflected_inverse(q, u).tobytes()
+        assert reflected_inverse(q, u, cells=memo).tobytes() == expected
+        assert reflected_inverse(q, u, cells=memo).tobytes() == expected
 
 
 def test_reflected_rejects_oversized_support():

@@ -88,7 +88,7 @@ REFUSALS = [
             ["iterate", "--start", "sample:{d}/missing.txt"], 2, "data error"),
     refusal("sample-not-a-number",
             lambda d: _parse_start(f"sample:{d}/bad_sample.txt", 64),
-            DataError, "bad sample value",
+            ParseError, "bad_sample.txt:1: bad value 'abc'",
             ["iterate", "--start", "sample:{d}/bad_sample.txt"], 2, "data error"),
     # price panels and returns
     refusal("price-cell-count", lambda d: load_price_panel(d / "short_row.csv"),
