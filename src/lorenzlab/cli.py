@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -27,6 +26,7 @@ from .curves import (
     DEFAULT_GRID,
     AnalyticFamily,
     _open_text,
+    _write_table,
     analytic_quantile,
     empirical_quantile,
     format_float,
@@ -303,16 +303,12 @@ def _cmd_frontier(ns) -> None:
             raise NumericError(
                 f"{ns.kind} frontier point {i} is not finite: {bad[0]} = {numbers[bad[0]]!r}"
             )
-    with open(ns.out, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["target_return", "risk", "converged"] + [f"w_{t}" for t in result.tickers]
-        )
-        for point in result.points:
-            shown_target = point.mean if point.target is None else point.target
-            converged = "true" if point.converged else "false"
-            cells = [format_float(shown_target), format_float(point.risk), converged]
-            writer.writerow(cells + [format_float(w) for w in point.weights])
+    _write_table(
+        ns.out,
+        ["target_return", "risk", "converged"] + [f"w_{t}" for t in result.tickers],
+        [[p.mean if p.target is None else p.target, p.risk, *p.weights] for p in result.points],
+        [(2, ["true" if p.converged else "false" for p in result.points])],
+    )
     _write_sidecar(ns.out, ns)
     diagnostics = [
         {f.name: getattr(point, f.name) for f in fields(point) if f.name != "weights"}

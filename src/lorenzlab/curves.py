@@ -479,43 +479,50 @@ def _open_text(path):
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def _write_table(path, names, values, dates=None) -> None:
-    """The one writer of a table of floats: a header of `names` as csv
-    quotes them, then a row per row of `values`; with `dates`, the header is
-    led by `date` and each row by its ISO date. Rows end in `\\r\\n`. Each
-    distinct bit pattern is formatted once, as a simulated matrix repeats
-    each historical value many times; bit patterns keep -0.0 apart from 0.0,
-    and every NaN prints `nan`."""
+def _write_table(path, names, values, text=()) -> None:
+    """The one writer of a table: a header of `names` (one per column) as
+    csv quotes them, then a row per row of `values`. Each `(position,
+    cells)` of `text`, in ascending order of position, puts a column of text
+    cells at that position of the written row, one cell per row, as given
+    and unquoted: ISO dates, iteration numbers, `true`/`false`. Rows end in
+    `\\r\\n`. Each distinct bit pattern of `values` is formatted once, as a
+    simulated matrix repeats each historical value many times; bit patterns
+    keep -0.0 apart from 0.0, and every NaN prints `nan`."""
     values = np.ascontiguousarray(values, dtype=float)
     bits, inverse = np.unique(values.view(np.int64).ravel(), return_inverse=True)
-    text = np.array(list(map(format_float, bits.view(float).tolist())), dtype=object)
-    rows = text[inverse.reshape(values.shape)].tolist()
-    if dates is not None:
-        names = ["date"] + list(names)
-        rows = [[day.isoformat()] + row for day, row in zip(dates, rows)]
+    formatted = np.array(list(map(format_float, bits.view(float).tolist())), dtype=object)
+    rows = formatted[inverse.reshape(values.shape)].tolist()
+    for position, cells in text:
+        for row, cell in zip(rows, cells):
+            row.insert(position, cell)
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(names)
         fh.writelines(",".join(row) + "\r\n" for row in rows)
 
 
 def _read_table(path, problem=None, missing=False):
-    """The one reader of the tables `_write_table` writes: (names, linenos,
-    dates, values), the stripped header cells of the value columns, each
-    data row's line number, the ISO dates of column 0 when the header starts
-    with `date` (any case) or else None, and the values. A row with no cells,
-    or only blank ones, is skipped. `problem(header)` names a fault of the
-    stripped header, or is None; a header with no value column is refused
-    too. Each fault is one ParseError naming the file and line: `expected N
-    cells, got M`, `bad date '<cell>'`, `bad value '<cell>' for <column>`,
-    and, once every row has parsed, `non-finite value <value> for <column>`.
-    With `missing`, a blank cell reads as NaN and no value is refused; the
-    caller checks them."""
+    """The one reader of the curve, price and scenario tables that
+    `_write_table` writes: (names, linenos, dates, values), the stripped
+    header cells of the value columns, each data row's line number, the ISO
+    dates of column 0 when the header starts with `date` (any case) or else
+    None, and the values. A row with no cells, or only blank ones, is
+    skipped. `problem(header)` names a fault of the stripped header, or is
+    None; a header with no value column is refused too, and so is one that
+    names a column twice. Each fault is one ParseError naming the file and
+    line: `duplicate column '<name>'`, `expected N cells, got M`, `bad date
+    '<cell>'`, `bad value '<cell>' for <column>`, and, once every row has
+    parsed, `non-finite value <value> for <column>`. With `missing`, a blank
+    cell reads as NaN and no value is refused; the caller checks them."""
     with _open_text(path) as fh:
         reader = csv.reader(fh)
         header = [cell.strip() for cell in next(reader, [])]
         has_dates = bool(header) and header[0].lower() == "date"
         names, linenos, dates, rows = header[has_dates:], [], [], []
+        first = {}
+        repeated = [name for i, name in enumerate(names) if first.setdefault(name, i) != i]
         message = problem(header) if problem else None
+        if repeated and not message:
+            message = f"duplicate column {repeated[0]!r}"
         if message or not names:
             raise ParseError(f"{path}:1: {message or 'no value columns'}")
         for lineno, row in enumerate(reader, start=2):

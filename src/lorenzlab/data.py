@@ -388,12 +388,17 @@ def copula_simulate(
 def write_prices_csv(panel: PricePanel, path) -> None:
     """A missing quote is written `nan`, which `load_price_panel` reads back
     as missing."""
-    _write_table(path, panel.tickers, panel.prices, panel.dates)
+    days = [day.isoformat() for day in panel.dates]
+    _write_table(path, ["date", *panel.tickers], panel.prices, [(0, days)])
 
 
 def write_scenarios_csv(scenarios: ScenarioMatrix, path) -> None:
     """Historical matrices keep their date column; simulated ones have none."""
-    _write_table(path, scenarios.tickers, scenarios.values, scenarios.dates)
+    if scenarios.dates is None:
+        _write_table(path, scenarios.tickers, scenarios.values)
+    else:
+        days = [day.isoformat() for day in scenarios.dates]
+        _write_table(path, ["date", *scenarios.tickers], scenarios.values, [(0, days)])
 
 
 # The checked reading path of `read_scenarios_csv` scans a file's body once,
@@ -481,14 +486,14 @@ def _select(scenarios: ScenarioMatrix, column) -> ScenarioMatrix:
 def _read_plain(path, column) -> ScenarioMatrix | None:
     """`read_scenarios_csv` for a plain file, or None for any other.
 
-    A plain file has an ASCII header without quotes, and data lines with the
-    header's number of cells, ending in LF or CRLF. Its date cells (if any)
-    are ISO dates, every other cell passes `_token_rules`, and no cell
-    exceeds csv's field size limit. csv splits such a file at its commas and
-    line ends, and `float` parses each value cell to a finite number, so the
-    result is `_read_with_csv`'s. Any other file (a blank line, an empty
-    cell, a bad value or date, an unknown `column`) goes to that reader,
-    which gives its values or its error."""
+    A plain file has an ASCII header without quotes or a repeated name, and
+    data lines with the header's number of cells, ending in LF or CRLF. Its
+    date cells (if any) are ISO dates, every other cell passes
+    `_token_rules`, and no cell exceeds csv's field size limit. csv splits
+    such a file at its commas and line ends, and `float` parses each value
+    cell to a finite number, so the result is `_read_with_csv`'s. Any other
+    file (a blank line, an empty cell, a bad value or date, an unknown
+    `column`) goes to that reader, which gives its values or its error."""
     with open(path, "rb") as fh:
         blob = fh.read()
     offset = blob.find(b"\n") + 1  # where the body starts: 0 without a LF, leaving no head
@@ -501,7 +506,8 @@ def _read_plain(path, column) -> ScenarioMatrix | None:
     has_dates = header[0].strip().lower() == "date"
     tickers = [h.strip() for h in header[has_dates:]]
     index = None if column is None else _column_index(tickers, column)
-    if not (head and tickers and body) or (column is not None and index is None):
+    unique = len(set(tickers)) == len(tickers)
+    if not (head and tickers and body and unique) or (column is not None and index is None):
         return None
     width = len(header)
     bounds = _cell_bounds(body, width, has_dates, limit)

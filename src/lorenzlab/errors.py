@@ -95,10 +95,6 @@ class TooManyAssets(UsageError):
     pass
 
 
-class DimensionMismatch(UsageError):
-    pass
-
-
 # -- data pipeline ------------------------------------------------------------
 
 

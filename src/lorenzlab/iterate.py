@@ -21,14 +21,13 @@ round's.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
 import numpy as np
 
-from .curves import GOLDEN, DEFAULT_GRID, MonotoneCurve, QuantileCurve, _uniform_grid, format_float
+from .curves import GOLDEN, DEFAULT_GRID, MonotoneCurve, QuantileCurve, _uniform_grid, _write_table
 from .curves import _primal_power, _reflected_power
 from .errors import BadParameter
 from .lorenz import (
@@ -194,18 +193,18 @@ def run_iteration(
 
 
 def write_trace_csv(trace: IterationTrace, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "sup_to_limit", "sup_successive", "envelope_ok"])
-        for i in range(trace.iterations):
-            writer.writerow(
-                [
-                    str(i + 1),
-                    format_float(trace.sup_to_limit[i]),
-                    format_float(trace.sup_successive[i]),
-                    "true" if trace.envelope_ok[i] else "false",
-                ]
-            )
+    """The header `iteration,sup_to_limit,sup_successive,envelope_ok`, then
+    one row per round: its number from 1, its two sup distances in `.17g`
+    form (`nan` for the first round's successive gap), and `true` or
+    `false`. Rows end in CRLF, as in every table file."""
+    rounds = [str(n) for n in range(1, trace.iterations + 1)]
+    ok = ["true" if flag else "false" for flag in trace.envelope_ok]
+    _write_table(
+        path,
+        ["iteration", "sup_to_limit", "sup_successive", "envelope_ok"],
+        np.column_stack([trace.sup_to_limit, trace.sup_successive]),
+        [(0, rounds), (3, ok)],
+    )
 
 
 def fixed_point_residual(curve: MonotoneCurve, mode: str) -> float:

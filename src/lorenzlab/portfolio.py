@@ -42,7 +42,6 @@ import numpy as np
 from . import exact
 from .errors import (
     BadParameter,
-    DimensionMismatch,
     InfeasibleTarget,
     InsufficientHistory,
     NonPositiveMean,
@@ -161,19 +160,6 @@ def _validate_scenarios(scenarios) -> np.ndarray:
     if not np.isfinite(s).all():
         raise BadParameter("scenarios must be finite")
     return s
-
-
-def portfolio_returns(scenarios, weights) -> np.ndarray:
-    """Per-scenario portfolio return, scenarios @ weights."""
-    s = _validate_scenarios(scenarios)
-    w = np.asarray(weights, dtype=float)
-    if w.ndim != 1 or w.size != s.shape[1]:
-        raise DimensionMismatch(
-            f"weights have length {w.size}, scenarios have {s.shape[1]} columns"
-        )
-    if not np.isfinite(w).all():
-        raise BadParameter("weights must be finite")
-    return s @ w
 
 
 def _simplex_point(theta: np.ndarray) -> np.ndarray:

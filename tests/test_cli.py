@@ -969,4 +969,7 @@ def test_frontier_quotes_a_ticker_with_a_comma(tmp_path):
         header, *rows = csv.reader(fh)
     assert header == ["target_return", "risk", "converged", "w_A,x", "w_B", "w_C"]
     assert [len(row) for row in rows] == [6, 6, 6]
-    assert out.read_text().startswith('target_return,risk,converged,"w_A,x",w_B,w_C\n')
+    written = out.read_bytes()
+    assert written.startswith(b'target_return,risk,converged,"w_A,x",w_B,w_C\r\n')
+    assert written.endswith(b"\r\n")
+    assert written.count(b"\n") == written.count(b"\r\n") == 4

@@ -28,7 +28,7 @@ from lorenzlab import (
     write_prices_csv,
     write_scenarios_csv,
 )
-from lorenzlab import data
+from lorenzlab import curves, data
 from lorenzlab.cli import main
 from lorenzlab.curves import format_float
 from lorenzlab.data import average_ranks, spearman_matrix
@@ -629,7 +629,33 @@ def table_fields(table):
     }
 
 
-@pytest.mark.parametrize("case", ["prices", "scenarios-dated", "scenarios-undated", "curve"])
+def write_text_cells(table, path):
+    """`table` through the table writer, with its ISO dates as text cells at
+    the first, a middle and the last position of each row."""
+    days = [day.isoformat() for day in table.dates]
+    names = ["date", *table.tickers[:1], "date", *table.tickers[1:], "date"]
+    text = [(0, days), (2, days), (len(names) - 1, days)]
+    curves._write_table(path, names, table.values, text)
+
+
+def read_text_cells(path):
+    """The table `write_text_cells` wrote, each date found in its three places."""
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    text = [i for i, name in enumerate(header) if name == "date"]
+    assert text == [0, 2, len(header) - 1]
+    assert all(row[0] == row[2] == row[-1] for row in rows)
+    kept = [i for i in range(len(header)) if i not in text]
+    return ScenarioMatrix(
+        values=np.array([[float(row[i]) for i in kept] for row in rows]),
+        tickers=[header[i] for i in kept],
+        dates=[date.fromisoformat(row[0]) for row in rows],
+    )
+
+
+@pytest.mark.parametrize(
+    "case", ["prices", "scenarios-dated", "scenarios-undated", "curve", "text-cells"]
+)
 def test_every_table_writer_reads_back_bit_for_bit(tmp_path, case):
     panel = load_price_panel(cleaning_fixture(tmp_path))
     panel.prices /= 3.0  # all 17 digits; the gaps stay NaN and are written `nan`
@@ -642,6 +668,7 @@ def test_every_table_writer_reads_back_bit_for_bit(tmp_path, case):
                               scenario_readers),
         "curve": (analytic_quantile(AnalyticFamily.lognormal(0.5, 0.2), 4096), write_curve_csv,
                   [read_curve_csv]),
+        "text-cells": (history, write_text_cells, [read_text_cells]),
     }[case]
     path = tmp_path / "table.csv"
     write(table, path)

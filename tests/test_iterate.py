@@ -130,17 +130,24 @@ def test_successive_gap_falls_until_rounding_level(atoms, power, grid):
 
 
 def test_trace_csv_round_trip(tmp_path):
-    start = analytic_quantile(AnalyticFamily.uniform01(), 256)
-    trace = run_iteration(start, "primal", max_iter=5, tol=0.0)
+    # 12 rounds on a coarse grid: two-digit round numbers, and envelopes
+    # that hold early and fail once the grid's resolution is reached
+    start = analytic_quantile(AnalyticFamily.uniform01(), 64)
+    trace = run_iteration(start, "primal", max_iter=12, tol=0.0)
+    assert trace.iterations == 12
+    assert {True, False} <= set(trace.envelope_ok)
     path = tmp_path / "trace.csv"
     write_trace_csv(trace, path)
+    rounds = zip(trace.sup_to_limit, trace.sup_successive, trace.envelope_ok)
+    expected = "iteration,sup_to_limit,sup_successive,envelope_ok\r\n" + "".join(
+        f"{n},{to_limit:.17g},{gap:.17g},{str(ok).lower()}\r\n"
+        for n, (to_limit, gap, ok) in enumerate(rounds, start=1)
+    )
+    assert path.read_bytes() == expected.encode()
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["iteration", "sup_to_limit", "sup_successive", "envelope_ok"]
-    assert len(rows) == trace.iterations + 1
-    assert rows[1][0] == "1"
-    assert float(rows[2][1]) == trace.sup_to_limit[1]
-    assert rows[1][3] in ("true", "false")
+        _, *rows = csv.reader(fh)
+    assert rows[0][2] == "nan"
+    assert [float(row[1]) for row in rows] == trace.sup_to_limit
 
 
 def test_envelope_violation_catches_a_curve_outside_its_band():

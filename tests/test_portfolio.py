@@ -15,12 +15,10 @@ from lorenzlab import (
     grid_oracle,
     measure_value,
     min_risk,
-    portfolio_returns,
     variance,
 )
 from lorenzlab.errors import (
     BadParameter,
-    DimensionMismatch,
     InfeasibleTarget,
     LorenzLabError,
     NonPositiveMeanRegion,
@@ -51,23 +49,6 @@ def alternating_instance():
     swings = np.array([0.06, 0.14, 0.09])
     signs = np.array([1.0 if i % 2 else -1.0 for i in range(t)])
     return c + signs[:, None] * swings[None, :]
-
-
-# ---------------------------------------------------------------- returns
-
-
-def test_portfolio_returns_small_case():
-    s = np.array([[0.01, 0.03], [0.02, -0.01]])
-    r = portfolio_returns(s, [0.5, 0.5])
-    assert np.allclose(r, [0.02, 0.005])
-
-
-def test_portfolio_returns_rejects_bad_weights():
-    s = np.array([[0.01, 0.03], [0.02, -0.01]])
-    with pytest.raises(DimensionMismatch):
-        portfolio_returns(s, [1.0, 0.0, 0.0])
-    with pytest.raises(BadParameter):
-        portfolio_returns(s, [np.nan, 1.0])
 
 
 # ---------------------------------------------------------------- min_risk

@@ -19,7 +19,6 @@ from lorenzlab import (
     limit_curve,
     load_price_panel,
     min_risk,
-    portfolio_returns,
     read_scenarios_csv,
     run_iteration,
     self_similarity_residual,
@@ -68,6 +67,9 @@ FILES = {
     "negative.csv": "date,A\n2024-01-01,1.0\n2024-01-02,-1.0\n",
     "price_jump.csv": "date,A\n2024-01-01,1e-300\n2024-01-02,1e300\n",
     "price_drop.csv": "date,A\n2024-01-01,1e300\n2024-01-02,1e-300\n",
+    # a header that names a column twice, once after stripping
+    "dup_column_prices.csv": "date,A, A\n2024-01-01,1.0,2.0\n2024-01-02,1.1,2.1\n",
+    "dup_column_scenarios.csv": "A,B,A\n0.01,0.02,0.03\n0.03,-0.01,0.02\n",
 }
 VAR = RiskMeasureConfig("variance")
 
@@ -113,6 +115,9 @@ REFUSALS = [
             lambda d: load_price_panel(d / "negative_then_bad.csv"),
             ParseError, "negative_then_bad.csv:3: bad value 'x' for A",
             ["returns", "--prices", "{d}/negative_then_bad.csv"], 2, "data error"),
+    refusal("price-duplicate-column", lambda d: load_price_panel(d / "dup_column_prices.csv"),
+            ParseError, "dup_column_prices.csv:1: duplicate column 'A'",
+            ["clean", "--prices", "{d}/dup_column_prices.csv"], 2, "data error"),
     refusal("returns-missing-quotes",
             lambda d: compute_returns(load_price_panel(d / "gap.csv")),
             DataError, "panel has missing values; clean it first",
@@ -146,6 +151,16 @@ REFUSALS = [
     refusal("scenarios-date-only", lambda d: read_scenarios_csv(d / "date_only.csv"),
             ParseError, "date_only.csv:1: no value columns",
             ["measure", "--scenarios", "{d}/date_only.csv", "--kind", "mad"], 2, "data error"),
+    refusal("scenarios-duplicate-column",
+            lambda d: read_scenarios_csv(d / "dup_column_scenarios.csv"),
+            ParseError, "dup_column_scenarios.csv:1: duplicate column 'A'",
+            ["frontier", "--scenarios", "{d}/dup_column_scenarios.csv", "--kind", "variance"],
+            2, "data error"),
+    refusal("scenarios-duplicate-column-kept",
+            lambda d: read_scenarios_csv(d / "dup_column_scenarios.csv", "A"),
+            ParseError, "dup_column_scenarios.csv:1: duplicate column 'A'",
+            ["measure", "--scenarios", "{d}/dup_column_scenarios.csv", "--column", "A",
+             "--kind", "mad"], 2, "data error"),
     refusal("copula-one-row",
             lambda d: copula_simulate(read_scenarios_csv(d / "one_row.csv")),
             InsufficientHistory, "need at least two historical rows",
@@ -163,7 +178,7 @@ REFUSALS = [
     refusal("portfolio-one-dimensional", lambda d: min_risk([0.01, 0.02], VAR),
             BadParameter, "scenarios must be a T x N matrix"),
     refusal("portfolio-nonfinite",
-            lambda d: portfolio_returns([[np.nan, 0.01], [0.02, 0.03]], [0.5, 0.5]),
+            lambda d: min_risk([[np.nan, 0.01], [0.02, 0.03]], VAR),
             BadParameter, "scenarios must be finite"),
     refusal("frontier-no-positive-mean",
             lambda d: efficient_frontier(read_scenarios_csv(d / "losing.csv").values, VAR),
