@@ -17,9 +17,9 @@ certificate recomputed from scratch from its result:
   (|y_t| <= 1/T) for mad; the weights w are the prices of the dual's N
   asset rows. Certificate: the relative gap between the risk at w and the
   lower bound that q or y proves, plus the primal and dual feasibility
-  residuals. The target enters these LPs only through the objective, so
-  the simplex hands back its final state, and a frontier re-enters phase
-  two from the previous point's optimal basis at the next target.
+  residuals. A target enters these LPs only through the cost of a column
+  nu that is held at 0 without one, so a frontier re-enters phase two from
+  the previous point's final simplex state at the next target.
 
 Every lower bound is min over X of a linear function, which _linear_min
 evaluates exactly on the vertices of X.
@@ -71,14 +71,15 @@ def _feasible_center(means: np.ndarray, target: float | None) -> np.ndarray:
     return (down * p + up * q) / (up + down)
 
 
-def solve(s: np.ndarray, kind: str, target: float | None, tail_fraction: float, lp=None):
-    """Minimum-risk weights for an exact kind: (w, certificate, steps, lp),
-    where steps counts active-set steps or simplex pivots.
+def solve(
+    s: np.ndarray, kind: str, means: np.ndarray, target: float | None, tail_fraction: float, lp=None
+):
+    """Minimum-risk weights for an exact kind, given s's column means:
+    (w, certificate, steps, lp), steps counting active-set steps or pivots.
 
     For cvar and mad, lp is the simplex's final state (None for variance).
-    Passed back with another target on the same scenarios, kind and tail
+    Passed back with a target on the same scenarios, kind and tail
     fraction, the solve runs phase two only, from that state's basis."""
-    means = s.mean(axis=0)
     if kind == "variance":
         w, steps = _variance(s, means, target)
         return w, certificate(s, kind, means, target, tail_fraction, w), steps, None
@@ -212,50 +213,38 @@ def _dual_lp(asset_rows, means, target, lo, hi, start, lp, sum_row=False):
     columns x (lo <= x <= hi), with asset rows asset_rows @ x + lam
     + nu * mean_i + slack_i = 0, and with sum_row, sum x = 1.
 
-    Without a state lp the LP is solved from start in two phases; with one,
-    phase two re-enters from lp's basis. Without a target the LP has no nu
-    column, and the state it returns gains one as a nonbasic free column at
-    0, where the basis stays feasible for any target.
+    nu is held at 0 without a target, so the LP and its state have the same
+    columns either way. Without a state lp the LP is solved from start in two
+    phases; with one, phase two re-enters from lp's basis at a target, nu
+    freed on copies of the state's bounds, where that basis stays feasible.
 
     Returns (weights, x, pivots, lp); the weights are the asset rows' prices.
     """
     n, t = asset_rows.shape
-    k = 1 if target is None else 2
-    c = np.zeros(t + k + n)
+    c = np.zeros(t + 2 + n)
     c[t] = 1.0
-    if target is not None:
-        c[t + 1] = target
+    c[t + 1] = 0.0 if target is None else target
+    nu_lo, nu_hi = (0.0, 0.0) if target is None else (-np.inf, np.inf)
     if lp is None:
         m = n + sum_row
-        a = np.zeros((m, t + k + n))
+        a = np.zeros((m, t + 2 + n))
         a[:n, :t] = asset_rows
         a[:n, t] = 1.0
-        if target is not None:
-            a[:n, t + 1] = means
-        a[:n, t + k :] = np.eye(n)
+        a[:n, t + 1] = means
+        a[:n, t + 2 :] = np.eye(n)
         b = np.zeros(m)
         if sum_row:
             a[n, :t] = 1.0
             b[n] = 1.0
-        free = np.full(k, np.inf)
-        lower = np.concatenate([lo, -free, np.zeros(n)])
-        upper = np.concatenate([hi, free, np.full(n, np.inf)])
-        x0 = np.concatenate([start, np.zeros(k + n)])
+        lower = np.concatenate([lo, [-np.inf, nu_lo], np.zeros(n)])
+        upper = np.concatenate([hi, [np.inf, nu_hi], np.full(n, np.inf)])
+        x0 = np.concatenate([start, np.zeros(2 + n)])
         x, prices, pivots, lp = _bounded_simplex(c, a, b, lower, upper, x0)
     else:
-        x, prices, pivots, lp = _phase_two(lp, c)
-    if target is None:
         a, b, lower, upper, xs, basis = lp
-        nu = np.zeros(a.shape[0])
-        nu[:n] = means
-        lp = (
-            np.insert(a, t + 1, nu, axis=1),
-            b,
-            np.insert(lower, t + 1, -np.inf),
-            np.insert(upper, t + 1, np.inf),
-            np.insert(xs, t + 1, 0.0),
-            basis + (basis > t),
-        )
+        lower, upper = lower.copy(), upper.copy()
+        lower[t + 1], upper[t + 1] = nu_lo, nu_hi
+        x, prices, pivots, lp = _phase_two((a, b, lower, upper, xs, basis), c)
     w = np.maximum(prices[:n], 0.0)
     return w / w.sum(), x[:t], pivots, lp
 

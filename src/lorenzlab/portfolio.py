@@ -18,15 +18,21 @@ by kind:
   solve starts from the center and from every vertex; each start is
   restarted from its own result while that improves, and the start with the
   lowest risk wins. These points carry no certificate, and converged means
-  the search simplex collapsed at a feasible point. Each evaluation fills a
-  preallocated weight vector, and the simplex stays sorted by inserting
-  each accepted vertex; tests/test_search_oracle.py keeps the earlier
-  sort-every-iteration search as the reference, and the two evaluate the
-  same points and return the same bits.
+  the search simplex collapsed at a feasible point. Each evaluation maps
+  the angles to a new weight vector, and the simplex stays sorted by
+  inserting each accepted vertex; tests/test_search_oracle.py keeps the
+  earlier sort-every-iteration search as the reference, and the two
+  evaluate the same points and return the same bits.
 
 A target at either end of the attainable range has a single feasible
 portfolio (the extreme asset, ties to the lowest index), which is returned
 directly for every kind.
+
+A frontier threads one warm handle from point to point: a converged cvar or
+mad point's final simplex state, whose basis the next solve re-enters with
+the LP's mean-target column freed (held at 0 without a target); a
+Nelder-Mead point's weights, converged or not, the next solve's one start;
+or None, for variance and for a cvar or mad point that did not converge.
 
 grid_oracle brute-forces the same problem on the weight lattice with the
 given step, for small asset counts, as an independent check.
@@ -42,6 +48,7 @@ import numpy as np
 from . import exact
 from .errors import (
     BadParameter,
+    DataError,
     InfeasibleTarget,
     InsufficientHistory,
     NonPositiveMean,
@@ -158,7 +165,7 @@ def _validate_scenarios(scenarios) -> np.ndarray:
     if s.shape[0] < 2:
         raise InsufficientHistory(f"need at least two scenario rows, got {s.shape[0]}")
     if not np.isfinite(s).all():
-        raise BadParameter("scenarios must be finite")
+        raise DataError("scenarios must be finite")
     return s
 
 
@@ -258,18 +265,10 @@ def _make_point(s, config, w, target, stopped, iterations, cert=None) -> Frontie
     )
 
 
-def min_risk(
-    scenarios,
-    config: RiskMeasureConfig,
-    target: float | None = None,
-    w0=None,
-) -> FrontierPoint:
-    """Minimum-risk long-only weights, optionally at a mean-return target.
-
-    w0 warm-starts the Nelder-Mead kinds; the exact kinds ignore it.
-    """
+def min_risk(scenarios, config: RiskMeasureConfig, target: float | None = None) -> FrontierPoint:
+    """Minimum-risk long-only weights, optionally at a mean-return target."""
     s = _validate_scenarios(scenarios)
-    return _min_risk(s, _scenario_means(s), config, target, w0)[0]
+    return _min_risk(s, _scenario_means(s), config, target)[0]
 
 
 def _scenario_means(s: np.ndarray) -> np.ndarray:
@@ -283,15 +282,14 @@ def _scenario_means(s: np.ndarray) -> np.ndarray:
     return means
 
 
-def _min_risk(s, means, config, target, w0=None, lp=None):
-    """min_risk on validated scenarios and their means: (point, lp).
-
-    lp is a converged cvar or mad point's final simplex state (else None);
-    passed back in, it starts the solve at another target from its basis.
-    """
+def _min_risk(s, means, config, target, warm=None):
+    """min_risk on validated scenarios and their means: (point, warm). warm
+    is the point's warm handle (module docstring); passed back in, it starts
+    the solve at another target."""
     n = s.shape[1]
+    exact_kind = config.kind in exact.EXACT_KINDS
     if target is not None:
-        if target > means.max() + 1e-12 or target < means.min() - 1e-12:
+        if not means.min() - 1e-12 <= target <= means.max() + 1e-12:
             raise InfeasibleTarget(
                 f"target {float(target)!r} outside the attainable range "
                 f"[{float(means.min())!r}, {float(means.max())!r}]"
@@ -304,24 +302,20 @@ def _min_risk(s, means, config, target, w0=None, lp=None):
             w = np.zeros(n)
             w[int(np.argmax(means) if at_max else np.argmin(means))] = 1.0
             cert = None
-            if config.kind in exact.EXACT_KINDS:
+            if exact_kind:
                 # Certified over the portfolios whose mean is exactly the
                 # extreme asset's: that asset and any exact ties.
                 cert = exact.certificate(
                     s, config.kind, means, float(means @ w), config.tail_fraction, w
                 )
-            return _make_point(s, config, w, target, True, 0, cert), None
-    if config.kind in exact.EXACT_KINDS:
-        w, cert, steps, lp = exact.solve(s, config.kind, target, config.tail_fraction, lp)
+            return _make_point(s, config, w, target, True, 0, cert), None if exact_kind else w
+    if exact_kind:
+        w, cert, steps, lp = exact.solve(s, config.kind, means, target, config.tail_fraction, warm)
         point = _make_point(s, config, w, target, True, steps, cert)
         return point, lp if point.converged else None
-    if w0 is not None:
-        starts = [np.asarray(w0, dtype=float)]
-    else:
-        # Nelder-Mead is local and the gs measures are not convex, so a cold
-        # solve fans out from the center and from every vertex.
-        starts = [np.full(n, 1.0 / n)]
-        starts.extend(np.eye(n)[k] for k in range(n))
+    # Nelder-Mead is local and the gs measures are not convex, so a cold
+    # solve fans out from the center and from every vertex.
+    starts = [np.full(n, 1.0 / n), *np.eye(n)] if warm is None else [warm]
     to_weights, to_angles = _feasible_map(means, target)
     value = config._bind(s.shape[0])
 
@@ -347,10 +341,11 @@ def _min_risk(s, means, config, target, w0=None, lp=None):
         )
 
     # min is stable, so on exact ties the first start wins.
-    return min(
+    point = min(
         (solve(w) for w in starts),
         key=lambda p: math.inf if math.isnan(p.risk) else p.risk,
-    ), None
+    )
+    return point, point.weights
 
 
 def efficient_frontier(
@@ -366,28 +361,28 @@ def efficient_frontier(
     means: when the global minimum sits on one asset, its mean (summed in
     another order than the asset means) can round just past that range.
 
-    Each point after the anchor starts from the last point that converged:
-    the Nelder-Mead kinds from its weights, and cvar and mad from its
-    optimal simplex basis, which stays feasible when only the target moves,
-    so their solves run phase two only and their iterations count the
-    pivots from that basis. Variance solves each point from the center."""
+    Each point after the anchor starts from the warm handle of the module
+    docstring. The anchor always sets it; an interior point replaces it only
+    when it converged. So cvar and mad points run phase two only, and their
+    iterations count the pivots from the handle's basis."""
     s = _validate_scenarios(scenarios)
     if n_points < 2:
         raise BadParameter("a frontier needs at least two points")
     means = _scenario_means(s)
     if tickers is None:
         tickers = [f"a{i + 1}" for i in range(s.shape[1])]
+    elif len(tickers) != s.shape[1]:
+        raise BadParameter(f"{len(tickers)} tickers for {s.shape[1]} scenario columns")
 
-    anchor, lp = _min_risk(s, means, config, None)
+    anchor, warm = _min_risk(s, means, config, None)
     result = FrontierResult(points=[anchor], tickers=list(tickers))
     targets = np.clip(
         np.linspace(anchor.mean, float(means.max()), n_points), means.min(), means.max()
     )
-    w_prev = anchor.weights
     for t in targets[1:]:
-        point, next_lp = _min_risk(s, means, config, float(t), w_prev, lp)
+        point, next_warm = _min_risk(s, means, config, float(t), warm)
         if point.converged:
-            w_prev, lp = point.weights, next_lp
+            warm = next_warm
         result.points.append(point)
     return result
 
@@ -430,7 +425,7 @@ def grid_oracle(
     best_risk = math.inf
     for counts in _compositions(k, n):
         w = np.array(counts, dtype=float) / k
-        if target is not None and abs(float(w @ means) - target) > band:
+        if target is not None and not abs(float(w @ means) - target) <= band:
             continue
         try:
             risk = value(s @ w)

@@ -24,7 +24,7 @@ from lorenzlab.errors import (
     NonPositiveMeanRegion,
     TooManyAssets,
 )
-from lorenzlab import portfolio
+from lorenzlab import exact, portfolio
 from lorenzlab.portfolio import BUDGET_TOL, NONNEG_TOL, TARGET_TOL, nelder_mead
 from lorenzlab.rng import Xoshiro256pp
 
@@ -338,6 +338,31 @@ def test_warm_started_exact_points_take_fewer_pivots(kind):
     cold = [min_risk(s, config, target=p.target) for p in interior]
     assert all(certified(p) for p in interior + cold)
     assert sum(p.iterations for p in interior) < sum(p.iterations for p in cold)
+
+
+@pytest.mark.parametrize("kind", ["cvar", "mad"])
+def test_reentry_leaves_the_anchor_state_as_it_was(kind):
+    # The anchor's LP holds the mean-target column at 0; re-entering its
+    # state at a target frees that column on copies of the state's bounds.
+    # So the state passed in keeps every byte, has the same columns as the
+    # states it leads to, and a target's solve does not depend on which
+    # target ran before it.
+    s, tail_fraction = warm_start_instances()["seed21"]
+    means = s.mean(axis=0)
+    state = exact.solve(s, kind, means, None, tail_fraction)[3]
+    before = [part.tobytes() for part in state]
+    lo, hi = float(means.min()), float(means.max())
+    targets = (lo + 0.3 * (hi - lo), lo + 0.7 * (hi - lo))
+    runs = []
+    for order in (targets, targets[::-1]):
+        runs.append({t: exact.solve(s, kind, means, t, tail_fraction, state) for t in order})
+        assert [part.tobytes() for part in state] == before
+    for t in targets:
+        (w1, cert1, pivots1, lp1), (w2, cert2, pivots2, lp2) = runs[0][t], runs[1][t]
+        assert cert1 <= exact.CERTIFICATE_TOL
+        assert (w1.tobytes(), cert1, pivots1) == (w2.tobytes(), cert2, pivots2)
+        assert [part.tobytes() for part in lp1] == [part.tobytes() for part in lp2]
+        assert lp1[0].shape == state[0].shape
 
 
 # -------------------------------------------- the Nelder-Mead kinds' edge paths

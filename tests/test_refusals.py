@@ -16,6 +16,7 @@ from lorenzlab import (
     efficient_frontier,
     gmd_pairwise,
     gmd_weights,
+    grid_oracle,
     limit_curve,
     load_price_panel,
     min_risk,
@@ -32,6 +33,7 @@ from lorenzlab.errors import (
     DegenerateAfterTruncation,
     DuplicateDate,
     EmptySample,
+    InfeasibleTarget,
     InsufficientHistory,
     NonPositiveMeanRegion,
     NonPositivePrice,
@@ -179,7 +181,21 @@ REFUSALS = [
             BadParameter, "scenarios must be a T x N matrix"),
     refusal("portfolio-nonfinite",
             lambda d: min_risk([[np.nan, 0.01], [0.02, 0.03]], VAR),
-            BadParameter, "scenarios must be finite"),
+            DataError, "scenarios must be finite"),
+    # a NaN target fails every range check, so it is refused as out of range
+    *(refusal(f"portfolio-nan-target-{kind}",
+              lambda d, kind=kind: min_risk(read_scenarios_csv(d / "two_rows.csv").values,
+                                            RiskMeasureConfig(kind), target=float("nan")),
+              InfeasibleTarget, "target nan outside the attainable range")
+      for kind in ("cvar", "gs1")),
+    refusal("grid-oracle-nan-target",
+            lambda d: grid_oracle(read_scenarios_csv(d / "two_rows.csv").values, VAR,
+                                  step=0.05, target=float("nan")),
+            InfeasibleTarget, "no lattice point satisfies the constraints"),
+    refusal("frontier-ticker-count",
+            lambda d: efficient_frontier(read_scenarios_csv(d / "two_rows.csv").values, VAR,
+                                         tickers=["A"]),
+            BadParameter, "1 tickers for 2 scenario columns"),
     refusal("frontier-no-positive-mean",
             lambda d: efficient_frontier(read_scenarios_csv(d / "losing.csv").values, VAR),
             NonPositiveMeanRegion, "no long-only portfolio has a positive mean",
