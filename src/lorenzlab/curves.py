@@ -219,9 +219,6 @@ class MonotoneCurve:
         out = np.interp(x_arr, self.grid, self.values)
         return _as_scalar_or_array(out, scalar)
 
-    def __call__(self, x):
-        return self.evaluate(x)
-
     def generalized_inverse(self, u, clamp: bool = False, *, cells: dict | None = None):
         """inf { y : f(y) >= u }; flat segments map to their left endpoint.
 

@@ -41,6 +41,7 @@ given step, for small asset counts, as an independent check.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -366,6 +367,10 @@ def efficient_frontier(
     when it converged. So cvar and mad points run phase two only, and their
     iterations count the pivots from the handle's basis."""
     s = _validate_scenarios(scenarios)
+    try:
+        n_points = operator.index(n_points)
+    except TypeError:
+        raise BadParameter(f"n_points must be an integer, got {n_points!r}") from None
     if n_points < 2:
         raise BadParameter("a frontier needs at least two points")
     means = _scenario_means(s)
@@ -415,7 +420,7 @@ def grid_oracle(
     n = s.shape[1]
     if n > 4:
         raise TooManyAssets(f"grid oracle is exhaustive; {n} assets is too many")
-    k = round(1.0 / step)
+    k = round(1.0 / step) if 0.0 < step <= 1.0 else 0
     if k < 1 or abs(k * step - 1.0) > 1e-9:
         raise BadParameter("step must divide 1")
     means = s.mean(axis=0)

@@ -42,16 +42,9 @@ from .lorenz import LorenzCurve, _partial_sum_ratios
 MEASURE_KINDS = ("variance", "mad", "cvar", "gmd", "extended_gini", "gs1", "gs2")
 
 
-def variance(samples) -> float:
-    return measure_value(samples, RiskMeasureConfig("variance"))
-
-
-def mad(samples) -> float:
-    return measure_value(samples, RiskMeasureConfig("mad"))
-
-
 def cvar_weights(n: int, tail_fraction: float) -> np.ndarray:
-    """Order-statistic weights of the discrete CVAR; fsum(weights) == -1.
+    """Order-statistic weights of the discrete CVAR, the expected shortfall
+    of the lower tail as a positive loss; fsum(weights) == -1.
 
     The first ceil(p*n) - 1 order statistics carry -1/(p*n) each; the
     boundary statistic carries the exact remainder, computed rationally so
@@ -70,11 +63,6 @@ def cvar_weights(n: int, tail_fraction: float) -> np.ndarray:
     return w
 
 
-def cvar(samples, tail_fraction: float = 0.05) -> float:
-    """Expected shortfall of the lower tail, positive-loss convention."""
-    return measure_value(samples, RiskMeasureConfig("cvar", tail_fraction=tail_fraction))
-
-
 def gmd_weights(n: int) -> np.ndarray:
     """Order-statistic weights of the Gini mean difference; they sum to 0
     exactly by sign symmetry."""
@@ -82,10 +70,6 @@ def gmd_weights(n: int) -> np.ndarray:
         raise EmptySample("Gini mean difference needs at least two samples")
     j = np.arange(1, n + 1, dtype=float)
     return 2.0 * (2.0 * j - 1.0 - n) / (n * (n - 1.0))
-
-
-def gmd(samples) -> float:
-    return measure_value(samples, RiskMeasureConfig("gmd"))
 
 
 def gmd_pairwise(samples) -> float:
@@ -96,19 +80,6 @@ def gmd_pairwise(samples) -> float:
         raise EmptySample(f"need at least 2 samples, got {n}")
     x = _sorted_sample(x)
     return float(np.abs(x[:, None] - x[None, :]).sum() / (n * (n - 1)))
-
-
-def extended_gini(samples, v: float) -> float:
-    """Tail-weighted Gini: v(v-1)/(T-1) * sum (1-i/T)^(v-2) (i/T - S_i/S_T).
-
-    v = 2 recovers the ordinary Gini coefficient (exactly GMD/(2*mean));
-    v = 1 gives 0. The sum runs over i = 1..T-1 (the i = T term vanishes).
-    """
-    return measure_value(samples, RiskMeasureConfig("extended_gini", v))
-
-
-def gini(samples) -> float:
-    return extended_gini(samples, 2.0)
 
 
 # -- target curves -------------------------------------------------------------
@@ -171,10 +142,6 @@ class TargetCurveSpec:
         tail, pure concave upper tail."""
         return cls(beta_down=0.0, beta_up=beta_up, up_kuma=1.0, up_power=0.0)
 
-    @classmethod
-    def diagonal(cls) -> "TargetCurveSpec":
-        return cls(beta_down=0.0, beta_up=1.0)
-
     @property
     def is_gs2_shape(self) -> bool:
         return self.beta_down == 0.0 and self.up_kuma == 1.0 and self.up_power == 0.0
@@ -210,28 +177,16 @@ class TargetCurveSpec:
         return LorenzCurve(self.evaluate(_uniform_grid(grid_size)), convex=False, classical=True)
 
 
-def gs_measure(samples, target: TargetCurveSpec, v: float = 2.5, absolute: bool = False) -> float:
-    """Tail-weighted Lorenz distance to a target curve.
-
-    value = mu * v(v-1) / int(target) * (1/(T-1))
-            * sum_{i<T} (1 - i/T)^(v-2) |S_i/S_T - target(i/T)|
-
-    absolute=True replaces the samples by their absolute values first (and
-    mu by the absolute mean), and so is gs2: the target must have its shape.
-    This is `measure_value` with that kind's config, and refuses what it does.
-    """
-    kind = "gs2" if absolute else "gs1"
-    if target is None:  # RiskMeasureConfig would put the kind's default in its place
-        raise BadSpec(f"{kind} needs a TargetCurveSpec target, got NoneType")
-    return measure_value(samples, RiskMeasureConfig(kind, v=v, target=target))
-
-
 # -- binding -------------------------------------------------------------------
 
 
 def _bound(kind: str, t: int, v, tail_fraction, target):
     """The value function of `kind` on 1-d samples of size t: runs the kind's
-    checks and computes what (kind, parameters, t) fix, once. gs2 is gs1 on |x|."""
+    checks and computes what (kind, parameters, t) fix, once. With weights
+    w_i = (1 - i/T)^(v-2) summed over i < T, extended_gini is v(v-1)/(T-1)
+    * sum w_i (i/T - S_i/S_T): the Gini coefficient, exactly GMD/(2*mean), at
+    v = 2, and 0 at v = 1. gs1 is mu * v(v-1)/int(target)/(T-1)
+    * sum w_i |S_i/S_T - target(i/T)|, and gs2 is gs1 on |x|."""
     if kind in ("extended_gini", "gs1", "gs2") and not v >= 1.0:
         raise BadParameter(f"{kind} needs v >= 1")
     min_size = 1 if kind in ("variance", "mad", "cvar") else 2

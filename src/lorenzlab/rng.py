@@ -110,9 +110,6 @@ class Xoshiro256pp:
         """Uniform double in [0, 1) with 53 random bits."""
         return (self.next_u64() >> 11) * 2.0**-53
 
-    def uniform(self, low: float, high: float) -> float:
-        return low + (high - low) * self.random()
-
     def normal(self) -> float:
         """Standard normal via inversion (keeps substreams synchronized)."""
         # random() can return exactly 0, which inversion rejects.

@@ -27,10 +27,7 @@ from lorenzlab import (
     copula_simulate,
     cvar_weights,
     efficient_frontier,
-    extended_gini,
     fixed_point_residual,
-    gini,
-    gmd,
     gmd_pairwise,
     gmd_weights,
     grid_oracle,
@@ -182,16 +179,19 @@ def test_c07_limits_are_fixed_points():
 def test_c08_risk_measure_identities():
     rng = Xoshiro256pp(8081)
     worst_pairwise = worst_ext2 = worst_ext1 = worst_gs1 = 0.0
-    diagonal = TargetCurveSpec.diagonal()
+    diagonal = TargetCurveSpec(beta_down=0.0, beta_up=1.0)
+    gmd = RiskMeasureConfig("gmd")
+    ext = {v: RiskMeasureConfig("extended_gini", v=v) for v in (1.0, 2.0, 2.5)}
     for _ in range(200):
         n = 2 + rng.next_u64() % 49
         x = np.array([math.exp(0.5 * rng.normal()) for _ in range(n)])
-        worst_pairwise = max(worst_pairwise, abs(gmd(x) - gmd_pairwise(x)))
-        worst_ext2 = max(worst_ext2, abs(extended_gini(x, 2.0) - gini(x)))
-        worst_ext1 = max(worst_ext1, abs(extended_gini(x, 1.0)))
+        worst_pairwise = max(worst_pairwise, abs(measure_value(x, gmd) - gmd_pairwise(x)))
+        gini = measure_value(x, gmd) / (2.0 * x.mean())
+        worst_ext2 = max(worst_ext2, abs(measure_value(x, ext[2.0]) - gini))
+        worst_ext1 = max(worst_ext1, abs(measure_value(x, ext[1.0])))
         for v in (2.0, 2.5):
             ident = measure_value(x, RiskMeasureConfig(kind="gs1", v=v, target=diagonal))
-            worst_gs1 = max(worst_gs1, abs(ident - 2.0 * x.mean() * extended_gini(x, v)))
+            worst_gs1 = max(worst_gs1, abs(ident - 2.0 * x.mean() * measure_value(x, ext[v])))
 
     sums_exact = all(
         math.fsum(cvar_weights(n, p)) == -1.0
@@ -201,7 +201,7 @@ def test_c08_risk_measure_identities():
 
     draws = Xoshiro256pp(31415)
     uniform = np.array([draws.random() for _ in range(100_000)])
-    gini_dev = abs(gini(uniform) - 1.0 / 3.0)
+    gini_dev = abs(measure_value(uniform, ext[2.0]) - 1.0 / 3.0)
 
     ok = (
         worst_pairwise <= 1e-12
@@ -215,7 +215,7 @@ def test_c08_risk_measure_identities():
         8,
         "order-statistic identities across 200 random samples",
         ok,
-        f"gmd vs pairwise {worst_pairwise:.1e} <= 1e-12, ext(2) vs gini "
+        f"gmd vs pairwise {worst_pairwise:.1e} <= 1e-12, ext(2) vs gmd/(2 mean) "
         f"{worst_ext2:.1e} <= 1e-9, ext(1) {worst_ext1:.1e}, gs1 identity "
         f"{worst_gs1:.1e} <= 1e-9, weight sums exact {sums_exact}, "
         f"uniform gini off 1/3 by {gini_dev:.1e} <= 2e-3",
@@ -250,7 +250,7 @@ def test_c09_target_curve_checks():
 
     with pytest.raises(BadSpec):
         RiskMeasureConfig(kind="gs2", target=TargetCurveSpec())
-    identity_integral = TargetCurveSpec.diagonal().integral()
+    identity_integral = TargetCurveSpec(beta_down=0.0, beta_up=1.0).integral()
 
     ok = worst <= 1e-12 and identity_integral == 0.5
     criterion(
@@ -394,9 +394,9 @@ def correlated_instance(seed: int) -> np.ndarray:
     z = normal_matrix(seed, t, n)
     f = normal_matrix(seed + 1000, t, 1)[:, 0]
     rng = Xoshiro256pp(seed + 2000)
-    mu = np.array([rng.uniform(0.006, 0.014) for _ in range(n)])
-    sig = np.array([rng.uniform(0.02, 0.06) for _ in range(n)])
-    beta = np.array([rng.uniform(0.3, 0.8) for _ in range(n)])
+    u = np.array([rng.random() for _ in range(3 * n)]).reshape(3, n)
+    low, high = np.array([[0.006], [0.02], [0.3]]), np.array([[0.014], [0.06], [0.8]])
+    mu, sig, beta = low + (high - low) * u
     return mu + sig * (beta * f[:, None] + np.sqrt(1.0 - beta**2) * z)
 
 

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lorenzlab import (
+    MEASURE_KINDS,
     AnalyticFamily,
     __version__,
     ScenarioMatrix,
@@ -37,7 +38,7 @@ from lorenzlab import (
 from lorenzlab.cli import _format_warning, _parse_start, main
 from lorenzlab.curves import format_float, read_curve_csv, write_curve_csv
 from lorenzlab.errors import BadParameter, BadSpec, DegenerateColumnWarning
-from lorenzlab.risk import RiskMeasureConfig, measure_value, variance
+from lorenzlab.risk import RiskMeasureConfig, measure_value
 from lorenzlab.rng import Xoshiro256pp
 
 
@@ -167,11 +168,13 @@ def test_iterate_dump_curves(tmp_path):
     ]
 
 
-def test_measure_prints_the_value(tmp_path, capsys):
+@pytest.mark.parametrize("kind", MEASURE_KINDS)
+def test_measure_prints_the_value(tmp_path, capsys, kind):
     path, scen = scenario_file(tmp_path)
-    assert main(["measure", "--scenarios", str(path), "--kind", "variance"]) == 0
+    config = RiskMeasureConfig(kind)
+    assert main(["measure", "--scenarios", str(path), "--kind", kind]) == 0
     printed = capsys.readouterr().out.strip()
-    assert printed == format_float(variance(scen.values[:, 0]))
+    assert printed == format_float(measure_value(scen.values[:, 0], config))
 
     out = tmp_path / "report.json"
     code = main(
@@ -182,7 +185,7 @@ def test_measure_prints_the_value(tmp_path, capsys):
             "--column",
             "A2",
             "--kind",
-            "variance",
+            kind,
             "--out",
             str(out),
         ]
@@ -190,7 +193,7 @@ def test_measure_prints_the_value(tmp_path, capsys):
     assert code == 0
     capsys.readouterr()
     report = json.loads(out.read_text())
-    assert report["value"] == pytest.approx(variance(scen.values[:, 2]))
+    assert report["value"] == pytest.approx(measure_value(scen.values[:, 2], config))
     assert (tmp_path / "report.json.run.json").exists()
 
     assert main(["measure", "--scenarios", str(path), "--column", "Z", "--kind", "mad"]) == 1
@@ -552,6 +555,7 @@ def test_gs2_uses_its_shape_at_beta_up(tmp_path, capsys, options, beta_up):
 
 # -- target resolution ---------------------------------------------------------
 
+DIAGONAL = TargetCurveSpec(beta_down=0.0, beta_up=1.0)
 TARGET_FIELDS = ("beta_down", "beta_up", "down_kuma", "down_power", "up_kuma", "up_power")
 GS2_FIXED = tuple(name for name in TARGET_FIELDS if name != "beta_up")
 # Each command prefix with the target it starts from and the fields that
@@ -565,7 +569,7 @@ TARGET_BASES = [
 OTHER_TARGETS = [
     TargetCurveSpec(),
     TargetCurveSpec.gs2_shape(0.6),
-    TargetCurveSpec.diagonal(),
+    DIAGONAL,
     TargetCurveSpec(0.1, 0.6, 0.5, 0.5, 0.6, 0.4),
 ]
 
@@ -633,7 +637,7 @@ def test_a_given_target_option_is_used_or_refused(target_dir, run):
     [
         (["--kind", "gs2"], TargetCurveSpec.gs2_shape()),
         (["--kind", "gs2", "--beta-up", "0.6"], TargetCurveSpec.gs2_shape(0.6)),
-        (["--kind", "gs1", "--beta-down", "0", "--beta-up", "1"], TargetCurveSpec.diagonal()),
+        (["--kind", "gs1", "--beta-down", "0", "--beta-up", "1"], DIAGONAL),
         (["--kind", "gs1", "--beta-up", "0.6"], TargetCurveSpec(beta_up=0.6)),
         # a kind that reads no target records the options given and gs1's
         # defaults for the others
@@ -896,12 +900,12 @@ def test_identity_target_is_the_diagonal(tmp_path, capsys):
     assert main(["target-curve", "--beta-down", "0", "--beta-up", "1", "--grid", "64",
                  "--out", str(spelled)]) == 0
     assert capsys.readouterr().out == "0.5\n"
-    write_curve_csv(TargetCurveSpec.diagonal().curve(64), library)
+    write_curve_csv(DIAGONAL.curve(64), library)
     assert spelled.read_bytes() == library.read_bytes()
     path, scen = scenario_file(tmp_path)
     argv = ["measure", "--scenarios", str(path), "--kind", "gs1", "--beta-down", "0", "--beta-up", "1"]
     assert main(argv) == 0
-    config = RiskMeasureConfig(kind="gs1", target=TargetCurveSpec.diagonal())
+    config = RiskMeasureConfig(kind="gs1", target=DIAGONAL)
     assert capsys.readouterr().out == format_float(measure_value(scen.values[:, 0], config)) + "\n"
     assert main(["target-curve", "--identity-target", "--out", str(tmp_path / "t.csv")]) == 1
     assert capsys.readouterr().err == "error: unrecognized arguments: --identity-target\n"

@@ -98,7 +98,6 @@ def test_evaluate_at_nodes_and_between():
     assert c.evaluate(0.0) == 0.0
     assert c.evaluate(0.5) == 1.0
     assert c.evaluate(0.75) == pytest.approx(2.5)
-    assert c(1.0) == 4.0
 
 
 def test_evaluate_out_of_domain():

@@ -15,7 +15,6 @@ from lorenzlab import (
     grid_oracle,
     measure_value,
     min_risk,
-    variance,
 )
 from lorenzlab.errors import (
     BadParameter,
@@ -59,7 +58,7 @@ def test_single_asset_is_trivial():
     point = min_risk(s, VAR)
     assert point.converged
     assert point.weights == pytest.approx([1.0], abs=1e-9)
-    assert point.risk == pytest.approx(variance(s[:, 0]), rel=1e-6)
+    assert point.risk == pytest.approx(measure_value(s[:, 0], VAR), rel=1e-6)
 
 
 def test_duplicate_assets_share_the_risk():
@@ -67,7 +66,7 @@ def test_duplicate_assets_share_the_risk():
     s = np.column_stack([col, col])
     point = min_risk(s, VAR)
     assert point.converged
-    assert point.risk == pytest.approx(variance(col), rel=1e-6)
+    assert point.risk == pytest.approx(measure_value(col, VAR), rel=1e-6)
     assert point.weights.sum() == pytest.approx(1.0, abs=1e-8)
 
 
@@ -213,9 +212,9 @@ def test_grid_oracle_enumerates_the_simplex():
         np.array([0.5, 0.5]),
         np.array([0.0, 1.0]),
     ]
-    by_hand = min(float(variance(s @ w)) for w in candidates)
+    by_hand = min(measure_value(s @ w, VAR) for w in candidates)
     assert best == pytest.approx(by_hand, abs=1e-15)
-    assert float(variance(s @ w_star)) == pytest.approx(best, abs=1e-15)
+    assert measure_value(s @ w_star, VAR) == pytest.approx(best, abs=1e-15)
 
 
 def test_grid_oracle_skips_points_whose_mean_is_not_positive():

@@ -192,10 +192,20 @@ REFUSALS = [
             lambda d: grid_oracle(read_scenarios_csv(d / "two_rows.csv").values, VAR,
                                   step=0.05, target=float("nan")),
             InfeasibleTarget, "no lattice point satisfies the constraints"),
+    *(refusal(f"grid-oracle-step-{step}",
+              lambda d, step=step: grid_oracle(read_scenarios_csv(d / "two_rows.csv").values,
+                                               VAR, step=step),
+              BadParameter, "step must divide 1")
+      for step in (0.0, float("nan"))),
     refusal("frontier-ticker-count",
             lambda d: efficient_frontier(read_scenarios_csv(d / "two_rows.csv").values, VAR,
                                          tickers=["A"]),
             BadParameter, "1 tickers for 2 scenario columns"),
+    *(refusal(f"frontier-n-points-{n_points}",
+              lambda d, n_points=n_points: efficient_frontier(
+                  read_scenarios_csv(d / "two_rows.csv").values, VAR, n_points=n_points),
+              BadParameter, f"n_points must be an integer, got {n_points!r}")
+      for n_points in (2.5, float("nan"), 3.0)),
     refusal("frontier-no-positive-mean",
             lambda d: efficient_frontier(read_scenarios_csv(d / "losing.csv").values, VAR),
             NonPositiveMeanRegion, "no long-only portfolio has a positive mean",

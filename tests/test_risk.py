@@ -10,18 +10,11 @@ from lorenzlab import (
     MEASURE_KINDS,
     RiskMeasureConfig,
     TargetCurveSpec,
-    cvar,
     cvar_weights,
-    extended_gini,
-    gini,
-    gmd,
     gmd_pairwise,
     gmd_weights,
-    gs_measure,
-    mad,
     measure_report,
     measure_value,
-    variance,
 )
 from lorenzlab.errors import (
     BadParameter,
@@ -42,6 +35,12 @@ from oracles import (
     TARGET_INTEGRAL_DEFAULT,
 )
 
+VARIANCE = RiskMeasureConfig("variance")
+MAD = RiskMeasureConfig("mad")
+GMD = RiskMeasureConfig("gmd")
+GINI = RiskMeasureConfig("extended_gini", v=2.0)
+DIAGONAL = TargetCurveSpec(beta_down=0.0, beta_up=1.0)
+
 
 def seeded_samples(seed, count, n_max=50, positive=False):
     """positive=True keeps every draw above zero, for the measures that
@@ -61,22 +60,23 @@ def seeded_samples(seed, count, n_max=50, positive=False):
 
 
 def test_variance_and_mad_small_cases():
-    assert variance([0.0, 2.0]) == pytest.approx(1.0)
-    assert mad([0.0, 2.0]) == pytest.approx(1.0)
-    assert mad([1.0, 2.0, 3.0]) == pytest.approx(2.0 / 3.0)
+    assert measure_value([0.0, 2.0], VARIANCE) == pytest.approx(1.0)
+    assert measure_value([0.0, 2.0], MAD) == pytest.approx(1.0)
+    assert measure_value([1.0, 2.0, 3.0], MAD) == pytest.approx(2.0 / 3.0)
     # (0.7*3)/3 rounds one ulp off 0.7; variance squares that dust away,
     # mad keeps it first order
-    assert variance([0.7, 0.7, 0.7]) == pytest.approx(0.0, abs=1e-30)
-    assert mad([0.7, 0.7, 0.7]) == pytest.approx(0.0, abs=1e-15)
+    assert measure_value([0.7, 0.7, 0.7], VARIANCE) == pytest.approx(0.0, abs=1e-30)
+    assert measure_value([0.7, 0.7, 0.7], MAD) == pytest.approx(0.0, abs=1e-15)
     with pytest.raises(EmptySample):
-        variance([])
+        measure_value([], VARIANCE)
 
 
 def test_cvar_examples():
     sample = [-0.04, -0.01, 0.00, 0.02]
-    assert cvar(sample, 0.25) == pytest.approx(0.04)
-    assert cvar(sample, 0.5) == pytest.approx(0.025)
-    assert cvar([0.03] * 7, 0.4) == pytest.approx(-0.03)
+    cvar = {p: RiskMeasureConfig("cvar", tail_fraction=p) for p in (0.25, 0.5, 0.4)}
+    assert measure_value(sample, cvar[0.25]) == pytest.approx(0.04)
+    assert measure_value(sample, cvar[0.5]) == pytest.approx(0.025)
+    assert measure_value([0.03] * 7, cvar[0.4]) == pytest.approx(-0.03)
 
 
 def test_cvar_weights_sum_to_minus_one_exactly():
@@ -90,9 +90,9 @@ def test_cvar_weights_sum_to_minus_one_exactly():
 
 def test_cvar_rejects_bad_tail():
     with pytest.raises(BadParameter):
-        cvar([1.0, 2.0], 0.0)
+        measure_value([1.0, 2.0], RiskMeasureConfig("cvar", tail_fraction=0.0))
     with pytest.raises(BadParameter):
-        cvar([1.0, 2.0], 1.0)
+        measure_value([1.0, 2.0], RiskMeasureConfig("cvar", tail_fraction=1.0))
 
 
 @given(
@@ -102,44 +102,48 @@ def test_cvar_rejects_bad_tail():
 )
 @settings(max_examples=60)
 def test_cvar_translation_and_homogeneity(xs, c, p):
-    base = cvar(xs, p)
-    shifted = cvar([x + c for x in xs], p)
+    config = RiskMeasureConfig("cvar", tail_fraction=p)
+    base = measure_value(xs, config)
+    shifted = measure_value([x + c for x in xs], config)
     assert shifted == pytest.approx(base - c, abs=1e-10)
-    doubled = cvar([2.0 * x for x in xs], p)
+    doubled = measure_value([2.0 * x for x in xs], config)
     assert doubled == pytest.approx(2.0 * base, abs=1e-10)
 
 
 def test_gmd_examples_and_weights():
-    assert gmd([0.0, 1.0]) == pytest.approx(1.0)
-    assert gmd([1.0, 2.0, 4.0]) == pytest.approx(2.0)
-    assert gmd([3.0, 3.0, 3.0, 3.0]) == pytest.approx(0.0, abs=1e-15)
+    assert measure_value([0.0, 1.0], GMD) == pytest.approx(1.0)
+    assert measure_value([1.0, 2.0, 4.0], GMD) == pytest.approx(2.0)
+    assert measure_value([3.0, 3.0, 3.0, 3.0], GMD) == pytest.approx(0.0, abs=1e-15)
     for n in (2, 3, 10, 47):
         assert math.fsum(gmd_weights(n)) == 0.0
     with pytest.raises(EmptySample):
-        gmd([1.0])
+        measure_value([1.0], GMD)
 
 
 def test_gmd_matches_pairwise_oracle():
     for sample in seeded_samples(11, 25):
-        assert gmd(sample) == pytest.approx(gmd_pairwise(sample), abs=1e-12)
+        assert measure_value(sample, GMD) == pytest.approx(gmd_pairwise(sample), abs=1e-12)
 
 
 def test_gini_small_case_and_invariance():
-    assert gini([1.0, 2.0, 4.0]) == pytest.approx(3.0 / 7.0, abs=1e-12)
-    assert gini([5.0, 5.0]) == 0.0
+    assert measure_value([1.0, 2.0, 4.0], GINI) == pytest.approx(3.0 / 7.0, abs=1e-12)
+    assert measure_value([5.0, 5.0], GINI) == 0.0
     sample = [0.3, 1.2, 0.7, 2.4]
-    assert gini([10.0 * x for x in sample]) == pytest.approx(gini(sample), abs=1e-12)
+    scaled = measure_value([10.0 * x for x in sample], GINI)
+    assert scaled == pytest.approx(measure_value(sample, GINI), abs=1e-12)
     with pytest.raises(NonPositiveMean):
-        gini([-1.0, 0.5])
+        measure_value([-1.0, 0.5], GINI)
 
 
 def test_extended_gini_reductions():
+    # v = 2 is the Gini coefficient GMD/(2*mean), and v = 1 gives 0
     for sample in seeded_samples(12, 10, positive=True):
-        assert extended_gini(sample, 2.0) == pytest.approx(gini(sample), abs=1e-9)
-        assert extended_gini(sample, 1.0) == 0.0
-    assert extended_gini([1.0, 2.0, 4.0], 2.0) == pytest.approx(3.0 / 7.0, abs=1e-12)
+        gini = measure_value(sample, GMD) / (2.0 * np.mean(sample))
+        assert measure_value(sample, GINI) == pytest.approx(gini, abs=1e-9)
+        assert measure_value(sample, RiskMeasureConfig("extended_gini", v=1.0)) == 0.0
+    assert measure_value([1.0, 2.0, 4.0], GINI) == pytest.approx(3.0 / 7.0, abs=1e-12)
     with pytest.raises(BadParameter):
-        extended_gini([1.0, 2.0], 0.5)
+        measure_value([1.0, 2.0], RiskMeasureConfig("extended_gini", v=0.5))
 
 
 # ---------------------------------------------------------------- target curve
@@ -173,7 +177,7 @@ def test_gs2_shape_values():
 
 
 def test_diagonal_target_integral_is_exactly_half():
-    spec = TargetCurveSpec.diagonal()
+    spec = DIAGONAL
     assert spec.integral() == 0.5
     assert spec.evaluate(0.37) == 0.37
 
@@ -193,7 +197,7 @@ def test_target_bits_are_pinned():
     specs = {
         "default": TargetCurveSpec(),
         "gs2_shape": TargetCurveSpec.gs2_shape(),
-        "diagonal": TargetCurveSpec.diagonal(),
+        "diagonal": DIAGONAL,
     }
     got = {
         name: (hashlib.sha256(spec.curve(4096).values.tobytes()).hexdigest(), spec.integral())
@@ -245,33 +249,33 @@ def test_target_curve_is_classical():
 
 
 def test_gs_zero_when_polyline_meets_target():
-    spec = TargetCurveSpec.diagonal()
-    assert gs_measure([2.0, 2.0, 2.0, 2.0], spec, v=2.5) == pytest.approx(0.0, abs=1e-15)
+    config = RiskMeasureConfig("gs1", v=2.5, target=DIAGONAL)
+    assert measure_value([2.0, 2.0, 2.0, 2.0], config) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_gs_identity_target_recovers_gmd():
-    spec = TargetCurveSpec.diagonal()
+    config = RiskMeasureConfig("gs1", v=2.0, target=DIAGONAL)
     for sample in seeded_samples(13, 20, positive=True):
-        want = gmd(sample)
-        assert gs_measure(sample, spec, v=2.0) == pytest.approx(want, abs=1e-9)
+        want = measure_value(sample, GMD)
+        assert measure_value(sample, config) == pytest.approx(want, abs=1e-9)
 
 
 def test_gs_identity_target_matches_extended_gini_at_any_v():
-    spec = TargetCurveSpec.diagonal()
     rng = Xoshiro256pp(14)
     sample = [rng.normal() * 0.3 + 1.0 for _ in range(40)]
     mu = np.mean(sample)
     for v in (2.0, 2.5, 3.7):
-        want = 2.0 * mu * extended_gini(sample, v)
-        assert gs_measure(sample, spec, v=v) == pytest.approx(want, abs=1e-9)
+        want = 2.0 * mu * measure_value(sample, RiskMeasureConfig("extended_gini", v=v))
+        got = measure_value(sample, RiskMeasureConfig("gs1", v=v, target=DIAGONAL))
+        assert got == pytest.approx(want, abs=1e-9)
 
 
 def test_gs_positive_homogeneity():
-    spec = TargetCurveSpec()
+    config = RiskMeasureConfig("gs1", v=2.5, target=TargetCurveSpec())
     rng = Xoshiro256pp(15)
     sample = [rng.normal() * 0.02 + 0.01 for _ in range(60)]
-    one = gs_measure(sample, spec, v=2.5)
-    two = gs_measure([2.0 * x for x in sample], spec, v=2.5)
+    one = measure_value(sample, config)
+    two = measure_value([2.0 * x for x in sample], config)
     assert two == pytest.approx(2.0 * one, abs=1e-12 * max(1.0, two))
 
 
@@ -289,32 +293,30 @@ def test_gs_v2_reduces_to_the_unweighted_sum():
         / (t - 1)
         * np.sum(np.abs(knots[:-1] - spec.evaluate(xi[:-1])))
     )
-    assert gs_measure(sample, spec, v=2.0) == pytest.approx(hand, abs=1e-12)
+    got = measure_value(sample, RiskMeasureConfig("gs1", v=2.0, target=spec))
+    assert got == pytest.approx(hand, abs=1e-12)
 
 
 def test_gs_absolute_variant_folds_the_sample():
     spec = TargetCurveSpec.gs2_shape()
     sample = [0.04, -0.03, 0.02, -0.01, 0.05]
     folded = [abs(x) for x in sample]
-    assert gs_measure(sample, spec, v=2.5, absolute=True) == pytest.approx(
-        gs_measure(folded, spec, v=2.5), abs=1e-15
+    assert measure_value(sample, RiskMeasureConfig("gs2", v=2.5, target=spec)) == pytest.approx(
+        measure_value(folded, RiskMeasureConfig("gs1", v=2.5, target=spec)), abs=1e-15
     )
 
 
 def test_gs_absolute_variant_keeps_the_gs2_shape():
-    # gs_measure(absolute=True) is gs2, so both paths reject a gs1 target
-    with pytest.raises(BadSpec, match="gs2 requires the restricted target"):
-        gs_measure([0.04, -0.03, 0.02, -0.01, 0.05], TargetCurveSpec(), v=2.5, absolute=True)
     with pytest.raises(BadSpec, match="gs2 requires the restricted target"):
         RiskMeasureConfig("gs2", target=TargetCurveSpec())
 
 
 def test_gs_accepts_negative_entries_with_positive_total():
-    spec = TargetCurveSpec()
-    value = gs_measure([-0.02, 0.01, 0.05, 0.03], spec, v=2.5)
+    config = RiskMeasureConfig("gs1", v=2.5, target=TargetCurveSpec())
+    value = measure_value([-0.02, 0.01, 0.05, 0.03], config)
     assert math.isfinite(value) and value >= 0.0
     with pytest.raises(NonPositiveMean):
-        gs_measure([-0.05, 0.01], spec, v=2.5)
+        measure_value([-0.05, 0.01], config)
 
 
 def test_gs_measure_refuses_what_measure_value_refuses():
@@ -322,8 +324,6 @@ def test_gs_measure_refuses_what_measure_value_refuses():
     sample = [0.3, 0.4, -0.7]
     with pytest.raises(NonPositiveMean):
         measure_value(sample, RiskMeasureConfig("gs1"))
-    with pytest.raises(NonPositiveMean):
-        gs_measure(sample, TargetCurveSpec())
 
 
 def test_gs1_is_defined_only_where_every_mean_it_reads_is_positive():
@@ -348,8 +348,6 @@ def test_gs1_is_defined_only_where_every_mean_it_reads_is_positive():
 
 
 def test_gs_rejects_a_target_that_is_not_a_spec():
-    with pytest.raises(BadSpec):
-        gs_measure([0.01, 0.02, 0.03], None)
     with pytest.raises(BadSpec):
         RiskMeasureConfig("gs1", target="diagonal")
 
@@ -382,7 +380,7 @@ def test_config_validation_and_defaults():
 def test_measure_value_dispatch_and_report():
     sample = [0.01, 0.03, -0.02, 0.05, 0.02]
     cfg = RiskMeasureConfig(kind="variance")
-    assert measure_value(sample, cfg) == pytest.approx(variance(sample))
+    assert measure_value(sample, cfg) == pytest.approx(np.var(sample))
     report = measure_report(sample, RiskMeasureConfig(kind="gs2", v=2.5))
     assert set(report) == {"kind", "value", "mu", "knots", "integral_target"}
     assert report["knots"] == 5

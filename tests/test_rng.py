@@ -62,12 +62,6 @@ def test_random_is_in_unit_interval():
     assert abs(np.mean(xs) - 0.5) < 0.02
 
 
-def test_uniform_range():
-    rng = Xoshiro256pp(5)
-    xs = [rng.uniform(-2.0, 3.0) for _ in range(256)]
-    assert all(-2.0 <= x < 3.0 for x in xs)
-
-
 def test_normal_cdf_basics():
     assert normal_cdf(0.0) == pytest.approx(0.5, abs=1e-16)
     assert normal_cdf(1.959963984540054) == pytest.approx(0.975, abs=1e-12)
