@@ -401,10 +401,11 @@ def write_scenarios_csv(scenarios: ScenarioMatrix, path) -> None:
         _write_table(path, ["date", *scenarios.tickers], scenarios.values, [(0, days)])
 
 
-# The checked reading path of `read_scenarios_csv` scans a file's body once,
-# for its tokens: the bytes that are not digits. Each token has a class, and
-# the delimiters come first, so `cls <= _END` marks them. `_END` is the end of
-# a file whose last line has no line end; `_OFF` is every byte off the path.
+# The checked reading path of `read_scenarios_csv` scans a file's body block
+# by block for its tokens: the bytes that are not digits. Each token has a
+# class, and the delimiters come first, so `cls <= _END` marks them. `_END` is
+# the end of a file whose last line has no line end; `_OFF` is every byte off
+# the path.
 _COMMA, _LF, _END, _CR, _PLUS, _MINUS, _DOT, _EXP, _OFF = range(9)
 _CLASS = np.full(256, _OFF, dtype=np.int8)
 _CLASS[np.frombuffer(b",\n\r+-.eE", dtype=np.uint8)] = (
@@ -453,6 +454,10 @@ def _token_rules() -> np.ndarray:
 
 
 _RULES = _token_rules()
+# Bytes read per block of the body; a block is its whole lines. At 64 KiB a
+# block's temporaries stay in the allocator's free memory from one block to
+# the next, where a whole 6 MB file's come back as fresh pages on every read.
+_BLOCK_BYTES = 1 << 16
 
 
 def read_scenarios_csv(path, column: str | int | None = None) -> ScenarioMatrix:
@@ -493,49 +498,75 @@ def _read_plain(path, column) -> ScenarioMatrix | None:
     such a file at its commas and line ends, and `float` parses each value
     cell to a finite number, so the result is `_read_with_csv`'s. Any other
     file (a blank line, an empty cell, a bad value or date, an unknown
-    `column`) goes to that reader, which gives its values or its error."""
+    `column`) goes to that reader, which gives its values or its error.
+
+    The body is checked and converted block by block (`_body_blocks`), and
+    only the converted cells are kept. A block starts at a line start, which
+    `_cell_bounds` reads as it reads the start of the body."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    offset = blob.find(b"\n") + 1  # where the body starts: 0 without a LF, leaving no head
-    head = blob[:offset].removesuffix(b"\n").removesuffix(b"\r")
-    body = memoryview(blob)[offset:]
-    limit = csv.field_size_limit()
-    if not head.isascii() or len(head) > limit or any(c in head for c in b'"\r\0'):
-        return None
-    header = head.decode().split(",")
-    has_dates = header[0].strip().lower() == "date"
-    tickers = [h.strip() for h in header[has_dates:]]
-    index = None if column is None else _column_index(tickers, column)
-    unique = len(set(tickers)) == len(tickers)
-    if not (head and tickers and body and unique) or (column is not None and index is None):
-        return None
-    width = len(header)
-    bounds = _cell_bounds(body, width, has_dates, limit)
-    if bounds is None:
-        return None
-    starts, ends = bounds
-
-    # column j is cells j, j + width, j + 2 * width, ..., as ASCII bytes; a
-    # CRLF line's last cell keeps its CR, which `float` strips
-    def cells(j):
-        bounds = zip((starts[j::width] + offset).tolist(), (ends[j::width] + offset).tolist())
-        return [blob[start:end] for start, end in bounds]
-
-    dates = None
-    if has_dates:
-        try:
-            dates = [date.fromisoformat(cell.decode()) for cell in cells(0)]
-        except ValueError:
+        head = fh.readline()
+        if not head.endswith(b"\n"):  # no line end: no header and no body
             return None
-    if column is not None:
-        values = np.array(list(map(float, cells(has_dates + index))))
-        return ScenarioMatrix(values=values[:, None], tickers=[tickers[index]], dates=dates)
-    flat = blob[offset:].decode().replace("\n", ",").split(",")
-    del flat[ends.size :]  # the empty piece after a final LF
-    if has_dates:
-        del flat[::width]
-    values = np.array(list(map(float, flat))).reshape(-1, len(tickers))
-    return ScenarioMatrix(values=values, tickers=tickers, dates=dates)
+        head = head.removesuffix(b"\n").removesuffix(b"\r")
+        limit = csv.field_size_limit()
+        if not head.isascii() or len(head) > limit or any(c in head for c in b'"\r\0'):
+            return None
+        header = head.decode().split(",")
+        has_dates = header[0].strip().lower() == "date"
+        tickers = [h.strip() for h in header[has_dates:]]
+        index = None if column is None else _column_index(tickers, column)
+        unique = len(set(tickers)) == len(tickers)
+        if not (head and tickers and unique) or (column is not None and index is None):
+            return None
+        width = len(header)
+        dates, values = [] if has_dates else None, []
+        for block in _body_blocks(fh):
+            bounds = _cell_bounds(block, width, has_dates, limit)
+            if bounds is None:
+                return None
+            starts, ends = bounds
+
+            # column j is cells j, j + width, j + 2 * width, ..., as ASCII bytes;
+            # a CRLF line's last cell keeps its CR, which `float` strips
+            def cells(j):
+                bounds = zip(starts[j::width].tolist(), ends[j::width].tolist())
+                return [block[start:end] for start, end in bounds]
+
+            if has_dates:
+                try:
+                    dates += [date.fromisoformat(cell.decode()) for cell in cells(0)]
+                except ValueError:
+                    return None
+            if column is None:
+                flat = block.decode().replace("\n", ",").split(",")
+                del flat[ends.size :]  # the empty piece after a final LF
+                if has_dates:
+                    del flat[::width]
+            else:
+                flat = cells(has_dates + index)
+            values.append(np.array(list(map(float, flat))))
+    if not values:  # an empty body
+        return None
+    kept = tickers if column is None else [tickers[index]]
+    values = np.concatenate(values).reshape(-1, len(kept))
+    return ScenarioMatrix(values=values, tickers=kept, dates=dates)
+
+
+def _body_blocks(fh):
+    """The rest of `fh` in blocks of whole lines: each block ends right after
+    a LF but the last, which is whatever is left, with or without one. A
+    line longer than `_BLOCK_BYTES` makes a longer block."""
+    pending = []
+    while chunk := fh.read(_BLOCK_BYTES):
+        cut = chunk.rfind(b"\n") + 1
+        if not cut:
+            pending.append(chunk)
+            continue
+        yield b"".join([*pending, chunk[:cut]])
+        pending = [chunk[cut:]]
+    rest = b"".join(pending)
+    if rest:
+        yield rest
 
 
 def _cell_bounds(body: bytes, width: int, has_dates: bool, limit: int):

@@ -420,7 +420,8 @@ def grid_oracle(
     n = s.shape[1]
     if n > 4:
         raise TooManyAssets(f"grid oracle is exhaustive; {n} assets is too many")
-    k = round(1.0 / step) if 0.0 < step <= 1.0 else 0
+    inverse = 1.0 / step if 0.0 < step <= 1.0 else 0.0  # inf for a subnormal step
+    k = round(inverse) if math.isfinite(inverse) else 0
     if k < 1 or abs(k * step - 1.0) > 1e-9:
         raise BadParameter("step must divide 1")
     means = s.mean(axis=0)

@@ -196,7 +196,7 @@ REFUSALS = [
               lambda d, step=step: grid_oracle(read_scenarios_csv(d / "two_rows.csv").values,
                                                VAR, step=step),
               BadParameter, "step must divide 1")
-      for step in (0.0, float("nan"))),
+      for step in (0.0, float("nan"), 5e-324)),
     refusal("frontier-ticker-count",
             lambda d: efficient_frontier(read_scenarios_csv(d / "two_rows.csv").values, VAR,
                                          tickers=["A"]),
