@@ -2,11 +2,13 @@
 
 Everything downstream (Lorenz operators, iteration, risk measures) works with
 nondecreasing piecewise-linear interpolants stored as their values at the
-nodes k/M; the constructor checks that they are nondecreasing, and nothing
-writes into them afterwards. The nodes themselves are one read-only array
-per M, shared by every curve of that size: `curve.grid` cannot be written
-into, and a caller that needs its own copy takes one. The three primitive
-operations are evaluation, the generalized inverse
+nodes k/M: MonotoneCurve, whose constructor checks that they are
+nondecreasing, and nothing writes into them afterwards. A quantile function
+is one, and so is a Lorenz curve, itself a distribution function; its
+subtype lorenz.LorenzCurve also checks convexity. The nodes are one
+read-only array per M, shared by every curve of that size: `curve.grid`
+cannot be written into, and a caller that needs its own copy takes one.
+The three primitive operations are evaluation, the generalized inverse
 
     f^{-1}(u) = inf { y : f(y) >= u },
 
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date
@@ -63,12 +66,21 @@ def _shared_grid(m: int) -> np.ndarray:
     return grid
 
 
+def _count(value, name: str) -> int:
+    """`value` as the int that operator.index gives, as every count and size
+    argument takes it; anything else, even the float 3.0, is BadParameter."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise BadParameter(f"{name} must be an integer, got {value!r}") from None
+
+
 def _uniform_grid(grid_size: int) -> np.ndarray:
     """The nodes k/M, k = 0..M, of the uniform grid with M = grid_size >= 1.
 
     One read-only array per M is shared by every caller.
     """
-    m = int(grid_size)
+    m = _count(grid_size, "grid_size")
     if m < 1:
         raise BadParameter("grid_size must be at least 1")
     return _shared_grid(m)
@@ -269,19 +281,10 @@ class MonotoneCurve:
         return float(self._prefix[-1])
 
 
-@dataclass(frozen=True, eq=False)
-class QuantileCurve(MonotoneCurve):
-    """A quantile function sampled on the uniform grid."""
-
-    @property
-    def mean(self) -> float:
-        return self.total_integral
-
-
 # -- empirical and analytic quantile curves -----------------------------------
 
 
-def empirical_quantile(samples, grid_size: int = DEFAULT_GRID) -> QuantileCurve:
+def empirical_quantile(samples, grid_size: int = DEFAULT_GRID) -> MonotoneCurve:
     """Order-statistic quantile Q(p) = x_(ceil(p n)) sampled at the grid nodes.
 
     Q(0) is the sample minimum. The ceiling is taken in exact integer
@@ -299,7 +302,7 @@ def empirical_quantile(samples, grid_size: int = DEFAULT_GRID) -> QuantileCurve:
     values = np.empty(m + 1)
     values[0] = x[0]
     values[1:] = x[idx - 1]
-    return QuantileCurve(values)
+    return MonotoneCurve(values)
 
 
 def _primal_power(x, a):
@@ -441,20 +444,18 @@ class AnalyticFamily:
         return self._law()[1](*self.params)
 
 
-def analytic_quantile(family: AnalyticFamily, grid_size: int = DEFAULT_GRID) -> QuantileCurve:
+def analytic_quantile(family: AnalyticFamily, grid_size: int = DEFAULT_GRID) -> MonotoneCurve:
     """Sample a closed-form quantile on the grid.
 
     An infinite top node Q(1) (pareto, lognormal) is replaced by
     Q(1 - 1/(2M)).
     """
-    m = int(grid_size)
-    if m < 2:
-        raise BadParameter("grid_size must be at least 2")
-    ps = _uniform_grid(m)
+    ps = _uniform_grid(grid_size)
+    m = ps.size - 1
     values = np.asarray(family.quantile(ps), dtype=float)
     if values[-1] == math.inf:
         values[-1] = family.quantile(1.0 - 0.5 / m)
-    return QuantileCurve(values)
+    return MonotoneCurve(values)
 
 
 # -- CSV round trip ------------------------------------------------------------

@@ -20,7 +20,7 @@ from datetime import date
 
 import numpy as np
 
-from .curves import _read_table, _write_table
+from .curves import _count, _read_table, _write_table
 from .errors import (
     BadParameter,
     DataError,
@@ -137,6 +137,7 @@ def clean_panel(panel: PricePanel, coverage: float = 0.95):
 
 def take_every(panel: PricePanel, k: int) -> PricePanel:
     """Keep every k-th date, starting with the first."""
+    k = _count(k, "k")
     if k < 1:
         raise BadParameter("take_every needs k >= 1")
     return PricePanel(panel.dates[::k], list(panel.tickers), panel.prices[::k].copy())
@@ -188,6 +189,7 @@ def compute_returns(
 
 def historical_scenarios(scenarios: ScenarioMatrix, window: int = 500) -> ScenarioMatrix:
     """The most recent `window` rows, kept in order."""
+    window = _count(window, "window")
     if window < 1:
         raise BadParameter("window must be positive")
     t = scenarios.values.shape[0]
@@ -351,6 +353,7 @@ def copula_simulate(
     t, n_assets = values.shape
     if t < 2:
         raise InsufficientHistory("need at least two historical rows")
+    n, seed = _count(n, "n"), _count(seed, "seed")
     if n < 1:
         raise BadParameter("n must be positive")
     if not 0 <= seed < 2**64:

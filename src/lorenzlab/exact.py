@@ -27,6 +27,8 @@ evaluates exactly on the vertices of X.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import NumericError
@@ -128,7 +130,10 @@ def certificate(s, kind, means, target, tail_fraction, w, dual=None) -> float:
         )
     else:
         dev = d @ w
-        value = float(np.mean(np.abs(dev)))
+        with np.errstate(over="ignore"):  # refused below instead
+            value = float(np.mean(np.abs(dev)))
+        if not math.isfinite(value):
+            raise NumericError("mean absolute deviation is not finite: the scenarios overflow")
         if dual is None:
             dual = np.sign(dev) / t
         bound = _linear_min(d.T @ dual, means, target)

@@ -27,7 +27,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .curves import GOLDEN, DEFAULT_GRID, MonotoneCurve, QuantileCurve, _uniform_grid, _write_table
+from .curves import GOLDEN, DEFAULT_GRID, MonotoneCurve, _count, _uniform_grid, _write_table
 from .curves import _primal_power, _reflected_power
 from .errors import BadParameter
 from .lorenz import (
@@ -63,6 +63,7 @@ def _mode(mode: str):
 
 def alpha_sequence(count: int) -> np.ndarray:
     """First `count` terms of alpha_1 = 1, alpha_{n+1} = 1 + 1/alpha_n."""
+    count = _count(count, "count")
     if count < 1:
         raise BadParameter("need at least one term")
     out = np.empty(count)
@@ -75,7 +76,7 @@ def alpha_sequence(count: int) -> np.ndarray:
 def limit_curve(mode: str, grid_size: int = DEFAULT_GRID) -> LorenzCurve:
     """Limit of the iteration: x**phi, or its reflection 1 - (1-x)**(1/phi)."""
     power = _mode(mode)[2]
-    return LorenzCurve(power(_uniform_grid(grid_size), GOLDEN), convex=True, classical=True)
+    return LorenzCurve(power(_uniform_grid(grid_size), GOLDEN))
 
 
 @lru_cache(maxsize=_ENVELOPE_CACHE_SIZE)
@@ -143,6 +144,7 @@ def run_iteration(
     gap from round 3 on that does not fall sets no_progress; it never stops.
     """
     transform, inverse, _ = _mode(mode)
+    max_iter = _count(max_iter, "max_iter")
     if max_iter < 1:
         raise BadParameter("max_iter must be at least 1")
     if not tol >= 0:
@@ -187,7 +189,7 @@ def run_iteration(
         # mu reflected) rather than on its grid sampling: inverting the stored
         # polyline would feed its interpolation error back into the loop at
         # the singular edge, flooring sup_to_limit near 5e-6 at M=4096.
-        quantile = QuantileCurve(inverse(quantile, grid))
+        quantile = MonotoneCurve(inverse(quantile, grid))
         curve = transform(quantile)
     return trace
 
@@ -210,7 +212,7 @@ def write_trace_csv(trace: IterationTrace, path) -> None:
 def fixed_point_residual(curve: MonotoneCurve, mode: str) -> float:
     """sup |operator(curve) - curve|: zero exactly at the operator's fixed point."""
     transform = _mode(mode)[0]
-    image = transform(QuantileCurve(curve.generalized_inverse(curve.grid)))
+    image = transform(MonotoneCurve(curve.generalized_inverse(curve.grid)))
     return float(np.max(np.abs(image.values - curve.values)))
 
 

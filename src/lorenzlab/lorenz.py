@@ -34,21 +34,23 @@ in L_ref(x) = 1 - psi^{-1}(1 - x). Every call compares them and raises
 CrossCheckError if they differ by more than 1e-6; both are exact, so the
 observed gap is rounding-level.
 
-A LorenzCurve is a nondecreasing grid curve of a nonnegative distribution.
-A sample with negative values has a generalized curve, which dips below
-zero: GeneralizedLorenzPoints, cut back to a LorenzCurve by
-truncate_generalized.
+A LorenzCurve is convex from (0, 0) to (1, 1) and below the diagonal, as
+its constructor checks; every operator output is one. Any other curve, such
+as a quantile or the concave dual, is a MonotoneCurve. A sample with
+negative values has a generalized curve, which dips below zero:
+GeneralizedLorenzPoints, cut back to a LorenzCurve by truncate_generalized.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .curves import (
-    _ENDPOINT_TOL, _GRID_CACHE_SIZE, DEFAULT_GRID, MonotoneCurve, QuantileCurve, _nondecreasing,
+    _ENDPOINT_TOL, _GRID_CACHE_SIZE, DEFAULT_GRID, MonotoneCurve, _nondecreasing,
     _sample, _sorted_sample, _sorted_searchsorted, _trapezoid_prefix, _uniform_grid,
 )
 from .errors import (
@@ -58,6 +60,7 @@ from .errors import (
     EmptySample,
     NonMonotone,
     NonPositiveMean,
+    NumericError,
     OutOfRange,
     UnitSupportRequired,
 )
@@ -69,17 +72,14 @@ _ROUTE_AGREEMENT = 1e-6
 
 @dataclass(frozen=True, eq=False)
 class LorenzCurve(MonotoneCurve):
-    """A nondecreasing grid curve from (0,0) to (1,1), produced by or fed to
-    the operators.
+    """A Lorenz curve on the grid: nondecreasing and convex from (0, 0) to
+    (1, 1), and below the diagonal.
 
     The constructor snaps endpoints within 1e-12 of 0 and 1 onto them (a snap
-    that breaks monotonicity is NonMonotone) and verifies the two flags:
-    convex: second differences are nonnegative (1e-10 slack).
-    classical: the curve stays inside 0 <= L(x) <= x.
+    that breaks monotonicity is NonMonotone), then checks that the second
+    differences are nonnegative and that 0 <= L(x) <= x, each with 1e-10
+    slack; a curve that fails either is BadParameter.
     """
-
-    convex: bool = True
-    classical: bool = True
 
     def _validate(self):
         super()._validate()
@@ -93,15 +93,13 @@ class LorenzCurve(MonotoneCurve):
         if values[1] < 0.0 or values[-2] > 1.0:
             raise NonMonotone("snapping the endpoints to 0 and 1 breaks monotonicity")
         object.__setattr__(self, "values", values)
-        if self.convex:
-            d2 = values[2:] - 2.0 * values[1:-1] + values[:-2]
-            if d2.size and d2.min() < -_CONVEXITY_TOL:
-                raise BadParameter(f"curve is not convex (min d2 = {float(d2.min())!r})")
-        # Nondecreasing from values[0] = 0, so a classical curve is nonnegative.
-        if self.classical:
-            excess = values - self.grid
-            if excess.max() > _CLASSICAL_TOL:
-                raise BadParameter("classical curve must stay below the diagonal")
+        d2 = values[2:] - 2.0 * values[1:-1] + values[:-2]
+        if d2.size and d2.min() < -_CONVEXITY_TOL:
+            raise BadParameter(f"curve is not convex (min d2 = {float(d2.min())!r})")
+        # Nondecreasing from values[0] = 0, so below the diagonal is 0 <= L <= x.
+        excess = values - self.grid
+        if excess.max() > _CLASSICAL_TOL:
+            raise BadParameter("a Lorenz curve must stay below the diagonal")
 
 
 def _positive_mean(quantile: MonotoneCurve) -> float:
@@ -124,7 +122,7 @@ def _running_max(a: np.ndarray) -> np.ndarray:
 def lorenz_transform(quantile: MonotoneCurve) -> LorenzCurve:
     """Normalized prefix integral of a nonnegative quantile curve."""
     values = quantile._prefix / _positive_mean(quantile)  # the G primal_inverse inverts
-    return LorenzCurve(_running_max(values), convex=True, classical=True)
+    return LorenzCurve(_running_max(values))
 
 
 def _prefix_inverse(x, G, g, target, side: str = "left", cells=None, key=None) -> np.ndarray:
@@ -192,7 +190,7 @@ def _route_constants(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return slope, slope[1:], g
 
 
-def _psi_route(q: QuantileCurve, cells=None) -> np.ndarray:
+def _psi_route(q: MonotoneCurve, cells=None) -> np.ndarray:
     """Reflected operator through psi, the cross-check route.
 
     psi(y) is the integral over [0, y] of g, the inverse of the integrand
@@ -209,7 +207,7 @@ def _psi_route(q: QuantileCurve, cells=None) -> np.ndarray:
     return _running_max(1.0 - y)
 
 
-def _min_route(qc: QuantileCurve, mu: float, cells=None) -> np.ndarray:
+def _min_route(qc: MonotoneCurve, mu: float, cells=None) -> np.ndarray:
     """Reflected operator L_ref(x) = sup { t : E[min(Q, t)] <= mu x } on the grid.
 
     m(t) = E[min(Q, t)] equals t up to Q_0 and prefix_k + Q_k (1 - k/M) at
@@ -227,7 +225,7 @@ def _min_route(qc: QuantileCurve, mu: float, cells=None) -> np.ndarray:
     return _running_max(vals)
 
 
-def unit_support(quantile: MonotoneCurve, *, normalize: bool = False) -> QuantileCurve:
+def unit_support(quantile: MonotoneCurve, *, normalize: bool = False) -> MonotoneCurve:
     """Clip a nonnegative quantile into [0, 1], optionally scaling by its max.
 
     This is the support precondition of the reflected operator; the clip
@@ -235,11 +233,10 @@ def unit_support(quantile: MonotoneCurve, *, normalize: bool = False) -> Quantil
     a maximum above 1, or one so small that 1 minus it rounds to 1, is
     UnitSupportRequired.
 
-    Once those checks pass, a QuantileCurve that the clip would leave
-    unchanged in every bit comes back as itself, with the prefix it already
-    holds: without normalize, its top is at most 1 and no node has its sign
-    bit set. A -0.0 node makes a new curve, since np.maximum(-0.0, 0.0) is
-    +0.0.
+    Once those checks pass, a curve that the clip would leave unchanged in
+    every bit comes back as itself, with the prefix it already holds: without
+    normalize, its top is at most 1 and no node has its sign bit set. A -0.0
+    node makes a new curve, since np.maximum(-0.0, 0.0) is +0.0.
     """
     q = quantile.values
     if q[0] < -_ENDPOINT_TOL:
@@ -248,7 +245,7 @@ def unit_support(quantile: MonotoneCurve, *, normalize: bool = False) -> Quantil
     if normalize:
         if qmax <= 0.0:
             raise NonPositiveMean("cannot normalize an all-zero quantile")
-        return QuantileCurve(np.minimum(np.maximum(q, 0.0) / qmax, 1.0))
+        return MonotoneCurve(np.minimum(np.maximum(q, 0.0) / qmax, 1.0))
     if qmax > 1.0 + 1e-9:
         raise UnitSupportRequired(
             f"support reaches {float(qmax)!r}; pass normalize=True to rescale"
@@ -260,12 +257,12 @@ def unit_support(quantile: MonotoneCurve, *, normalize: bool = False) -> Quantil
             f"support reaches only {float(qmax)!r}, below float resolution "
             "next to 1; pass normalize=True to rescale"
         )
-    if isinstance(quantile, QuantileCurve) and qmax <= 1.0 and not np.signbit(q).any():
+    if qmax <= 1.0 and not np.signbit(q).any():
         return quantile
-    return QuantileCurve(np.minimum(np.maximum(q, 0.0), 1.0))
+    return MonotoneCurve(np.minimum(np.maximum(q, 0.0), 1.0))
 
 
-def _reflected_support(quantile: MonotoneCurve) -> tuple[QuantileCurve, float]:
+def _reflected_support(quantile: MonotoneCurve) -> tuple[MonotoneCurve, float]:
     """unit_support(quantile) and its mean, checked positive."""
     qc = unit_support(quantile)
     return qc, _positive_mean(qc)
@@ -314,7 +311,7 @@ def reflected_transform(quantile: MonotoneCurve, *, cells: dict | None = None) -
         raise CrossCheckError(
             f"reflected operator routes disagree by {gap!r} (> {_ROUTE_AGREEMENT})"
         )
-    return LorenzCurve(vals, convex=True, classical=True)
+    return LorenzCurve(vals)
 
 
 def primal_inverse(quantile: MonotoneCurve, u, *, cells: dict | None = None) -> np.ndarray:
@@ -337,23 +334,21 @@ def primal_inverse(quantile: MonotoneCurve, u, *, cells: dict | None = None) -> 
     )
 
 
-def simple_reflect(curve: MonotoneCurve) -> LorenzCurve:
+def simple_reflect(curve: LorenzCurve) -> LorenzCurve:
     """Point reflection through (1/2, 1/2): x -> 1 - L^{-1}(1 - x).
 
     Exact where the reflected curve's kinks land on grid nodes; otherwise
-    correct to grid resolution.
+    correct to grid resolution. A reflection that is no Lorenz curve is BadParameter.
     """
     grid = curve.grid
     vals = 1.0 - curve.generalized_inverse(1.0 - grid)
     vals = np.maximum.accumulate(vals)
-    convex = curve.convex if isinstance(curve, LorenzCurve) else False
-    classical = curve.classical if isinstance(curve, LorenzCurve) else False
-    return LorenzCurve(vals, convex=convex, classical=classical)
+    return LorenzCurve(vals)
 
 
-def dual_curve(curve: MonotoneCurve) -> LorenzCurve:
-    """Node-exact concave dual: d(x) = 1 - L(1 - x). Involutive."""
-    return LorenzCurve(1.0 - curve.values[::-1], convex=False, classical=False)
+def dual_curve(curve: MonotoneCurve) -> MonotoneCurve:
+    """Node-exact concave dual above the diagonal: d(x) = 1 - L(1 - x). Involutive."""
+    return MonotoneCurve(1.0 - curve.values[::-1])
 
 
 # -- generalized curves from raw samples --------------------------------------
@@ -374,11 +369,18 @@ class GeneralizedLorenzPoints:
     sign_change_index: int | None
 
 
+def _finite_total(total):
+    """A sum of finite values, refused as NumericError when it overflowed."""
+    if math.isinf(total):
+        raise NumericError(f"the sample's sums overflow to {float(total)!r}")
+    return total
+
+
 def _partial_sum_ratios(sorted_x: np.ndarray) -> tuple[np.ndarray, float]:
-    """(S_i/S_n for i = 1..n, S_n) of a sorted sample; S_n must be positive.
-    The ratios are written over sorted_x."""
+    """(S_i/S_n for i = 1..n, S_n) of a sorted sample; S_n must be finite
+    and positive. The ratios are written over sorted_x."""
     partial = sorted_x.cumsum(out=sorted_x)
-    total = float(partial[-1])
+    total = _finite_total(float(partial[-1]))
     if total <= 0.0:
         raise NonPositiveMean(f"sample total must be positive, got {total!r}")
     partial /= total
@@ -427,4 +429,4 @@ def truncate_generalized(
     y_scaled = (ys - ys[0]) / (1.0 - ys[0])
     vals = np.interp(_uniform_grid(grid_size), x_scaled, y_scaled)
     vals = np.maximum.accumulate(vals)
-    return LorenzCurve(vals, convex=True, classical=True)
+    return LorenzCurve(vals)

@@ -41,12 +41,12 @@ given step, for small asset counts, as an independent check.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import exact
+from .curves import _count
 from .errors import (
     BadParameter,
     DataError,
@@ -367,10 +367,7 @@ def efficient_frontier(
     when it converged. So cvar and mad points run phase two only, and their
     iterations count the pivots from the handle's basis."""
     s = _validate_scenarios(scenarios)
-    try:
-        n_points = operator.index(n_points)
-    except TypeError:
-        raise BadParameter(f"n_points must be an integer, got {n_points!r}") from None
+    n_points = _count(n_points, "n_points")
     if n_points < 2:
         raise BadParameter("a frontier needs at least two points")
     means = _scenario_means(s)

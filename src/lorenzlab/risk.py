@@ -29,6 +29,8 @@ import numpy as np
 
 from .curves import (
     GOLDEN,
+    MonotoneCurve,
+    _count,
     _primal_power,
     _reflected_power,
     _sample,
@@ -36,8 +38,8 @@ from .curves import (
     _uniform_grid,
     _unit_points,
 )
-from .errors import BadParameter, BadSpec, EmptySample, NonPositiveMean
-from .lorenz import LorenzCurve, _partial_sum_ratios
+from .errors import BadParameter, BadSpec, EmptySample, NonPositiveMean, NumericError
+from .lorenz import _finite_total, _partial_sum_ratios
 
 MEASURE_KINDS = ("variance", "mad", "cvar", "gmd", "extended_gini", "gs1", "gs2")
 
@@ -52,6 +54,7 @@ def cvar_weights(n: int, tail_fraction: float) -> np.ndarray:
     """
     if not 0.0 < tail_fraction < 1.0:
         raise BadParameter("tail fraction must lie in (0, 1)")
+    n = _count(n, "n")
     if n < 1:
         raise EmptySample("need at least one sample")
     # Guard ceil against float slop like 0.05 * 100 = 5.000000000000000444.
@@ -66,6 +69,7 @@ def cvar_weights(n: int, tail_fraction: float) -> np.ndarray:
 def gmd_weights(n: int) -> np.ndarray:
     """Order-statistic weights of the Gini mean difference; they sum to 0
     exactly by sign symmetry."""
+    n = _count(n, "n")
     if n < 2:
         raise EmptySample("Gini mean difference needs at least two samples")
     j = np.arange(1, n + 1, dtype=float)
@@ -173,11 +177,18 @@ class TargetCurveSpec:
         chord = 0.5 * (bu - bd) * (y_d + y_u)
         return float(lower + chord + upper)
 
-    def curve(self, grid_size: int) -> LorenzCurve:
-        return LorenzCurve(self.evaluate(_uniform_grid(grid_size)), convex=False, classical=True)
+    def curve(self, grid_size: int) -> MonotoneCurve:
+        """The curve at the grid nodes, its end nodes exactly 0 and 1."""
+        values = self.evaluate(_uniform_grid(grid_size))
+        values[0], values[-1] = 0.0, 1.0
+        return MonotoneCurve(values)
 
 
 # -- binding -------------------------------------------------------------------
+
+# The sums a kind takes of t values below 2**1022 / t in magnitude stay
+# finite in any order.
+_SUM_LIMIT = 2.0**1022
 
 
 def _bound(kind: str, t: int, v, tail_fraction, target):
@@ -186,29 +197,51 @@ def _bound(kind: str, t: int, v, tail_fraction, target):
     w_i = (1 - i/T)^(v-2) summed over i < T, extended_gini is v(v-1)/(T-1)
     * sum w_i (i/T - S_i/S_T): the Gini coefficient, exactly GMD/(2*mean), at
     v = 2, and 0 at v = 1. gs1 is mu * v(v-1)/int(target)/(T-1)
-    * sum w_i |S_i/S_T - target(i/T)|, and gs2 is gs1 on |x|."""
+    * sum w_i |S_i/S_T - target(i/T)|, and gs2 is gs1 on |x|.
+
+    The value function sorts its sample (gs2: |x|) once. A sample that
+    reaches _SUM_LIMIT / t in magnitude is evaluated with numpy's overflow
+    warnings off, and a value that is not finite then is a NumericError, as
+    is an infinite total of the partial sums."""
     if kind in ("extended_gini", "gs1", "gs2") and not v >= 1.0:
         raise BadParameter(f"{kind} needs v >= 1")
     min_size = 1 if kind in ("variance", "mad", "cvar") else 2
     if t < min_size:
         raise EmptySample(f"need at least {min_size} samples, got {t}")
     if kind == "variance":
-        return lambda x: float(np.var(_sorted_sample(x)))
-    if kind == "mad":
-        def mad_value(x):
-            x = _sorted_sample(x)
-            return float(np.mean(np.abs(x - x.mean())))
-        return mad_value
-    if kind in ("cvar", "gmd"):
-        w = cvar_weights(t, tail_fraction) if kind == "cvar" else gmd_weights(t)
-        return lambda x: float(np.dot(w, _sorted_sample(x)))
+        of_sorted = np.var
+    elif kind == "mad":
+        def of_sorted(x):
+            return np.mean(np.abs(x - x.mean()))
+    elif kind in ("cvar", "gmd"):
+        of_sorted = (cvar_weights(t, tail_fraction) if kind == "cvar" else gmd_weights(t)).dot
+    else:
+        of_sorted = _distance_to_target(kind, t, v, target)
+    limit = _SUM_LIMIT / t
+
+    def value(x):
+        x = _sorted_sample(np.abs(x) if kind == "gs2" else x)
+        if -limit < x[0] and x[-1] < limit:
+            return float(of_sorted(x))
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = float(of_sorted(x))
+        if not math.isfinite(out):
+            raise NumericError(f"the sample's sums overflow: {kind} is {out!r}")
+        return out
+
+    return value
+
+
+def _distance_to_target(kind: str, t: int, v, target):
+    """The extended_gini, gs1 or gs2 value of a sorted sample of size t,
+    which it overwrites."""
     xi = np.arange(1, t, dtype=float) / t
     weights = (1.0 - xi) ** (v - 2.0)
     if kind == "extended_gini":
         factor = v * (v - 1.0) / (t - 1.0)
         def gini_value(x):
-            ratios = _partial_sum_ratios(_sorted_sample(x))[0][:-1]
-            return float(factor * np.dot(weights, np.subtract(xi, ratios, out=ratios)))
+            ratios = _partial_sum_ratios(x)[0][:-1]
+            return factor * np.dot(weights, np.subtract(xi, ratios, out=ratios))
         return gini_value
     if not isinstance(target, TargetCurveSpec):
         raise BadSpec(f"{kind} needs a TargetCurveSpec target, got {type(target).__name__}")
@@ -220,19 +253,17 @@ def _bound(kind: str, t: int, v, tail_fraction, target):
     target_values, integral = target.evaluate(xi), target.integral()
 
     def gs_value(x):
-        # One sorted copy, overwritten in place: the mean is taken first, as
-        # np.mean takes it (x.sum() / t), then the partial-sum ratios. The
-        # cumulative total they check can round to the other sign, so the
-        # mean is checked too.
-        x = _sorted_sample(np.abs(x) if kind == "gs2" else x)
-        total = x.sum()
+        # The mean is taken first, as np.mean takes it (x.sum() / t), then
+        # the partial-sum ratios. The cumulative total they check can round
+        # to the other sign, so the mean is checked too.
+        total = _finite_total(x.sum())
         if not total > 0.0:
             raise NonPositiveMean(f"sample mean must be positive, got {float(total / t)!r}")
         mean = total / t
         ratios = _partial_sum_ratios(x)[0][:-1]
         ratios -= target_values
         deviation = np.dot(weights, np.abs(ratios, out=ratios))
-        return float(mean * v * (v - 1.0) / integral * deviation / (t - 1.0))
+        return mean * v * (v - 1.0) / integral * deviation / (t - 1.0)
 
     return gs_value
 

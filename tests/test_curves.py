@@ -11,7 +11,6 @@ from lorenzlab import (
     AnalyticFamily,
     LorenzCurve,
     MonotoneCurve,
-    QuantileCurve,
     TargetCurveSpec,
     analytic_quantile,
     empirical_quantile,
@@ -139,7 +138,7 @@ def test_generalized_inverse_range_checks():
 )
 def test_nan_points_are_rejected(call, error):
     with pytest.raises(error):
-        call(QuantileCurve(np.array([0.0, 0.5, 1.0])))
+        call(MonotoneCurve(np.array([0.0, 0.5, 1.0])))
 
 
 @given(monotone_values())
@@ -180,8 +179,9 @@ def test_prefix_integral_monotone_and_bounded(vals, a, b):
 
 
 def test_quantile_mean():
-    q = QuantileCurve(np.array([0.0, 1.0]))
-    assert q.mean == pytest.approx(0.5)
+    # the mean of a quantile curve is its total integral
+    q = MonotoneCurve(np.array([0.0, 1.0]))
+    assert q.total_integral == 0.5
 
 
 # ---------------------------------------------------------------- constructors
@@ -469,8 +469,10 @@ def test_analytic_quantile_tail_handling():
     assert q.values[-1] == pytest.approx(fam.quantile(1.0 - 1.0 / 128.0))
     ln = analytic_quantile(AnalyticFamily.lognormal(0.5, 0.2), 64)
     assert ln.values[0] == 0.0
-    with pytest.raises(BadParameter):
-        analytic_quantile(fam, 1)
+    # one segment is a grid, as for every other builder; its top is Q(1/2)
+    assert analytic_quantile(fam, 1).values.tolist() == [1.0, fam.quantile(0.5)]
+    with pytest.raises(BadParameter, match="grid_size must be at least 1"):
+        analytic_quantile(fam, 0)
 
 
 # ---------------------------------------------------------------- round trips

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from lorenzlab import (
     AnalyticFamily,
     LorenzCurve,
-    QuantileCurve,
     alpha_sequence,
     analytic_quantile,
     empirical_quantile,
@@ -186,7 +185,7 @@ def test_reflected_normalize_only_rescales_the_first_step():
     start = analytic_quantile(AnalyticFamily.lognormal(0.5, 0.2), 512)
     trace = run_iteration(start, "reflected", max_iter=3, tol=0.0, normalize=True)
     for curve in trace.curves:
-        assert curve.classical
+        assert type(curve) is LorenzCurve
 
 
 def test_reflected_two_atom_run_agrees_across_zero_width_cells(monkeypatch):
@@ -256,7 +255,7 @@ def cold_rounds(start, mode, rounds):
     quantile = start if primal else unit_support(start, normalize=True)
     curves = [transform(quantile)]
     while len(curves) < rounds:
-        quantile = QuantileCurve(inverse(quantile, quantile.grid))
+        quantile = MonotoneCurve(inverse(quantile, quantile.grid))
         curves.append(transform(quantile))
     limit = limit_curve(mode, start.grid_size).values
     sups = [float(np.max(np.abs(c.values - limit))) for c in curves]
@@ -286,7 +285,7 @@ def test_reflected_inverse_with_the_runs_memo_is_the_inverse_without():
         for _ in range(40):
             warm = reflected_inverse(quantile, quantile.grid, cells=memo)
             assert warm.tobytes() == reflected_inverse(quantile, quantile.grid).tobytes(), name
-            quantile = QuantileCurve(warm)
+            quantile = MonotoneCurve(warm)
         assert set(memo) == {"inverse"}
 
 
@@ -375,7 +374,7 @@ def test_envelope_violations_match_fresh_powers(
     ]:
         x = np.linspace(0.0, 1.0, trace.curves[0].grid_size + 1)
         below = LorenzCurve(x**8)
-        above = LorenzCurve(1.0 - (1.0 - x) ** 8, convex=False, classical=False)
+        above = MonotoneCurve(1.0 - (1.0 - x) ** 8)
         for curves in (trace.curves, [below] * 40, [above] * 40):
             sequences.append((mode, curves, reference_envelope_violations(curves, mode)))
     for index in range(40):

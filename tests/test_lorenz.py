@@ -27,7 +27,7 @@ from lorenzlab import (
     unit_support,
 )
 import lorenzlab.lorenz as lorenz_module
-from lorenzlab.curves import MonotoneCurve, QuantileCurve
+from lorenzlab.curves import MonotoneCurve
 from lorenzlab.errors import (
     BadParameter,
     CrossCheckError,
@@ -66,9 +66,12 @@ def positive_samples():
         ([0.0, 0.5, 0.9], {}, BadParameter),
         # the endpoint snap would leave a dip just inside either end
         ([-5e-13, -1e-13, 0.5, 1.0], {}, NonMonotone),
-        ([0.0, 0.5, 1.0 + 5e-13, 1.0 + 9e-13], dict(convex=False, classical=False), NonMonotone),
-        ([0.0, 0.2, 0.3, 1.0], dict(classical=False), BadParameter),  # concave at 1/3
-        ([0.0, 0.6, 0.8, 1.0], dict(convex=False), BadParameter),  # above the diagonal
+        ([0.0, 0.5, 1.0 + 5e-13, 1.0 + 9e-13], {}, NonMonotone),
+        ([0.0, 0.2, 0.3, 1.0], {}, BadParameter),  # concave at 1/3
+        ([0.0, 0.6, 0.8, 1.0], {}, BadParameter),  # above the diagonal
+        # the checks have no switch
+        ([0.0, 0.2, 0.3, 1.0], dict(convex=False), TypeError),
+        ([0.0, 0.6, 0.8, 1.0], dict(classical=False), TypeError),
     ],
 )
 def test_lorenz_curve_constructor_rejects(values, flags, error):
@@ -78,13 +81,20 @@ def test_lorenz_curve_constructor_rejects(values, flags, error):
 
 @pytest.mark.parametrize(
     "build",
-    [lambda: dual_curve(lorenz_transform(UNIFORM)), lambda: TargetCurveSpec().curve(64)],
-    ids=["dual_curve", "target_curve"],
+    [
+        lambda: dual_curve(lorenz_transform(UNIFORM)),
+        lambda: TargetCurveSpec().curve(64),
+        # tail weights that sum to 1 only within rounding
+        lambda: TargetCurveSpec(up_kuma=0.7, up_power=0.3).curve(64),
+        lambda: TargetCurveSpec(beta_up=1.0, down_kuma=0.7, down_power=0.3).curve(7),
+    ],
+    ids=["dual_curve", "target_curve", "target_curve_rounded_weights", "target_curve_chord_end"],
 )
-def test_lorenz_curve_constructor_accepts_a_flag_off(build):
+def test_non_lorenz_curves_are_monotone_curves(build):
     curve = build()
-    assert not (curve.convex and curve.classical)
+    assert type(curve) is MonotoneCurve
     assert curve.values[0] == 0.0 and curve.values[-1] == 1.0
+    assert not np.signbit(curve.values).any()
     assert np.all(np.diff(curve.values) >= 0.0)
 
 
@@ -107,7 +117,7 @@ def test_samples_are_checked_one_way(entry):
 
 def test_uniform_transforms_to_square():
     L = lorenz_transform(UNIFORM)
-    assert L.convex and L.classical
+    assert type(L) is LorenzCurve
     assert np.allclose(L.values, L.grid**2, atol=1e-15)
 
 
@@ -159,7 +169,7 @@ def test_increments_sit_between_slope_bounds(sample):
     q = empirical_quantile(sample, 64)
     L = lorenz_transform(q)
     h = 1.0 / 64
-    mu = q.mean
+    mu = q.total_integral
     inc = np.diff(L.values) * mu / h
     assert np.all(inc >= q.values[:-1] - 1e-9 * mu)
     assert np.all(inc <= q.values[1:] + 1e-9 * mu)
@@ -168,11 +178,9 @@ def test_increments_sit_between_slope_bounds(sample):
 def test_superposition_of_quantiles():
     q1 = empirical_quantile([1.0, 2.0, 5.0], 60)
     q2 = analytic_quantile(AnalyticFamily.power(2.0), 60)
-    mixed = QuantileCurve(q1.values + q2.values)
-    want = (
-        q1.mean * lorenz_transform(q1).values
-        + q2.mean * lorenz_transform(q2).values
-    ) / (q1.mean + q2.mean)
+    mixed = MonotoneCurve(q1.values + q2.values)
+    mu1, mu2 = q1.total_integral, q2.total_integral
+    want = (mu1 * lorenz_transform(q1).values + mu2 * lorenz_transform(q2).values) / (mu1 + mu2)
     assert np.allclose(lorenz_transform(mixed).values, want, atol=1e-14)
 
 
@@ -241,7 +249,7 @@ def quantiles_with_flats(draw):
             max_size=30,
         )
     )
-    return QuantileCurve(np.concatenate([np.zeros(zeros), np.sort(levels)]))
+    return MonotoneCurve(np.concatenate([np.zeros(zeros), np.sort(levels)]))
 
 
 @given(quantiles_with_flats(), st.data())
@@ -279,8 +287,8 @@ def unit_quantiles(draw):
             max_size=40,
         )
     )
-    q = QuantileCurve(np.sort(levels))
-    assume(q.mean > 0.0)
+    q = MonotoneCurve(np.sort(levels))
+    assume(q.total_integral > 0.0)
     return q
 
 
@@ -289,9 +297,9 @@ def unit_quantiles(draw):
 @example(analytic_quantile(AnalyticFamily.point_mass(0.7), M))
 @example(UNIFORM)
 @example(empirical_quantile([0.2, 0.9], 33))  # targets that tie m's node values
-@example(QuantileCurve(np.array([0.0, 1e-310, 0.5])))  # a slope that overflows
+@example(MonotoneCurve(np.array([0.0, 1e-310, 0.5])))  # a slope that overflows
 # a subnormal mean: mu * frac rounds up to m's top, past every cell
-@example(QuantileCurve(np.array([5e-324, 5e-324, 1.5e-323, 2e-323, 2.5e-323])))
+@example(MonotoneCurve(np.array([5e-324, 5e-324, 1.5e-323, 2e-323, 2.5e-323])))
 @settings(max_examples=200, deadline=None)
 def test_min_route_is_its_scalar_loop(q):
     # the route's breakpoints (t, m, slope), inverted one target at a time
@@ -299,11 +307,11 @@ def test_min_route_is_its_scalar_loop(q):
     t = np.concatenate([[0.0], q.values])
     m = np.concatenate([[0.0], q._prefix + q.values * (1.0 - frac)])
     slope = np.concatenate([[1.0], 1.0 - frac])
-    vals = prefix_inverse_loop(t, m, slope, q.mean * frac[:-1], "right")
+    vals = prefix_inverse_loop(t, m, slope, q.total_integral * frac[:-1], "right")
     expected = np.maximum.accumulate(np.append(vals, 1.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        assert np.array_equal(lorenz_module._min_route(q, q.mean), expected)
+        assert np.array_equal(lorenz_module._min_route(q, q.total_integral), expected)
 
 
 # ---------------------------------------------------------------- support
@@ -322,17 +330,21 @@ def test_unit_support_validation():
 
 def test_unit_support_returns_an_in_range_quantile_itself():
     assert unit_support(UNIFORM) is UNIFORM
-    # the same values as a plain curve, or with a -0.0 node, make a new curve
-    plain = MonotoneCurve(UNIFORM.values)
-    clipped = unit_support(plain)
-    assert type(clipped) is QuantileCurve and clipped is not plain
-    assert clipped.values.tobytes() == UNIFORM.values.tobytes()
-    signed = QuantileCurve(np.array([-0.0, -0.0, 0.5, 1.0]))
+    # so is a Lorenz curve, which is a quantile on [0, 1] too, and the
+    # reflected operator reads the same bits from it as from its values
+    L = lorenz_transform(analytic_quantile(AnalyticFamily.power(2.0), M))
+    assert unit_support(L) is L
+    assert (
+        reflected_transform(L).values.tobytes()
+        == reflected_transform(MonotoneCurve(L.values)).values.tobytes()
+    )
+    # a -0.0 node makes a new curve
+    signed = MonotoneCurve(np.array([-0.0, -0.0, 0.5, 1.0]))
     cleared = unit_support(signed)
     assert cleared is not signed
     assert cleared.values.tobytes() == np.array([0.0, 0.0, 0.5, 1.0]).tobytes()
     # a top just above 1 is clipped onto it
-    nudged = QuantileCurve(np.array([0.0, 0.5, 1.0 + 1e-10]))
+    nudged = MonotoneCurve(np.array([0.0, 0.5, 1.0 + 1e-10]))
     assert unit_support(nudged).values.tolist() == [0.0, 0.5, 1.0]
 
 
@@ -340,7 +352,7 @@ def test_unit_support_returns_an_in_range_quantile_itself():
 def test_unit_support_refuses_a_quantile_before_returning_it(top):
     # above 1 + 1e-9, or so small that 1 - top == 1
     with pytest.raises(UnitSupportRequired, match="normalize=True"):
-        unit_support(QuantileCurve(np.array([0.0, 0.5 * top, top])))
+        unit_support(MonotoneCurve(np.array([0.0, 0.5 * top, top])))
 
 
 # ---------------------------------------------------------------- reflected
@@ -349,7 +361,7 @@ def test_unit_support_refuses_a_quantile_before_returning_it(top):
 @pytest.mark.parametrize("top", [1.0, 0.7, 0.25])
 def test_reflected_uniform_closed_form(top):
     # support that stops short of 1 leaves L at top just below x = 1
-    L = reflected_transform(QuantileCurve(top * UNIFORM.values))
+    L = reflected_transform(MonotoneCurve(top * UNIFORM.values))
     x = L.grid
     assert np.allclose(L.values[:-1], top * (1.0 - np.sqrt(1.0 - x[:-1])), atol=1e-12)
     assert L.values[-1] == 1.0
@@ -378,7 +390,7 @@ def test_reflected_on_a_tiny_maximum_asks_for_normalize_without_warnings(top):
     # 1 - Q rounds to 1 at every node, so the psi route cannot check the min
     # route; the support is rejected before either runs, and rescaled it is
     # the uniform two-node quantile
-    q = QuantileCurve(np.array([0.0, top]))
+    q = MonotoneCurve(np.array([0.0, top]))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(UnitSupportRequired, match="normalize=True"):
@@ -390,7 +402,7 @@ def test_reflected_on_a_tiny_maximum_asks_for_normalize_without_warnings(top):
 
 
 def test_reflected_on_a_subnormal_mean_asks_for_normalize():
-    q = QuantileCurve(np.array([5e-324, 5e-324, 1.5e-323, 2e-323, 2.5e-323]))
+    q = MonotoneCurve(np.array([5e-324, 5e-324, 1.5e-323, 2e-323, 2.5e-323]))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(UnitSupportRequired, match="normalize=True"):
@@ -402,9 +414,9 @@ def test_reflected_support_resolution_boundary():
     # 1 - 2**-54 rounds to 1 (a tie, to even); the next float up is the
     # smallest maximum the operator takes, and both routes still agree there
     with pytest.raises(UnitSupportRequired, match="normalize=True"):
-        reflected_transform(QuantileCurve(2.0**-54 * UNIFORM.values))
+        reflected_transform(MonotoneCurve(2.0**-54 * UNIFORM.values))
     top = float(np.nextafter(2.0**-54, 1.0))
-    L = reflected_transform(QuantileCurve(top * UNIFORM.values))
+    L = reflected_transform(MonotoneCurve(top * UNIFORM.values))
     assert L.values[-1] == 1.0
 
 
@@ -451,7 +463,7 @@ def test_reflected_inverse_with_a_memo_is_the_inverse_without(q, extra):
     q = unit_support(q, normalize=True)
     for u in (q.grid, np.concatenate([extra, q.grid])):
         memo = {}
-        reflected_inverse(QuantileCurve(q.grid), u, cells=memo)
+        reflected_inverse(MonotoneCurve(q.grid), u, cells=memo)
         expected = reflected_inverse(q, u).tobytes()
         assert reflected_inverse(q, u, cells=memo).tobytes() == expected
         assert reflected_inverse(q, u, cells=memo).tobytes() == expected
@@ -462,7 +474,7 @@ def test_reflected_rejects_oversized_support():
     with pytest.raises(UnitSupportRequired):
         reflected_transform(q)
     L = reflected_transform(unit_support(q, normalize=True))
-    assert L.classical
+    assert type(L) is LorenzCurve
 
 
 # ---------------------------------------------------------------- reflections
@@ -473,6 +485,13 @@ def test_simple_reflect_of_square():
     R = simple_reflect(L)
     x = R.grid
     assert np.allclose(R.values, 1.0 - np.sqrt(1.0 - x), atol=1e-7)
+
+
+def test_simple_reflect_refuses_a_reflection_that_is_no_lorenz_curve():
+    # the reflection of the concave dual of x^2 is concave too
+    concave = dual_curve(lorenz_transform(analytic_quantile(AnalyticFamily.uniform01(), 64)))
+    with pytest.raises(BadParameter, match="not convex"):
+        simple_reflect(concave)
 
 
 def test_simple_reflect_involution():
@@ -558,8 +577,8 @@ def test_truncate_positive_sample_reproduces_classical_polyline():
     [
         lambda: LorenzCurve(np.array([0.1, 0.5, 1.0])),
         lambda: LorenzCurve(np.array([0.0, 0.6, 0.7, 1.0])),
-        lambda: lorenz_transform(QuantileCurve(np.zeros(5))),
-        lambda: primal_inverse(QuantileCurve(np.zeros(5)), [0.5]),
+        lambda: lorenz_transform(MonotoneCurve(np.zeros(5))),
+        lambda: primal_inverse(MonotoneCurve(np.zeros(5)), [0.5]),
         lambda: unit_support(MonotoneCurve(np.array([0.0, 1.0, 2.0]))),
         lambda: min_risk(np.array([[0.01, 0.02], [0.03, 0.01]]), RiskMeasureConfig("variance"), 1.0),
     ],

@@ -9,20 +9,26 @@ import pytest
 
 from lorenzlab import (
     AnalyticFamily,
+    TargetCurveSpec,
+    alpha_sequence,
     analytic_quantile,
     compute_returns,
     copula_simulate,
     cvar_weights,
     efficient_frontier,
+    empirical_quantile,
     gmd_pairwise,
     gmd_weights,
     grid_oracle,
+    historical_scenarios,
     limit_curve,
     load_price_panel,
+    measure_value,
     min_risk,
     read_scenarios_csv,
     run_iteration,
     self_similarity_residual,
+    take_every,
     truncate_generalized,
 )
 from lorenzlab.cli import _cmd_frontier, _cmd_measure, _parse_start, build_parser, main
@@ -59,6 +65,8 @@ FILES = {
     "overflow.csv": "A\n1e200\n-1e200\n3e200\n",
     "overflow_pair.csv": "A,B\n1e200,2e200\n-1e200,1e200\n3e200,-1e200\n",
     "overflow_mean.csv": "A,B\n1.5e308,0.01\n1.5e308,0.02\n-1e308,0.03\n",
+    # finite column means, but sorted partial sums that overflow
+    "big.csv": "A,B\n1.5e308,1e308\n-1.5e308,-1e308\n1.5e308,1e308\n-1.4e308,-1e308\n",
     "bad_curve.csv": "u,value\n0,abc\n",
     # a parse error anywhere in a price file comes before any value check
     "dup_then_bad.csv": "date,A\n2024-01-01,1.0\n2024-01-01,2.0\n2024-01-03,x\n",
@@ -74,6 +82,19 @@ FILES = {
     "dup_column_scenarios.csv": "A,B,A\n0.01,0.02,0.03\n0.03,-0.01,0.02\n",
 }
 VAR = RiskMeasureConfig("variance")
+
+# What each kind says about big.csv: the frontier's message, then measure's
+# on column A. cvar's risk is finite there.
+SUM_OVERFLOW = {
+    "variance": ("scenario covariance is not finite: the scenarios overflow",
+                 "the sample's sums overflow: variance is inf"),
+    "mad": ("mean absolute deviation is not finite: the scenarios overflow",
+            "the sample's sums overflow: mad is inf"),
+    "gmd": ("the sample's sums overflow: gmd is inf",) * 2,
+    "extended_gini": ("the sample's sums overflow to -inf",) * 2,
+    "gs1": ("the sample's sums overflow to -inf",) * 2,
+    "gs2": ("the sample's sums overflow to inf",) * 2,
+}
 
 
 def refusal(name, call, error, fragment, argv=None, code=None, prefix=None, marks=()):
@@ -244,11 +265,63 @@ REFUSALS = [
               3, "numeric failure",
               marks=[pytest.mark.filterwarnings("error::RuntimeWarning")])
       for kind in ("variance", "cvar", "mad", "gs1")),
+    # and sums of the sorted returns that overflow, though the means are
+    # finite, before any file is written or numpy warns
+    *(refusal(f"frontier-sum-overflow-{kind}",
+              lambda d, kind=kind: _cmd_frontier(build_parser().parse_args(
+                  ["frontier", "--scenarios", str(d / "big.csv"), "--kind", kind,
+                   "--n-points", "2", "--out", str(d / "out.csv")])),
+              NumericError, frontier_message,
+              ["frontier", "--scenarios", "{d}/big.csv", "--kind", kind, "--n-points", "2"],
+              3, "numeric failure",
+              marks=[pytest.mark.filterwarnings("error::RuntimeWarning")])
+      for kind, (frontier_message, _) in SUM_OVERFLOW.items()),
+    *(refusal(f"measure-sum-overflow-{kind}",
+              lambda d, kind=kind: measure_value(
+                  read_scenarios_csv(d / "big.csv", "A").values[:, 0], RiskMeasureConfig(kind)),
+              NumericError, measure_message,
+              ["measure", "--scenarios", "{d}/big.csv", "--column", "A", "--kind", kind],
+              3, "numeric failure",
+              marks=[pytest.mark.filterwarnings("error::RuntimeWarning")])
+      for kind, (_, measure_message) in SUM_OVERFLOW.items()),
     refusal("portfolio-mean-overflow",
             lambda d: min_risk(read_scenarios_csv(d / "overflow_mean.csv").values,
                                RiskMeasureConfig("mad")),
             NumericError, "scenario means are not finite: the scenarios overflow",
             marks=[pytest.mark.filterwarnings("error::RuntimeWarning")]),
+    # every count and size argument is an integer, by one check
+    *(refusal(f"count-{name}", call, BadParameter, fragment)
+      for name, call, fragment in [
+          ("limit-curve-grid", lambda d: limit_curve("primal", 7.9),
+           "grid_size must be an integer, got 7.9"),
+          ("limit-curve-grid-nan", lambda d: limit_curve("primal", float("nan")),
+           "grid_size must be an integer, got nan"),
+          ("analytic-quantile-grid",
+           lambda d: analytic_quantile(AnalyticFamily.uniform01(), 2.9),
+           "grid_size must be an integer, got 2.9"),
+          ("empirical-quantile-grid", lambda d: empirical_quantile([0.1, 0.2], 2.5),
+           "grid_size must be an integer, got 2.5"),
+          ("target-curve-grid", lambda d: TargetCurveSpec().curve(3.5),
+           "grid_size must be an integer, got 3.5"),
+          ("iterate-max-iter",
+           lambda d: run_iteration(analytic_quantile(AnalyticFamily.uniform01(), 8),
+                                   "primal", max_iter=2.5),
+           "max_iter must be an integer, got 2.5"),
+          ("copula-rows",
+           lambda d: copula_simulate(read_scenarios_csv(d / "two_rows.csv"), n=2.5),
+           "n must be an integer, got 2.5"),
+          ("copula-seed",
+           lambda d: copula_simulate(read_scenarios_csv(d / "two_rows.csv"), n=3, seed=1.5),
+           "seed must be an integer, got 1.5"),
+          ("historical-window",
+           lambda d: historical_scenarios(read_scenarios_csv(d / "two_rows.csv"), 2.5),
+           "window must be an integer, got 2.5"),
+          ("take-every", lambda d: take_every(load_price_panel(d / "prices.csv"), 1.5),
+           "k must be an integer, got 1.5"),
+          ("alpha-sequence", lambda d: alpha_sequence(2.5), "count must be an integer, got 2.5"),
+          ("cvar-weights", lambda d: cvar_weights(2.5, 0.1), "n must be an integer, got 2.5"),
+          ("gmd-weights", lambda d: gmd_weights(2.5), "n must be an integer, got 2.5"),
+      ]),
     # the iteration and its curves
     refusal("iterate-max-iter",
             lambda d: run_iteration(analytic_quantile(AnalyticFamily.uniform01(), 64),
@@ -289,3 +362,13 @@ def test_refusal(tmp_path, capsys, call, error, fragment, cli):
     err = capsys.readouterr().err
     assert err.startswith(f"{prefix}: ") and fragment in err, err
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cvar_runs_where_other_kinds_refuse_overflowing_sums(tmp_path):
+    # cvar weighs the worst returns only, so its risk on big.csv is finite
+    (tmp_path / "big.csv").write_text(FILES["big.csv"])
+    out = tmp_path / "cvar.csv"
+    argv = ["frontier", "--scenarios", str(tmp_path / "big.csv"), "--kind", "cvar"]
+    assert main(argv + ["--n-points", "2", "--out", str(out)]) == 0
+    assert out.exists()

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from lorenzlab import (
     MEASURE_KINDS,
+    LorenzCurve,
+    MonotoneCurve,
     RiskMeasureConfig,
     TargetCurveSpec,
     cvar_weights,
@@ -242,7 +244,12 @@ def test_target_curve_is_classical():
     x = curve.grid
     assert np.all(curve.values <= x + 1e-12)
     assert np.all(curve.values >= -1e-15)
-    assert not curve.convex
+    # a chord may meet a tail at a concave kink, so a target curve is a
+    # MonotoneCurve, and not every one is a Lorenz curve
+    assert type(curve) is MonotoneCurve
+    kinked = TargetCurveSpec(beta_down=0.5, beta_up=0.6).curve(256)
+    with pytest.raises(BadParameter, match="not convex"):
+        LorenzCurve(kinked.values)
 
 
 # ---------------------------------------------------------------- gs measures
